@@ -101,14 +101,11 @@ from .states import (
 )
 from .stp import (
     DELTA_EPS,
-    StpRecord,
     StpVerdict,
-    chi_at,
     chi_series,
     choice_probability,
     stp_delta,
     stp_delta_bound,
-    stp_records,
     stp_verdict,
 )
 

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import eig_hermitian, partial_trace, tensor
+from .linalg import partial_trace, tensor, unitary_from_hamiltonian
 
 DEFAULT_MU = 0.59
 DEFAULT_GAMMA = 1.74
@@ -84,17 +84,15 @@ class Trajectory:
 def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     """Propagate rho0 along U(t) rho0 U(t)^dagger for every grid time.
 
-    Each propagator is rebuilt from the cached spectral decomposition of h,
-    so there is no step-to-step error accumulation.
+    Each propagator is built from the spectral decomposition of h, so there
+    is no step-to-step error accumulation.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     h = np.asarray(h)
     if rho0.shape != h.shape:
         raise DimensionMismatchError(f"state shape {rho0.shape} != Hamiltonian shape {h.shape}")
     times = np.asarray(times, dtype=float)
-    w, v = eig_hermitian(h)
-    phases = np.exp(-1j * np.outer(times, w))  # (N, d)
-    u = (v[None, :, :] * phases[:, None, :]) @ v.conj().T
+    u = unitary_from_hamiltonian(h, times)
     states = u @ rho0 @ u.conj().swapaxes(-1, -2)
     return Trajectory(times, states)
 

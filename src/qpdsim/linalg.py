@@ -32,27 +32,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= tol)
 
 
-def _eig2_closed(m: np.ndarray) -> Spectrum:
-    # Closed form for 2x2 Hermitian matrices: mean +- radius. Exact values for
-    # the regression anchors used by the state catalog.
-    a = m[0, 0].real
-    d = m[1, 1].real
-    b = m[0, 1]
-    mean = 0.5 * (a + d)
-    radius = np.hypot(0.5 * (a - d), abs(b))
-    eigenvalues = np.array([mean + radius, mean - radius])
-    if abs(b) == 0.0:
-        order = np.argsort([-a, -d], kind="stable")
-        vectors = np.eye(2, dtype=complex)[:, order]
-        return Spectrum(np.array([a, d])[order], vectors)
-    # Columns [b, eps - a] are eigenvectors and mutually orthogonal.
-    vectors = np.empty((2, 2), dtype=complex)
-    for k, eps in enumerate(eigenvalues):
-        v = np.array([b, eps - a], dtype=complex)
-        vectors[:, k] = v / np.linalg.norm(v)
-    return Spectrum(eigenvalues, vectors)
-
-
 def eig_hermitian(m: np.ndarray) -> Spectrum:
     """Eigendecompose a Hermitian matrix; eigenvalues sorted descending.
 
@@ -63,8 +42,6 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):
         raise NonHermitianError(f"matrix is not Hermitian within {HERM_TOL:g}")
-    if m.shape[0] == 2:
-        return _eig2_closed(m)
     w, v = np.linalg.eigh(m)
     return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
 
@@ -111,10 +88,16 @@ def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
-    """Propagator exp(-i h t) via the spectral decomposition of Hermitian h."""
+def unitary_from_hamiltonian(h: np.ndarray, t) -> np.ndarray:
+    """Propagator exp(-i h t) via the spectral decomposition of Hermitian h.
+
+    A scalar t gives one (d, d) matrix; a 1-D array of N times gives the
+    stack (N, d, d), every entry built from the same decomposition.
+    """
+    t = np.asarray(t, dtype=float)
     w, v = eig_hermitian(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    phases = np.exp(-1j * np.multiply.outer(t, w))  # (d,) or (N, d)
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def assert_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:

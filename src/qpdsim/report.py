@@ -8,6 +8,7 @@ Reference tables shipped as package data anchor the regression sweep.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -40,10 +41,11 @@ from .states import (
     CATALOG_LABELS,
     ScenarioSpec,
     catalog_case,
+    chi_initial,
     initial_mental_state,
     qubit_state,
 )
-from .stp import StpVerdict, chi_series, choice_probability, stp_delta, stp_delta_bound, stp_verdict, stp_records
+from .stp import StpVerdict, choice_probability, stp_delta, stp_delta_bound, stp_verdict
 
 # Regression tolerances. Time-averaged table cells must land within
 # TABLE_TOL of the 2-decimal reference; cells between TABLE_TOL and
@@ -137,26 +139,29 @@ def analyze_case(
     t_max: float = DEFAULT_T_MAX,
     samples: int = DEFAULT_SAMPLES,
 ) -> CaseAnalysis:
-    """Run one scenario end to end on the default or a custom grid."""
+    """Run one scenario end to end on the default or a custom grid.
+
+    chi(t) is chi(0) carried along by the dynamics, so it is exactly zero
+    when the uncertain prediction has no coherence.
+    """
     spec = catalog_case(scenario) if isinstance(scenario, str) else scenario
     h = build_hamiltonian(params)
     times = time_grid(t_max, samples)
     trajectories = {alpha: evolve(initial_mental_state(spec, alpha), h, times) for alpha in BRANCHES}
-    chi = chi_series(trajectories["u"], trajectories["d"], trajectories["c"], spec.p_b)
-    delta = np.atleast_1d(stp_delta(chi))
+    chi = evolve(chi_initial(spec), h, times).states
+    delta = stp_delta(chi)
     series = {alpha: measure_series(trajectories[alpha].states) for alpha in BRANCHES}
-    records = stp_records(trajectories["u"], trajectories["d"], trajectories["c"], spec.p_b)
     return CaseAnalysis(
         spec=spec,
         hamiltonian=params,
         times=times,
         trajectories=trajectories,
-        probabilities={alpha: np.atleast_1d(choice_probability(trajectories[alpha].states)) for alpha in BRANCHES},
+        probabilities={alpha: choice_probability(trajectories[alpha].states) for alpha in BRANCHES},
         delta=delta,
-        delta_bound=np.atleast_1d(stp_delta_bound(chi)),
+        delta_bound=stp_delta_bound(chi),
         series=series,
         means={alpha: average_measures(series[alpha], times) for alpha in BRANCHES},
-        verdict=stp_verdict(records),
+        verdict=stp_verdict(times, delta),
     )
 
 
@@ -371,11 +376,22 @@ def _fmt(x) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+
+    The temp file gets a fresh name and is created exclusively, so concurrent
+    writers into one directory never share it; it is removed if the write or
+    the rename fails. The final file has the usual umask-derived mode.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def render_table_csv(rows: list[dict], columns: tuple[str, ...], round_digits: int = 2) -> str:

@@ -176,16 +176,49 @@ def scenario_to_config(spec: ScenarioSpec) -> dict:
     return {"case_label": spec.case_label, "branches": branches}
 
 
+def _config_value(mapping, path: str, default=None):
+    """Entry at the dotted key ``path`` whose parent is ``mapping``."""
+    parent, _, key = path.rpartition(".")
+    try:
+        return mapping[key]
+    except KeyError:
+        if default is not None:
+            return default
+        raise ValueError(f"config: missing key {path}") from None
+    except TypeError:
+        raise ValueError(f"config: {parent} must be a mapping, got {mapping!r}") from None
+
+
+def _config_float(mapping, path: str, default=None) -> float:
+    value = _config_value(mapping, path, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config: {path} must be a number, got {value!r}") from None
+
+
+def _subsystem_from_config(raw, path: str, side: str) -> SubsystemParams:
+    """Subsystem parameters from the keys p<side>, lam<side>_re, lam<side>_im."""
+    p = _config_float(raw, f"{path}.p{side}")
+    lam = complex(_config_float(raw, f"{path}.lam{side}_re", 0.0), _config_float(raw, f"{path}.lam{side}_im", 0.0))
+    return SubsystemParams(p, lam)
+
+
 def scenario_from_config(config: Mapping) -> ScenarioSpec:
-    """Parse the mapping produced by scenario_to_config."""
+    """Parse the mapping produced by scenario_to_config.
+
+    A missing or malformed entry raises ValueError naming its key path,
+    e.g. ``branches.u.pB``.
+    """
+    branches_cfg = _config_value(config, "branches")
     branches = {}
     for alpha in BRANCHES:
-        raw = config["branches"][alpha]
+        path = f"branches.{alpha}"
+        raw = _config_value(branches_cfg, path)
         branches[alpha] = BranchState(
-            SubsystemParams(float(raw["pB"]), complex(raw.get("lamB_re", 0.0), raw.get("lamB_im", 0.0))),
-            SubsystemParams(float(raw["pA"]), complex(raw.get("lamA_re", 0.0), raw.get("lamA_im", 0.0))),
+            _subsystem_from_config(raw, path, "B"), _subsystem_from_config(raw, path, "A")
         )
-    return ScenarioSpec(str(config["case_label"]), branches)
+    return ScenarioSpec(str(_config_value(config, "case_label")), branches)
 
 
 def load_scenario(path) -> ScenarioSpec:

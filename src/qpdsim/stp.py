@@ -11,15 +11,16 @@ chi diagonal, bounds |delta| from above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .errors import EmptyInputError, GridMismatchError
 
-# Threshold separating quadrature noise (<= 1e-10 in coherence-free
-# scenarios) from genuine violations (>= 1e-3 at catalog parameters).
+# Threshold separating rounding noise (<= 1e-10 when chi is formed by
+# subtracting branches) from genuine violations (>= 1e-3 at catalog
+# parameters).
 DELTA_EPS = 1e-6
 
 _IMAG_TOL = 1e-12
@@ -48,13 +49,6 @@ def chi_series(
     return traj_u.states - p_b * traj_d.states - (1.0 - p_b) * traj_c.states
 
 
-def chi_at(
-    traj_u: Trajectory, traj_d: Trajectory, traj_c: Trajectory, p_b: float, t_index: int
-) -> np.ndarray:
-    """chi at one grid index."""
-    return chi_series(traj_u, traj_d, traj_c, p_b)[t_index]
-
-
 def _real_diag_sum(chi: np.ndarray, indices) -> np.ndarray:
     diag = np.diagonal(chi, axis1=-2, axis2=-1)[..., indices]
     total = np.sum(diag, axis=-1)
@@ -78,52 +72,25 @@ def stp_delta_bound(chi: np.ndarray):
 
 
 @dataclass(frozen=True)
-class StpRecord:
-    """Per-sample probabilities and mixture deviation."""
-
-    t: float
-    p_u: float
-    p_d: float
-    p_c: float
-    delta: float
-    delta_bound: float
-
-
-@dataclass(frozen=True)
 class StpVerdict:
     violated: bool
     max_abs_delta: float
     onset_time: Optional[float]
 
 
-def stp_records(
-    traj_u: Trajectory, traj_d: Trajectory, traj_c: Trajectory, p_b: float
-) -> list[StpRecord]:
-    """Per-sample records for three aligned branch trajectories."""
-    chi = chi_series(traj_u, traj_d, traj_c, p_b)
-    delta = np.atleast_1d(stp_delta(chi))
-    bound = np.atleast_1d(stp_delta_bound(chi))
-    p_u = np.atleast_1d(choice_probability(traj_u.states))
-    p_d = np.atleast_1d(choice_probability(traj_d.states))
-    p_c = np.atleast_1d(choice_probability(traj_c.states))
-    return [
-        StpRecord(float(t), float(pu), float(pd), float(pc), float(dl), float(db))
-        for t, pu, pd, pc, dl, db in zip(traj_u.times, p_u, p_d, p_c, delta, bound)
-    ]
-
-
-def stp_verdict(records: Sequence[StpRecord], eps: float = DELTA_EPS) -> StpVerdict:
-    """Classify a scenario from its delta samples.
+def stp_verdict(times: np.ndarray, delta: np.ndarray, eps: float = DELTA_EPS) -> StpVerdict:
+    """Classify a scenario from its delta samples on the grid ``times``.
 
     Violated iff max |delta| exceeds eps; onset_time is the first grid time
     where that happens, None when the principle holds.
     """
-    if len(records) == 0:
-        raise EmptyInputError("no records to judge")
-    deltas = np.array([r.delta for r in records])
-    max_abs = float(np.max(np.abs(deltas)))
+    times = np.asarray(times, dtype=float)
+    abs_delta = np.abs(np.asarray(delta, dtype=float))
+    if times.shape != abs_delta.shape:
+        raise GridMismatchError(f"{times.shape} times but {abs_delta.shape} delta samples")
+    if abs_delta.size == 0:
+        raise EmptyInputError("no delta samples to judge")
+    max_abs = float(np.max(abs_delta))
     violated = max_abs > eps
-    onset = None
-    if violated:
-        onset = float(records[int(np.argmax(np.abs(deltas) > eps))].t)
+    onset = float(times[np.argmax(abs_delta > eps)]) if violated else None
     return StpVerdict(violated, max_abs, onset)

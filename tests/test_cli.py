@@ -114,6 +114,28 @@ def test_case_and_scenario_config_conflict(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda cfg: cfg["branches"]["u"].pop("pB"), "branches.u.pB"),
+        (lambda cfg: cfg["branches"]["c"].pop("pA"), "branches.c.pA"),
+        (lambda cfg: cfg["branches"].pop("d"), "branches.d"),
+        (lambda cfg: cfg.pop("case_label"), "case_label"),
+        (lambda cfg: cfg["branches"]["u"].update(lamB_re="half"), "branches.u.lamB_re"),
+        (lambda cfg: cfg["branches"].update(u=[0.5]), "branches.u"),
+    ],
+)
+def test_config_errors_name_the_key_path(tmp_path, capsys, edit, path):
+    config = scenario_to_config(catalog_case("3"))
+    edit(config)
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["--config", str(cfg_path), "--outputs", "table1", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and path in err
+    assert not (tmp_path / "table1.csv").exists()
+
+
 def test_reproduce_all_passes(capsys):
     assert main(["--reproduce-all"]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,7 @@ from qpdsim import (
     SlitExperiment,
     build_hamiltonian,
     catalog_case,
+    chi_series,
     choice_probability,
     evolve,
     initial_mental_state,
@@ -20,7 +21,6 @@ from qpdsim import (
     slit_experiment_from_json,
     slit_experiment_to_json,
     stp_delta,
-    chi_at,
     subset_keys,
 )
 
@@ -87,7 +87,7 @@ class TestI2:
         exp = SlitExperiment(
             2, {"1": spec.p_b * p_d, "2": (1 - spec.p_b) * p_c, "12": p_u}
         )
-        delta = stp_delta(chi_at(trajs["u"], trajs["d"], trajs["c"], spec.p_b, 1))
+        delta = stp_delta(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[1])
         assert interference_i2(exp) == pytest.approx(delta, abs=1e-12)
 
 

@@ -157,6 +157,15 @@ class TestUnitaryFromHamiltonian:
         with pytest.raises(NonHermitianError):
             unitary_from_hamiltonian(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
 
+    def test_time_array_stacks_scalar_propagators(self):
+        rng = np.random.default_rng(14)
+        h = random_hermitian(rng, 4)
+        times = np.linspace(-3.0, 3.0, 7)
+        stack = unitary_from_hamiltonian(h, times)
+        assert stack.shape == (7, 4, 4)
+        for t, u in zip(times, stack):
+            np.testing.assert_allclose(u, unitary_from_hamiltonian(h, t), rtol=0, atol=1e-14)
+
 
 class TestDensityValidation:
     def test_accepts_valid(self):

@@ -1,9 +1,14 @@
+import os
+import stat
+
+import numpy as np
 import pytest
 
 from qpdsim import HamiltonianParams, analyze_case, catalog_case, load_reference_table
 from qpdsim.report import (
     TABLE2_COLUMNS,
     TRAJECTORY_COLUMNS,
+    atomic_write_text,
     case_file_tag,
     check_table,
     render_table_csv,
@@ -11,6 +16,7 @@ from qpdsim.report import (
     reproduce_all,
     table2_rows,
 )
+from support import random_hamiltonian_params, random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +49,28 @@ class TestAnalyzeCase:
         assert mean.S_A == pytest.approx(1.0, abs=1e-9)
         assert mean.S_AB == pytest.approx(2.0, abs=1e-9)
         assert mean.I_AB == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("samples", [65, 4097])
+    def test_coherence_free_delta_is_exactly_zero(self, samples):
+        # chi(0) vanishes without prediction coherence, and the dynamics
+        # carries zero to zero: no rounding residue from branch subtraction
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            spec = random_scenario(rng, coherent_prediction=False)
+            a = analyze_case(spec, random_hamiltonian_params(rng), samples=samples)
+            assert np.all(a.delta == 0.0)
+            assert np.all(a.delta_bound == 0.0)
+            assert a.verdict.max_abs_delta == 0.0
+            assert not a.verdict.violated
+
+    def test_decomposition_identity_from_analysis(self):
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            spec = random_scenario(rng)
+            a = analyze_case(spec, random_hamiltonian_params(rng), samples=513)
+            p = a.probabilities
+            gap = p["u"] - (spec.p_b * p["d"] + (1 - spec.p_b) * p["c"]) - a.delta
+            assert np.max(np.abs(gap)) <= 1e-10
 
 
 class TestReferenceTables:
@@ -131,3 +159,43 @@ class TestRendering:
     def test_case_file_tag(self):
         assert case_file_tag("3*") == "3star"
         assert case_file_tag("1") == "1"
+
+
+class TestAtomicWrite:
+    def test_writes_text_with_umask_mode(self, tmp_path):
+        target = tmp_path / "out.csv"
+        atomic_write_text(str(target), "a,b\n1,2\n")
+        assert target.read_text() == "a,b\n1,2\n"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failed_write_leaves_no_temp_and_keeps_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(target), "new \ud800\n")  # lone surrogate: not encodable
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failed_rename_leaves_no_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(str(target), "new\n")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_leaves_existing_fixed_name_temp_alone(self, tmp_path):
+        stale = tmp_path / "out.csv.tmp"
+        stale.write_text("someone else's\n")
+        atomic_write_text(str(tmp_path / "out.csv"), "new\n")
+        assert stale.read_text() == "someone else's\n"
+        assert (tmp_path / "out.csv").read_text() == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.csv.tmp"]

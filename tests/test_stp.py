@@ -7,10 +7,8 @@ from qpdsim import (
     DELTA_EPS,
     EmptyInputError,
     GridMismatchError,
-    StpRecord,
     build_hamiltonian,
     catalog_case,
-    chi_at,
     chi_initial,
     chi_series,
     choice_probability,
@@ -18,7 +16,6 @@ from qpdsim import (
     initial_mental_state,
     stp_delta,
     stp_delta_bound,
-    stp_records,
     stp_verdict,
     time_grid,
     unitary_from_hamiltonian,
@@ -60,7 +57,7 @@ class TestChiSeries:
     def test_t0_matches_initial_construction(self):
         spec = catalog_case("3*")
         trajs = branch_trajectories(spec, times=time_grid(samples=8))
-        chi0 = chi_at(trajs["u"], trajs["d"], trajs["c"], spec.p_b, 0)
+        chi0 = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[0]
         np.testing.assert_allclose(chi0, chi_initial(spec), atol=1e-13)
 
     def test_grid_mismatch_rejected(self):
@@ -105,7 +102,7 @@ class TestDelta:
         spec = catalog_case("3*")
         times = np.array([0.0, 1.0])
         trajs = branch_trajectories(spec, times=times)
-        chi1 = chi_at(trajs["u"], trajs["d"], trajs["c"], spec.p_b, 1)
+        chi1 = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[1]
         p_u = choice_probability(trajs["u"].states[1])
         p_d = choice_probability(trajs["d"].states[1])
         p_c = choice_probability(trajs["c"].states[1])
@@ -119,15 +116,16 @@ class TestDelta:
         specs += [random_scenario(rng) for _ in range(5)]
         for spec in specs:
             trajs = branch_trajectories(spec, times=time_grid(samples=513))
-            for record in stp_records(trajs["u"], trajs["d"], trajs["c"], spec.p_b):
-                mixture = spec.p_b * record.p_d + (1 - spec.p_b) * record.p_c
-                assert record.p_u == pytest.approx(mixture + record.delta, abs=1e-10)
+            delta = stp_delta(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b))
+            p = {alpha: choice_probability(trajs[alpha].states) for alpha in BRANCHES}
+            mixture = spec.p_b * p["d"] + (1 - spec.p_b) * p["c"]
+            np.testing.assert_allclose(p["u"], mixture + delta, rtol=0, atol=1e-10)
 
     def test_bound_dominates_delta(self):
         spec = catalog_case("4*")
         trajs = branch_trajectories(spec)
-        for record in stp_records(trajs["u"], trajs["d"], trajs["c"], spec.p_b):
-            assert record.delta_bound >= abs(record.delta) - 1e-12
+        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+        assert np.all(stp_delta_bound(chi) >= np.abs(stp_delta(chi)) - 1e-12)
 
     def test_coherence_free_prediction_never_deviates(self):
         # necessity: without prediction coherence the deviation vanishes for
@@ -147,44 +145,50 @@ class TestDelta:
         assert np.max(np.abs(stp_delta(chi))) > 1e-3
 
 
+def sampled_delta(spec):
+    times = time_grid()
+    trajs = branch_trajectories(spec, times=times)
+    return times, stp_delta(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b))
+
+
 class TestVerdict:
     @pytest.mark.parametrize("label", SATISFYING)
     def test_satisfying_cases(self, label):
-        spec = catalog_case(label)
-        trajs = branch_trajectories(spec)
-        verdict = stp_verdict(stp_records(trajs["u"], trajs["d"], trajs["c"], spec.p_b))
+        verdict = stp_verdict(*sampled_delta(catalog_case(label)))
         assert not verdict.violated
         assert verdict.onset_time is None
 
     @pytest.mark.parametrize("label", VIOLATING)
     def test_violating_cases(self, label):
-        spec = catalog_case(label)
-        trajs = branch_trajectories(spec)
-        verdict = stp_verdict(stp_records(trajs["u"], trajs["d"], trajs["c"], spec.p_b))
+        verdict = stp_verdict(*sampled_delta(catalog_case(label)))
         assert verdict.violated
         assert verdict.max_abs_delta > 1e-3
         assert verdict.onset_time is not None and verdict.onset_time > 0.0
 
     def test_all_zero_sequence(self):
-        records = [StpRecord(t, 0.5, 0.5, 0.5, 0.0, 0.0) for t in (0.0, 1.0, 2.0)]
-        verdict = stp_verdict(records)
+        verdict = stp_verdict(np.array([0.0, 1.0, 2.0]), np.zeros(3))
         assert not verdict.violated
         assert verdict.max_abs_delta == 0.0
         assert verdict.onset_time is None
 
     def test_onset_is_first_crossing(self):
-        records = [
-            StpRecord(0.0, 0.5, 0.5, 0.5, 0.0, 0.0),
-            StpRecord(1.0, 0.5, 0.5, 0.5, DELTA_EPS / 2, DELTA_EPS),
-            StpRecord(2.0, 0.5, 0.5, 0.5, 5e-3, 6e-3),
-            StpRecord(3.0, 0.5, 0.5, 0.5, 8e-3, 9e-3),
-        ]
-        verdict = stp_verdict(records)
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        delta = np.array([0.0, DELTA_EPS / 2, 5e-3, 8e-3])
+        verdict = stp_verdict(times, delta)
         assert verdict.violated and verdict.onset_time == 2.0
+
+    def test_onset_counts_negative_delta(self):
+        verdict = stp_verdict(np.array([0.0, 1.0, 2.0]), np.array([0.0, -5e-3, 8e-3]))
+        assert verdict.violated and verdict.onset_time == 1.0
+        assert verdict.max_abs_delta == 8e-3
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            stp_verdict([])
+            stp_verdict(np.array([]), np.array([]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(GridMismatchError):
+            stp_verdict(np.array([0.0, 1.0]), np.array([0.0]))
 
 
 def test_delta_bound_nonnegative_series():
