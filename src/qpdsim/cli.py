@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .report import (
     table2_rows,
     table3_rows,
 )
-from .states import ScenarioSpec, catalog_case, scenario_from_config
+from .states import ScenarioSpec, _config_float, catalog_case, scenario_from_config
 
 OUTPUT_KINDS = ("table1", "table2", "table3", "trajectory", "sorkin")
 DEFAULT_OUTPUTS = ("table1", "table2", "table3", "trajectory")
@@ -49,13 +50,12 @@ class RunConfig:
     outputs: tuple[str, ...] = DEFAULT_OUTPUTS
     out_dir: str = "."
     seed: int = 0
-    round_digits: int = 2
 
     def __post_init__(self) -> None:
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ValueError(f"unknown output {kind!r}; choose from {OUTPUT_KINDS}")
@@ -103,23 +103,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         raise ValueError("no scenario: pass --case LABEL or --config with case_label/branches")
 
-    def pick(cli_value, key: str, default):
-        if cli_value is not None:
-            return cli_value
-        return file_cfg.get(key, default)
+    def pick(cli_value, key: str, default: float) -> float:
+        return cli_value if cli_value is not None else _config_float(file_cfg, key, default)
 
-    mu = args.mu
+    samples = pick(args.samples, "samples", DEFAULT_SAMPLES)
+    if not float(samples).is_integer():
+        raise ValueError(f"config: samples must be an integer, got {samples!r}")
     hamiltonian = HamiltonianParams(
-        mu_d=pick(mu, "mu_d", DEFAULT_MU),
-        mu_c=pick(mu, "mu_c", DEFAULT_MU),
+        mu_d=pick(args.mu, "mu_d", DEFAULT_MU),
+        mu_c=pick(args.mu, "mu_c", DEFAULT_MU),
         gamma=pick(args.gamma, "gamma", DEFAULT_GAMMA),
     )
     outputs = tuple(s.strip() for s in args.outputs.split(",")) if args.outputs else DEFAULT_OUTPUTS
     return RunConfig(
         scenario=scenario,
         hamiltonian=hamiltonian,
-        t_max=float(pick(args.t_max, "t_max", DEFAULT_T_MAX)),
-        samples=int(pick(args.samples, "samples", DEFAULT_SAMPLES)),
+        t_max=pick(args.t_max, "t_max", DEFAULT_T_MAX),
+        samples=int(samples),
         outputs=outputs,
         out_dir=args.out_dir,
         seed=args.seed,
@@ -127,37 +127,38 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run(config: RunConfig) -> list[str]:
-    """Execute one batch run; returns the paths written."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    written: list[str] = []
+    """Execute one batch run; returns the paths written.
 
-    def emit(name: str, text: str) -> None:
-        path = os.path.join(config.out_dir, name)
-        atomic_write_text(path, text)
-        written.append(path)
-
+    Every requested output is rendered before any file is written, so a
+    failure while rendering leaves no file and no directory behind.
+    """
     label = config.scenario.case_label
     needs_dynamics = any(k in config.outputs for k in ("table2", "table3", "trajectory"))
     analysis = None
     if needs_dynamics:
         analysis = analyze_case(config.scenario, config.hamiltonian, config.t_max, config.samples)
 
+    rendered: list[tuple[str, str]] = []
     if "table1" in config.outputs:
-        rows = scenario_table1_rows(config.scenario)
-        emit("table1.csv", render_table_csv(rows, TABLE1_COLUMNS, config.round_digits))
+        rendered.append(("table1.csv", render_table_csv(scenario_table1_rows(config.scenario), TABLE1_COLUMNS)))
     if "table2" in config.outputs:
-        emit("table2.csv", render_table_csv(table2_rows({label: analysis}), TABLE2_COLUMNS, config.round_digits))
+        rendered.append(("table2.csv", render_table_csv(table2_rows({label: analysis}), TABLE2_COLUMNS)))
     if "table3" in config.outputs:
-        emit("table3.csv", render_table_csv(table3_rows({label: analysis}), TABLE3_COLUMNS, config.round_digits))
+        rendered.append(("table3.csv", render_table_csv(table3_rows({label: analysis}), TABLE3_COLUMNS)))
     if "trajectory" in config.outputs:
         for alpha in ("u", "d", "c"):
-            emit(
-                f"trajectory_case_{case_file_tag(label)}_{alpha}.csv",
-                render_trajectory_csv(analysis, alpha),
-            )
+            name = f"trajectory_case_{case_file_tag(label)}_{alpha}.csv"
+            rendered.append((name, render_trajectory_csv(analysis, alpha)))
     if "sorkin" in config.outputs:
         survey = run_interference_survey(SURVEY_DRAWS, config.seed)
-        emit("sorkin.json", json.dumps(survey, indent=2) + "\n")
+        rendered.append(("sorkin.json", json.dumps(survey, indent=2) + "\n"))
+
+    os.makedirs(config.out_dir, exist_ok=True)
+    written = []
+    for name, text in rendered:
+        path = os.path.join(config.out_dir, name)
+        atomic_write_text(path, text)
+        written.append(path)
     return written
 
 

@@ -59,8 +59,8 @@ def time_grid(t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES) -> n
     """Uniform closed grid [0, t_max] with the given number of samples."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     return np.linspace(0.0, t_max, samples)
 
 

@@ -14,7 +14,7 @@ import io
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -82,13 +82,13 @@ TRAJECTORY_COLUMNS = (
     "S_A", "S_B", "S_AB", "I_AB", "Cl1_A", "Cl1_B", "Cl1_AB", "CRE_AB", "EF_AB",
 )
 
-_SIG_FMT = "{:.12g}"
+_SIG_FMT = "%.12g"
 
 # Valid ranges for emitted columns. Values within _RANGE_CLIP_TOL of a bound
 # are rounding residue and get clipped onto it; anything beyond is an
 # invariant failure and aborts the run.
 _RANGE_CLIP_TOL = 1e-9
-_COLUMN_RANGES: dict[str, tuple[Optional[float], Optional[float]]] = {
+_COLUMN_RANGES: dict[str, tuple[float, float]] = {
     "p_u": (0.0, 1.0),
     "p_d": (0.0, 1.0),
     "p_c": (0.0, 1.0),
@@ -98,25 +98,29 @@ _COLUMN_RANGES: dict[str, tuple[Optional[float], Optional[float]]] = {
     "S_B": (0.0, 2.0),
     "S_AB": (0.0, 2.0),
     "I_AB": (0.0, 2.0),
-    "Cl1_A": (0.0, None),
-    "Cl1_B": (0.0, None),
-    "Cl1_AB": (0.0, None),
+    "Cl1_A": (0.0, np.inf),
+    "Cl1_B": (0.0, np.inf),
+    "Cl1_AB": (0.0, np.inf),
     "CRE_AB": (0.0, 2.0),
     "EF_AB": (0.0, 1.0),
 }
 
 
-def _sanitize(column: str, value: float) -> float:
-    lo, hi = _COLUMN_RANGES.get(column, (None, None))
-    if lo is not None and value < lo:
-        if value < lo - _RANGE_CLIP_TOL:
-            raise ValueError(f"column {column}: value {value!r} below {lo}")
-        value = lo
-    if hi is not None and value > hi:
-        if value > hi + _RANGE_CLIP_TOL:
-            raise ValueError(f"column {column}: value {value!r} above {hi}")
-        value = hi
-    return 0.0 if value == 0.0 else value  # normalize -0.0
+def _checked_column(name: str, values) -> np.ndarray:
+    """One output column clipped onto its valid range, with -0.0 as 0.0.
+
+    A value beyond the range by more than _RANGE_CLIP_TOL raises ValueError
+    naming the column and the first such 0-based data row.
+    """
+    values = np.asarray(values, dtype=float)
+    lo, hi = _COLUMN_RANGES.get(name, (-np.inf, np.inf))
+    bad = np.flatnonzero((values < lo - _RANGE_CLIP_TOL) | (values > hi + _RANGE_CLIP_TOL))
+    if bad.size:
+        row = bad[0]
+        value = float(values[row])
+        side = f"below {lo}" if value < lo else f"above {hi}"
+        raise ValueError(f"column {name}, row {row}: value {value!r} {side}")
+    return np.clip(values, lo, hi) + 0.0
 
 
 @dataclass(frozen=True)
@@ -367,14 +371,6 @@ def reproduce_all(
 # CSV emission
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return _SIG_FMT.format(float(x))
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn file.
 
@@ -394,8 +390,10 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def render_table_csv(rows: list[dict], columns: tuple[str, ...], round_digits: int = 2) -> str:
-    """Full-precision value columns followed by rounded display columns."""
+def render_table_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
+    """Full-precision value columns followed by 2-decimal display columns."""
+    # Python floats, so that round() below rounds the decimal value exactly
+    checked = [_checked_column(c, [row[c] for row in rows]).tolist() for c in columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["case", "alpha"]
@@ -403,13 +401,12 @@ def render_table_csv(rows: list[dict], columns: tuple[str, ...], round_digits: i
         header.append("violated")
     header += list(columns) + [f"{c}_rounded" for c in columns]
     writer.writerow(header)
-    for row in rows:
+    for row, values in zip(rows, zip(*checked)):
         out = [row["case"], row["alpha"]]
         if "violated" in row:
             out.append(str(row["violated"]))
-        values = [_sanitize(c, float(row[c])) for c in columns]
-        out += [_fmt(v) for v in values]
-        out += [f"{round(v, round_digits):.{round_digits}f}" for v in values]
+        out += [_SIG_FMT % v for v in values]
+        out += [f"{round(v, 2):.2f}" for v in values]
         writer.writerow(out)
     return buf.getvalue()
 
@@ -431,13 +428,9 @@ def render_trajectory_csv(analysis: CaseAnalysis, branch: str) -> str:
     }
     for name in MEASURE_FIELDS:
         column_data[name] = getattr(series, name)
+    m = np.column_stack([_checked_column(name, column_data[name]) for name in TRAJECTORY_COLUMNS])
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAJECTORY_COLUMNS)
-    for k in range(len(analysis.times)):
-        writer.writerow(
-            [_fmt(_sanitize(col, float(column_data[col][k]))) for col in TRAJECTORY_COLUMNS]
-        )
+    np.savetxt(buf, m, fmt=_SIG_FMT, delimiter=",", header=",".join(TRAJECTORY_COLUMNS), comments="")
     return buf.getvalue()
 
 

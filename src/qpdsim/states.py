@@ -186,7 +186,7 @@ def _config_value(mapping, path: str, default=None):
             return default
         raise ValueError(f"config: missing key {path}") from None
     except TypeError:
-        raise ValueError(f"config: {parent} must be a mapping, got {mapping!r}") from None
+        raise ValueError(f"config: {parent or 'top level'} must be a mapping, got {mapping!r}") from None
 
 
 def _config_float(mapping, path: str, default=None) -> float:

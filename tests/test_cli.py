@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qpdsim import catalog_case, scenario_to_config
+from qpdsim import catalog_case, cli, scenario_to_config
 from qpdsim.cli import main
 
 
@@ -68,6 +68,16 @@ def test_custom_scenario_config(tmp_path):
     assert len(rows) == 65
 
 
+def test_config_numbers_may_be_strings(tmp_path):
+    config = scenario_to_config(catalog_case("2"))
+    config.update(gamma="2", t_max="2", samples="5")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--outputs", "trajectory", "--out-dir", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "trajectory_case_2_u.csv")
+    assert [float(r["t"]) for r in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
 def test_cli_overrides_config_file(tmp_path):
     config = scenario_to_config(catalog_case("2"))
     config["samples"] = 65
@@ -102,6 +112,16 @@ def test_error_paths(tmp_path, capsys):
     assert main(["--case", "1", "--outputs", "bogus", "--out-dir", str(tmp_path)]) == 1
     assert "unknown output" in capsys.readouterr().err
 
+    not_a_mapping = tmp_path / "list.json"
+    not_a_mapping.write_text("[1]")
+    assert main(["--case", "1", "--config", str(not_a_mapping), "--out-dir", str(tmp_path)]) == 1
+    assert "config: top level must be a mapping" in capsys.readouterr().err
+
+    fresh = tmp_path / "fresh"
+    assert main(["--case", "3", "--t-max", "inf", "--out-dir", str(fresh)]) == 1
+    assert "t_max must be positive and finite" in capsys.readouterr().err
+    assert not fresh.exists()
+
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     assert main(["--case", "1", "--outputs", "table1", "--out-dir", str(blocker)]) == 1
@@ -123,6 +143,10 @@ def test_case_and_scenario_config_conflict(tmp_path, capsys):
         (lambda cfg: cfg.pop("case_label"), "case_label"),
         (lambda cfg: cfg["branches"]["u"].update(lamB_re="half"), "branches.u.lamB_re"),
         (lambda cfg: cfg["branches"].update(u=[0.5]), "branches.u"),
+        (lambda cfg: cfg.update(samples="many"), "samples"),
+        (lambda cfg: cfg.update(samples=3.7), "samples"),
+        (lambda cfg: cfg.update(gamma="strong"), "gamma"),
+        (lambda cfg: cfg.update(mu_d=[0.5]), "mu_d"),
     ],
 )
 def test_config_errors_name_the_key_path(tmp_path, capsys, edit, path):
@@ -134,6 +158,21 @@ def test_config_errors_name_the_key_path(tmp_path, capsys, edit, path):
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and path in err
     assert not (tmp_path / "table1.csv").exists()
+
+
+def test_render_failure_writes_nothing(tmp_path, monkeypatch, capsys):
+    real_render = cli.render_trajectory_csv
+
+    def fail_on_c(analysis, branch):
+        if branch == "c":
+            raise ValueError("column EF_AB, row 3: value 1.5 above 1.0")
+        return real_render(analysis, branch)
+
+    monkeypatch.setattr(cli, "render_trajectory_csv", fail_on_c)
+    out_dir = tmp_path / "fresh"
+    assert main(["--case", "3", "--samples", "65", "--out-dir", str(out_dir)]) == 1
+    assert "column EF_AB, row 3" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_reproduce_all_passes(capsys):

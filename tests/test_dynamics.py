@@ -198,3 +198,5 @@ class TestTimeGrid:
             time_grid(samples=1)
         with pytest.raises(ValueError):
             time_grid(t_max=0.0)
+        with pytest.raises(ValueError):
+            time_grid(t_max=math.inf)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import stat
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from qpdsim import HamiltonianParams, analyze_case, catalog_case, load_reference_table
+from qpdsim.measures import MEASURE_FIELDS, MeasureSeries
 from qpdsim.report import (
+    TABLE1_COLUMNS,
     TABLE2_COLUMNS,
     TRAJECTORY_COLUMNS,
     atomic_write_text,
@@ -155,6 +158,52 @@ class TestRendering:
         text = render_trajectory_csv(case2_analysis, "u")
         t_column = [line.split(",")[0] for line in text.strip().split("\n")[1:]]
         assert t_column[1] == f"{case2_analysis.times[1]:.12g}"
+
+    def test_trajectory_format_pin(self, case2_analysis):
+        # hand-built columns: near-bound residue, -0.0, exponents, no upper bound
+        columns = {
+            "S_A": [2.0 + 5e-10, 1.0], "S_B": [1e-5, 0.1], "S_AB": [-1e-10, 1.5],
+            "I_AB": [0.0, 2 / 3], "Cl1_A": [123456.789, 0.0], "Cl1_B": [1e-300, 1.0],
+            "Cl1_AB": [0.25, 3.0], "CRE_AB": [0.125, 1.0], "EF_AB": [1.0 + 1e-10, 0.5],
+        }
+        hand = dataclasses.replace(
+            case2_analysis,
+            times=np.array([-0.0, np.pi]),
+            probabilities={
+                "u": np.array([1 / 3, 0.5]),
+                "d": np.array([1.0 + 5e-10, 0.5]),
+                "c": np.array([-1e-10, 0.5]),
+            },
+            delta=np.array([-0.0, -0.25]),
+            delta_bound=np.array([0.0, 0.75]),
+            series={"u": MeasureSeries(**{f: np.array(columns[f]) for f in MEASURE_FIELDS})},
+        )
+        assert render_trajectory_csv(hand, "u") == (
+            "t,p_u,p_d,p_c,delta,Delta,S_A,S_B,S_AB,I_AB,Cl1_A,Cl1_B,Cl1_AB,CRE_AB,EF_AB\n"
+            "0,0.333333333333,1,0,0,0,2,1e-05,0,0,123456.789,1e-300,0.25,0.125,1\n"
+            "3.14159265359,0.5,0.5,0.5,-0.25,0.75,1,0.1,1.5,0.666666666667,0,1,3,1,0.5\n"
+        )
+
+    def test_table_format_pin(self):
+        # 2.675 is stored just below 2.675, so it rounds down like the decimal value
+        rows = [{"case": "x", "alpha": "u", "Cl1_B": -1e-10, "S_B": -0.0, "Cl1_A": 2.675, "S_A": 2.0 + 5e-10}]
+        assert render_table_csv(rows, TABLE1_COLUMNS) == (
+            "case,alpha,Cl1_B,S_B,Cl1_A,S_A,Cl1_B_rounded,S_B_rounded,Cl1_A_rounded,S_A_rounded\n"
+            "x,u,0,0,2.675,2,0.00,0.00,2.67,2.00\n"
+        )
+
+    def test_out_of_range_names_column_and_sample(self, case2_analysis):
+        delta = case2_analysis.delta.copy()
+        delta[7] = 1.5
+        bad = dataclasses.replace(case2_analysis, delta=delta)
+        with pytest.raises(ValueError, match=r"^column delta, row 7: value 1\.5 above 1\.0$"):
+            render_trajectory_csv(bad, "d")
+
+    def test_table_out_of_range_names_column_and_row(self):
+        row = {"case": "x", "alpha": "u", "Cl1_B": 0.0, "S_B": 0.0, "Cl1_A": 0.0, "S_A": 0.0}
+        rows = [row, dict(row, alpha="d", S_B=-1e-6)]
+        with pytest.raises(ValueError, match=r"^column S_B, row 1: value -1e-06 below 0\.0$"):
+            render_table_csv(rows, TABLE1_COLUMNS)
 
     def test_case_file_tag(self):
         assert case_file_tag("3*") == "3star"
