@@ -14,11 +14,9 @@ from .dynamics import (
     HamiltonianParams,
     MeasurementOutcome,
     Trajectory,
-    action_marginal,
     build_hamiltonian,
     evolve,
     measure_action,
-    prediction_marginal,
     time_grid,
 )
 from .errors import (
@@ -48,7 +46,6 @@ from .interference import (
 from .linalg import (
     HERM_TOL,
     PSD_TOL,
-    UNITARY_TOL,
     Spectrum,
     assert_density_matrix,
     eig_hermitian,

@@ -89,19 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-    if args.case and "branches" in file_cfg:
-        raise ValueError("give either --case or a config with a scenario, not both")
-    if args.case:
-        scenario = catalog_case(args.case)
-    elif "branches" in file_cfg:
-        scenario = scenario_from_config(file_cfg)
-    else:
-        raise ValueError("no scenario: pass --case LABEL or --config with case_label/branches")
+def _run_params(args: argparse.Namespace, file_cfg: dict) -> tuple[HamiltonianParams, float, int]:
+    """Hamiltonian, t_max and samples; a flag beats its config key, which beats the default."""
 
     def pick(cli_value, key: str, default: float) -> float:
         return cli_value if cli_value is not None else _config_float(file_cfg, key, default)
@@ -114,16 +103,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         mu_c=pick(args.mu, "mu_c", DEFAULT_MU),
         gamma=pick(args.gamma, "gamma", DEFAULT_GAMMA),
     )
+    return hamiltonian, pick(args.t_max, "t_max", DEFAULT_T_MAX), int(samples)
+
+
+def _config_from_args(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
+    if args.case and "branches" in file_cfg:
+        raise ValueError("give either --case or a config with a scenario, not both")
+    if args.case:
+        scenario = catalog_case(args.case)
+    elif "branches" in file_cfg:
+        scenario = scenario_from_config(file_cfg)
+    else:
+        raise ValueError("no scenario: pass --case LABEL or --config with case_label/branches")
+    hamiltonian, t_max, samples = _run_params(args, file_cfg)
     outputs = tuple(s.strip() for s in args.outputs.split(",")) if args.outputs else DEFAULT_OUTPUTS
-    return RunConfig(
-        scenario=scenario,
-        hamiltonian=hamiltonian,
-        t_max=pick(args.t_max, "t_max", DEFAULT_T_MAX),
-        samples=int(samples),
-        outputs=outputs,
-        out_dir=args.out_dir,
-        seed=args.seed,
-    )
+    return RunConfig(scenario, hamiltonian, t_max, samples, outputs, args.out_dir, args.seed)
 
 
 def run(config: RunConfig) -> list[str]:
@@ -165,16 +159,18 @@ def run(config: RunConfig) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        file_cfg: dict = {}
+        if args.config:
+            with open(args.config, encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
         if args.reproduce_all:
-            t_max = args.t_max if args.t_max is not None else DEFAULT_T_MAX
-            samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
-            mu = args.mu if args.mu is not None else DEFAULT_MU
-            gamma = args.gamma if args.gamma is not None else DEFAULT_GAMMA
-            result = reproduce_all(HamiltonianParams(mu, mu, gamma), t_max, samples)
+            if args.case or "branches" in file_cfg:
+                raise ValueError("--reproduce-all covers the whole catalog; it takes no --case or branches")
+            result = reproduce_all(*_run_params(args, file_cfg))
             for line in result.lines:
                 print(line)
             return 0 if result.passed else 1
-        config = _config_from_args(args)
+        config = _config_from_args(args, file_cfg)
         for path in run(config):
             print(f"wrote {path}")
         return 0

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import partial_trace, tensor, unitary_from_hamiltonian
+from .linalg import tensor, unitary_from_hamiltonian
 
 DEFAULT_MU = 0.59
 DEFAULT_GAMMA = 1.74
@@ -125,12 +125,3 @@ def measure_action(rho: np.ndarray) -> dict[str, MeasurementOutcome]:
         outcomes[label] = MeasurementOutcome(prob, post)
     return outcomes
 
-
-def action_marginal(rho: np.ndarray) -> np.ndarray:
-    """Reduced 2x2 action state of a 4x4 joint state."""
-    return partial_trace(rho, keep="A", dims=(2, 2))
-
-
-def prediction_marginal(rho: np.ndarray) -> np.ndarray:
-    """Reduced 2x2 prediction state of a 4x4 joint state."""
-    return partial_trace(rho, keep="B", dims=(2, 2))

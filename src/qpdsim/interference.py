@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InvalidModelError, MissingSubsetError
 
 _RANGE_TOL = 1e-12
+_SURVEY_SLITS = 3  # the fewest slits with a third-order term
 
 
 def subset_keys(n_slits: int) -> tuple[str, ...]:
@@ -127,29 +128,28 @@ def _random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_slit_model(
-    rng: np.random.Generator, n_slits: int = 3, diagonal: bool = False
-) -> QuantumSlitModel:
-    """Draw a random model: Haar-ish slit basis, full-rank state, random effect.
+def random_slit_model(rng: np.random.Generator, diagonal: bool = False) -> QuantumSlitModel:
+    """Draw a random three-slit model: Haar-ish slit basis, full-rank state, random effect.
 
     With diagonal=True the state commutes with every slit projector (the
     classical limit), which kills every second-order interference term.
     """
-    u = _random_unitary(rng, n_slits)
-    projectors = np.stack([np.outer(u[:, k], u[:, k].conj()) for k in range(n_slits)])
+    n = _SURVEY_SLITS
+    u = _random_unitary(rng, n)
+    projectors = np.stack([np.outer(u[:, k], u[:, k].conj()) for k in range(n)])
     if diagonal:
-        weights = rng.dirichlet(np.ones(n_slits))
+        weights = rng.dirichlet(np.ones(n))
         rho = sum(w * p for w, p in zip(weights, projectors))
     else:
-        g = rng.standard_normal((n_slits, n_slits)) + 1j * rng.standard_normal((n_slits, n_slits))
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-    v = _random_unitary(rng, n_slits)
-    effect = (v * rng.uniform(0.0, 1.0, n_slits)) @ v.conj().T
+    v = _random_unitary(rng, n)
+    effect = (v * rng.uniform(0.0, 1.0, n)) @ v.conj().T
     return QuantumSlitModel(rho, projectors, effect)
 
 
-def run_interference_survey(n_draws: int, seed: int, n_slits: int = 3) -> dict:
+def run_interference_survey(n_draws: int, seed: int) -> dict:
     """Monte-Carlo check of the hierarchy on random quantum slit models.
 
     Returns the largest |I3| seen, the fraction of draws whose two-slit
@@ -161,16 +161,16 @@ def run_interference_survey(n_draws: int, seed: int, n_slits: int = 3) -> dict:
     n_visible_i2 = 0
     diag_max_abs_i2 = 0.0
     for _ in range(n_draws):
-        exp = run_slit_model(random_slit_model(rng, n_slits))
+        exp = run_slit_model(random_slit_model(rng))
         max_abs_i3 = max(max_abs_i3, abs(interference_i3(exp)))
         if abs(pairwise_interference(exp, 1, 2)) > 0.01:
             n_visible_i2 += 1
-        diag_exp = run_slit_model(random_slit_model(rng, n_slits, diagonal=True))
+        diag_exp = run_slit_model(random_slit_model(rng, diagonal=True))
         diag_max_abs_i2 = max(diag_max_abs_i2, abs(pairwise_interference(diag_exp, 1, 2)))
     return {
         "n_draws": n_draws,
         "seed": seed,
-        "n_slits": n_slits,
+        "n_slits": _SURVEY_SLITS,
         "max_abs_i3": max_abs_i3,
         "frac_i2_above_0.01": n_visible_i2 / n_draws,
         "diagonal_max_abs_i2": diag_max_abs_i2,

@@ -17,7 +17,6 @@ from .errors import DimensionMismatchError, NonHermitianError, NotNormalizedErro
 # may sit before entropy-style functions refuse to clamp it silently.
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
-UNITARY_TOL = 1e-10
 TRACE_TOL = 1e-12
 
 
@@ -28,8 +27,8 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray  # unitary, columns aligned with eigenvalues
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERM_TOL)
 
 
 def eig_hermitian(m: np.ndarray) -> Spectrum:

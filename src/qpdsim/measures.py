@@ -108,8 +108,12 @@ def trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
     return float(_trapezoid(np.asarray(values, dtype=float), times, axis=0) / span)
 
 
-def time_average(traj: Trajectory, f: Callable[[np.ndarray], float]) -> float:
-    """Trapezoid mean of a per-state functional along a uniform trajectory."""
+def time_average(traj: Trajectory, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Trapezoid mean of a state functional along a uniform trajectory.
+
+    ``f`` is called once on the stacked states (N, d, d), as every functional
+    of this module accepts; a scalar result is taken as constant in time.
+    """
     if len(traj) == 0:
         raise EmptyTrajectoryError("trajectory holds no samples")
     steps = np.diff(traj.times)
@@ -117,8 +121,7 @@ def time_average(traj: Trajectory, f: Callable[[np.ndarray], float]) -> float:
         raise EmptyTrajectoryError("need at least two samples to average")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise ValueError("time grid must be uniform")
-    values = np.array([float(f(s)) for s in traj.states])
-    return trapezoid_mean(values, traj.times)
+    return trapezoid_mean(np.broadcast_to(f(traj.states), traj.times.shape), traj.times)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,8 @@ from .measures import (
     MeasureRecord,
     MeasureSeries,
     average_measures,
-    l1_coherence,
     measure_series,
-    von_neumann_entropy,
+    measure_state,
 )
 from .states import (
     BRANCHES,
@@ -43,7 +42,6 @@ from .states import (
     catalog_case,
     chi_initial,
     initial_mental_state,
-    qubit_state,
 )
 from .stp import StpVerdict, choice_probability, stp_delta, stp_delta_bound, stp_verdict
 
@@ -169,72 +167,43 @@ def analyze_case(
     )
 
 
-def scenario_table1_rows(spec: ScenarioSpec) -> list[dict]:
-    """Initial-state coherence and entropy for one scenario's branches."""
+def _rows(
+    label: str, records: Mapping[str, MeasureRecord], columns: tuple[str, ...], violated=None
+) -> list[dict]:
+    """One table row per branch: case, alpha, the verdict flag if given, then ``columns``."""
     rows = []
     for alpha in BRANCHES:
-        branch = spec.branches[alpha]
-        rho_b = qubit_state(branch.prediction)
-        rho_a = qubit_state(branch.action)
-        rows.append(
-            {
-                "case": spec.case_label,
-                "alpha": alpha,
-                "Cl1_B": l1_coherence(rho_b),
-                "S_B": von_neumann_entropy(rho_b),
-                "Cl1_A": l1_coherence(rho_a),
-                "S_A": von_neumann_entropy(rho_a),
-            }
-        )
+        row = {"case": label, "alpha": alpha}
+        if violated is not None:
+            row["violated"] = int(violated)
+        row.update((column, getattr(records[alpha], column)) for column in columns)
+        rows.append(row)
     return rows
+
+
+def scenario_table1_rows(spec: ScenarioSpec) -> list[dict]:
+    """Coherence and entropy of one scenario's branches, measured on the joint t=0 state."""
+    records = {alpha: measure_state(initial_mental_state(spec, alpha)) for alpha in BRANCHES}
+    return _rows(spec.case_label, records, TABLE1_COLUMNS)
 
 
 def table1_rows(labels: Iterable[str] = CATALOG_LABELS) -> list[dict]:
     """Initial-state coherence and entropy per catalog case and branch."""
-    rows = []
-    for label in labels:
-        rows.extend(scenario_table1_rows(catalog_case(label)))
-    return rows
+    return [row for label in labels for row in scenario_table1_rows(catalog_case(label))]
 
 
 def table2_rows(analyses: Mapping[str, CaseAnalysis]) -> list[dict]:
     """Time-averaged entropies and mutual information per case and branch."""
-    rows = []
-    for label, analysis in analyses.items():
-        for alpha in BRANCHES:
-            mean = analysis.means[alpha]
-            rows.append(
-                {
-                    "case": label,
-                    "alpha": alpha,
-                    "violated": int(analysis.verdict.violated),
-                    "S_B": mean.S_B,
-                    "S_A": mean.S_A,
-                    "S_AB": mean.S_AB,
-                    "I_AB": mean.I_AB,
-                }
-            )
-    return rows
+    return [
+        row
+        for label, analysis in analyses.items()
+        for row in _rows(label, analysis.means, TABLE2_COLUMNS, analysis.verdict.violated)
+    ]
 
 
 def table3_rows(analyses: Mapping[str, CaseAnalysis]) -> list[dict]:
     """Time-averaged coherence and entanglement per case and branch."""
-    rows = []
-    for label, analysis in analyses.items():
-        for alpha in BRANCHES:
-            mean = analysis.means[alpha]
-            rows.append(
-                {
-                    "case": label,
-                    "alpha": alpha,
-                    "Cl1_B": mean.Cl1_B,
-                    "Cl1_A": mean.Cl1_A,
-                    "Cl1_AB": mean.Cl1_AB,
-                    "CRE_AB": mean.CRE_AB,
-                    "EF_AB": mean.EF_AB,
-                }
-            )
-    return rows
+    return [row for label, analysis in analyses.items() for row in _rows(label, analysis.means, TABLE3_COLUMNS)]
 
 
 def analyze_catalog(

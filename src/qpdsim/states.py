@@ -8,6 +8,7 @@ share one action qubit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from typing import Mapping
@@ -190,11 +191,12 @@ def _config_value(mapping, path: str, default=None):
 
 
 def _config_float(mapping, path: str, default=None) -> float:
+    """Number at ``path``; JSON true/false are rejected, not read as 1 and 0."""
     value = _config_value(mapping, path, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config: {path} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError):
+            return float(value)
+    raise ValueError(f"config: {path} must be a number, got {value!r}")
 
 
 def _subsystem_from_config(raw, path: str, side: str) -> SubsystemParams:

@@ -78,10 +78,10 @@ class StpVerdict:
     onset_time: Optional[float]
 
 
-def stp_verdict(times: np.ndarray, delta: np.ndarray, eps: float = DELTA_EPS) -> StpVerdict:
+def stp_verdict(times: np.ndarray, delta: np.ndarray) -> StpVerdict:
     """Classify a scenario from its delta samples on the grid ``times``.
 
-    Violated iff max |delta| exceeds eps; onset_time is the first grid time
+    Violated iff max |delta| exceeds DELTA_EPS; onset_time is the first grid time
     where that happens, None when the principle holds.
     """
     times = np.asarray(times, dtype=float)
@@ -91,6 +91,6 @@ def stp_verdict(times: np.ndarray, delta: np.ndarray, eps: float = DELTA_EPS) ->
     if abs_delta.size == 0:
         raise EmptyInputError("no delta samples to judge")
     max_abs = float(np.max(abs_delta))
-    violated = max_abs > eps
-    onset = float(times[np.argmax(abs_delta > eps)]) if violated else None
+    violated = max_abs > DELTA_EPS
+    onset = float(times[np.argmax(abs_delta > DELTA_EPS)]) if violated else None
     return StpVerdict(violated, max_abs, onset)

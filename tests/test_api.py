@@ -1,0 +1,41 @@
+import inspect
+
+import qpdsim
+
+# The public surface of the package, grouped by defining module. A name added
+# or removed here is an API change and belongs in CHANGES.md. Submodules are
+# left out: they show up in vars(qpdsim) only once something imports them.
+PUBLIC_NAMES = {
+    # dynamics
+    "DEFAULT_GAMMA", "DEFAULT_MU", "DEFAULT_SAMPLES", "DEFAULT_T_MAX", "HamiltonianParams",
+    "MeasurementOutcome", "Trajectory", "build_hamiltonian", "evolve", "measure_action", "time_grid",
+    # errors
+    "DimensionMismatchError", "EmptyInputError", "EmptyTrajectoryError", "GridMismatchError",
+    "InvalidModelError", "MissingSubsetError", "NonHermitianError", "NotNormalizedError", "NotPositiveError",
+    # interference
+    "QuantumSlitModel", "SlitExperiment", "interference_i2", "interference_i3", "pairwise_interference",
+    "random_slit_model", "run_interference_survey", "run_slit_model", "slit_experiment_from_json",
+    "slit_experiment_to_json", "subset_keys",
+    # linalg
+    "HERM_TOL", "PSD_TOL", "Spectrum", "assert_density_matrix", "eig_hermitian", "hermitian_eigenvalues",
+    "is_hermitian", "partial_trace", "tensor", "unitary_from_hamiltonian",
+    # measures
+    "MeasureRecord", "MeasureSeries", "average_measures", "concurrence", "entanglement_of_formation",
+    "l1_coherence", "measure_series", "measure_state", "mutual_information", "relative_entropy_coherence",
+    "time_average", "trapezoid_mean", "von_neumann_entropy",
+    # report
+    "CaseAnalysis", "ReproduceReport", "analyze_case", "analyze_catalog", "load_reference_table",
+    "reproduce_all", "table1_rows", "table2_rows", "table3_rows",
+    # states
+    "BRANCHES", "CATALOG_LABELS", "BranchState", "ScenarioSpec", "SubsystemParams", "catalog_case",
+    "chi_initial", "classical_mental_state", "initial_mental_state", "load_scenario", "qubit_state",
+    "scenario_from_config", "scenario_to_config",
+    # stp
+    "DELTA_EPS", "StpVerdict", "chi_series", "choice_probability", "stp_delta", "stp_delta_bound",
+    "stp_verdict",
+}
+
+
+def test_public_names_are_pinned():
+    names = {name for name, value in vars(qpdsim).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert names == PUBLIC_NAMES

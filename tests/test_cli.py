@@ -147,6 +147,10 @@ def test_case_and_scenario_config_conflict(tmp_path, capsys):
         (lambda cfg: cfg.update(samples=3.7), "samples"),
         (lambda cfg: cfg.update(gamma="strong"), "gamma"),
         (lambda cfg: cfg.update(mu_d=[0.5]), "mu_d"),
+        pytest.param(lambda cfg: cfg.update(gamma=True), "gamma", id="gamma-true"),
+        pytest.param(
+            lambda cfg: cfg["branches"]["u"].update(lamB_re=False), "branches.u.lamB_re", id="lamB_re-false"
+        ),
     ],
 )
 def test_config_errors_name_the_key_path(tmp_path, capsys, edit, path):
@@ -186,3 +190,22 @@ def test_reproduce_all_reports_deviations(capsys):
     main(["--reproduce-all", "--samples", "129"])
     out = capsys.readouterr().out
     assert "dev=" in out and "table3" in out
+
+
+def test_reproduce_all_reads_run_keys_from_config(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"samples": 129}))
+    code_flag = main(["--reproduce-all", "--samples", "129"])
+    from_flag = capsys.readouterr().out
+    assert main(["--reproduce-all", "--config", str(path)]) == code_flag
+    assert capsys.readouterr().out == from_flag
+
+
+def test_reproduce_all_rejects_a_scenario(tmp_path, capsys):
+    assert main(["--reproduce-all", "--case", "3"]) == 1
+    assert "whole catalog" in capsys.readouterr().err
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_config(catalog_case("2"))))
+    assert main(["--reproduce-all", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "whole catalog" in captured.err and captured.out == ""

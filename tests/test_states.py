@@ -22,7 +22,7 @@ from qpdsim import (
     scenario_from_config,
     scenario_to_config,
 )
-from qpdsim.report import TABLE1_COLUMNS, check_table, table1_rows
+from qpdsim.report import TABLE1_COLUMNS, check_table, scenario_table1_rows, table1_rows
 from support import random_scenario
 
 
@@ -202,3 +202,22 @@ def test_table1_catalog_reproduces_reference():
     checks = check_table("table1", table1_rows(), TABLE1_COLUMNS)
     bad = [c for c in checks if c.status != "pass"]
     assert not bad, bad
+
+
+def _binary_entropy(x):
+    return -sum(q * np.log2(q) for q in (x, 1.0 - x) if q > 0.0)
+
+
+def test_table1_custom_scenario_matches_closed_forms():
+    # qubit [[p, lam], [conj(lam), 1-p]]: Cl1 = 2|lam| and S is the binary
+    # entropy of its eigenvalue (1 + sqrt((2p-1)^2 + 4|lam|^2)) / 2
+    prediction = SubsystemParams(0.3, 0.2 + 0.1j)
+    action = SubsystemParams(0.7, -0.15j)
+    spec = ScenarioSpec.uncorrelated("custom", prediction, action)
+    rows = scenario_table1_rows(spec)
+    assert [(r["case"], r["alpha"]) for r in rows] == [("custom", a) for a in BRANCHES]
+    for row in rows:
+        for side, params in (("B", spec.branches[row["alpha"]].prediction), ("A", action)):
+            radius = np.sqrt((2.0 * params.p - 1.0) ** 2 + 4.0 * abs(params.lam) ** 2)
+            assert row[f"Cl1_{side}"] == pytest.approx(2.0 * abs(params.lam), rel=0, abs=1e-12)
+            assert row[f"S_{side}"] == pytest.approx(_binary_entropy((1.0 + radius) / 2.0), rel=0, abs=1e-12)
