@@ -12,11 +12,9 @@ from .dynamics import (
     DEFAULT_SAMPLES,
     DEFAULT_T_MAX,
     HamiltonianParams,
-    MeasurementOutcome,
     Trajectory,
     build_hamiltonian,
     evolve,
-    measure_action,
     time_grid,
 )
 from .errors import (
@@ -33,7 +31,6 @@ from .errors import (
 from .interference import (
     QuantumSlitModel,
     SlitExperiment,
-    interference_i2,
     interference_i3,
     pairwise_interference,
     random_slit_model,
@@ -66,7 +63,6 @@ from .measures import (
     measure_state,
     mutual_information,
     relative_entropy_coherence,
-    time_average,
     trapezoid_mean,
     von_neumann_entropy,
 )

@@ -10,6 +10,7 @@ reference values and exits nonzero on any regression.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -79,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--outputs",
         help="comma-separated subset of " + ",".join(OUTPUT_KINDS) + f" (default {','.join(DEFAULT_OUTPUTS)})",
     )
-    parser.add_argument("--out-dir", default=".", help="directory for emitted files (default .)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for the interference survey (default 0)")
+    parser.add_argument("--out-dir", help="directory for emitted files (default .)")
+    parser.add_argument("--seed", type=int, help="seed for the interference survey (default 0)")
     parser.add_argument(
         "--reproduce-all",
         action="store_true",
@@ -117,14 +118,16 @@ def _config_from_args(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
         raise ValueError("no scenario: pass --case LABEL or --config with case_label/branches")
     hamiltonian, t_max, samples = _run_params(args, file_cfg)
     outputs = tuple(s.strip() for s in args.outputs.split(",")) if args.outputs else DEFAULT_OUTPUTS
-    return RunConfig(scenario, hamiltonian, t_max, samples, outputs, args.out_dir, args.seed)
+    given = {key: value for key, value in (("out_dir", args.out_dir), ("seed", args.seed)) if value is not None}
+    return RunConfig(scenario, hamiltonian, t_max, samples, outputs, **given)
 
 
 def run(config: RunConfig) -> list[str]:
     """Execute one batch run; returns the paths written.
 
-    Every requested output is rendered before any file is written, so a
-    failure while rendering leaves no file and no directory behind.
+    Every requested output is rendered before any file is written, and a
+    failed write removes the files written before it, so a failed run leaves
+    no file of its own and no directory it created.
     """
     label = config.scenario.case_label
     needs_dynamics = any(k in config.outputs for k in ("table2", "table3", "trajectory"))
@@ -147,12 +150,22 @@ def run(config: RunConfig) -> list[str]:
         survey = run_interference_survey(SURVEY_DRAWS, config.seed)
         rendered.append(("sorkin.json", json.dumps(survey, indent=2) + "\n"))
 
+    created = not os.path.isdir(config.out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
     written = []
-    for name, text in rendered:
-        path = os.path.join(config.out_dir, name)
-        atomic_write_text(path, text)
-        written.append(path)
+    try:
+        for name, text in rendered:
+            path = os.path.join(config.out_dir, name)
+            atomic_write_text(path, text)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(config.out_dir)
+        raise
     return written
 
 
@@ -163,9 +176,14 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
+            if not isinstance(file_cfg, dict):
+                raise ValueError(f"config: top level must be a mapping, got {file_cfg!r}")
         if args.reproduce_all:
-            if args.case or "branches" in file_cfg:
-                raise ValueError("--reproduce-all covers the whole catalog; it takes no --case or branches")
+            flags = {"--case": args.case, "--outputs": args.outputs, "--out-dir": args.out_dir, "--seed": args.seed}
+            stray = [flag for flag, value in flags.items() if value is not None]
+            stray += ["branches"] if "branches" in file_cfg else []
+            if stray:
+                raise ValueError(f"--reproduce-all only sweeps the whole catalog; it takes no {', '.join(stray)}")
             result = reproduce_all(*_run_params(args, file_cfg))
             for line in result.lines:
                 print(line)

@@ -1,10 +1,9 @@
-"""Interaction Hamiltonian, unitary propagation, and the action measurement."""
+"""Interaction Hamiltonian and unitary propagation."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,9 +16,6 @@ DEFAULT_T_MAX = 2.0 * math.pi
 # Power-of-two-plus-one sample count keeps composite trapezoid averages exact
 # to refine by halving.
 DEFAULT_SAMPLES = 4097
-
-# Probability below which a measurement outcome has no defined post-state.
-DEGENERATE_PROB = 1e-14
 
 _PROJ = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]]))
 
@@ -77,9 +73,6 @@ class Trajectory:
         self.times.setflags(write=False)
         self.states.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     """Propagate rho0 along U(t) rho0 U(t)^dagger for every grid time.
@@ -95,33 +88,3 @@ def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     u = unitary_from_hamiltonian(h, times)
     states = u @ rho0 @ u.conj().swapaxes(-1, -2)
     return Trajectory(times, states)
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    probability: float
-    post_state: Optional[np.ndarray]  # None when the outcome is degenerate
-
-
-def measure_action(rho: np.ndarray) -> dict[str, MeasurementOutcome]:
-    """Projective measurement of the action qubit on a 4x4 joint state.
-
-    Outcome probabilities are the action-diagonal sums of rho; each
-    post-measurement state has zero action coherence. Outcomes with
-    probability below DEGENERATE_PROB are reported with probability 0 and no
-    post-state.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 state, got {rho.shape}")
-    outcomes: dict[str, MeasurementOutcome] = {}
-    for j, label in enumerate(("d", "c")):
-        proj = tensor(np.eye(2), _PROJ[j])
-        prob = float(np.trace(proj @ rho).real)
-        if prob < DEGENERATE_PROB:
-            outcomes[label] = MeasurementOutcome(0.0, None)
-            continue
-        post = proj @ rho @ proj / prob
-        outcomes[label] = MeasurementOutcome(prob, post)
-    return outcomes
-

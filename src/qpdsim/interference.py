@@ -53,16 +53,9 @@ class SlitExperiment:
 
 
 def pairwise_interference(exp: SlitExperiment, i: int, j: int) -> float:
-    """Second-order combination P_ij - P_i - P_j for one slit pair."""
+    """Sorkin's second-order term I2 = P_ij - P_i - P_j for one slit pair."""
     key = "".join(map(str, sorted((i, j))))
     return exp[key] - exp[str(i)] - exp[str(j)]
-
-
-def interference_i2(exp: SlitExperiment) -> float:
-    """I2 = P_12 - P_1 - P_2 of a two-slit experiment."""
-    if exp.n_slits != 2:
-        raise ValueError("I2 is defined on two-slit experiments")
-    return pairwise_interference(exp, 1, 2)
 
 
 def interference_i3(exp: SlitExperiment) -> float:
@@ -152,10 +145,12 @@ def random_slit_model(rng: np.random.Generator, diagonal: bool = False) -> Quant
 def run_interference_survey(n_draws: int, seed: int) -> dict:
     """Monte-Carlo check of the hierarchy on random quantum slit models.
 
-    Returns the largest |I3| seen, the fraction of draws whose two-slit
-    combination P_12 - P_1 - P_2 exceeds 0.01 in magnitude, and the largest
-    second-order term produced by diagonal (classical-limit) models.
+    Returns the largest |I3| seen, the fraction of draws whose I2 of slits
+    1 and 2 exceeds 0.01 in magnitude, and the largest I2 produced by
+    diagonal (classical-limit) models.
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     rng = np.random.default_rng(seed)
     max_abs_i3 = 0.0
     n_visible_i2 = 0

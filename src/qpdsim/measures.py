@@ -8,13 +8,11 @@ array of matching batch shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyTrajectoryError
 from .linalg import hermitian_eigenvalues, partial_trace
-from .dynamics import Trajectory
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real  # real +-1 antidiagonal
@@ -106,22 +104,6 @@ def trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
         raise EmptyTrajectoryError("need at least two samples to average")
     span = times[-1] - times[0]
     return float(_trapezoid(np.asarray(values, dtype=float), times, axis=0) / span)
-
-
-def time_average(traj: Trajectory, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Trapezoid mean of a state functional along a uniform trajectory.
-
-    ``f`` is called once on the stacked states (N, d, d), as every functional
-    of this module accepts; a scalar result is taken as constant in time.
-    """
-    if len(traj) == 0:
-        raise EmptyTrajectoryError("trajectory holds no samples")
-    steps = np.diff(traj.times)
-    if len(steps) == 0:
-        raise EmptyTrajectoryError("need at least two samples to average")
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("time grid must be uniform")
-    return trapezoid_mean(np.broadcast_to(f(traj.states), traj.times.shape), traj.times)
 
 
 @dataclass(frozen=True)

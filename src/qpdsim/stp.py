@@ -49,19 +49,12 @@ def chi_series(
     return traj_u.states - p_b * traj_d.states - (1.0 - p_b) * traj_c.states
 
 
-def _real_diag_sum(chi: np.ndarray, indices) -> np.ndarray:
-    diag = np.diagonal(chi, axis1=-2, axis2=-1)[..., indices]
-    total = np.sum(diag, axis=-1)
-    if np.max(np.abs(total.imag), initial=0.0) > _IMAG_TOL:
-        raise ValueError("chi diagonal has a non-negligible imaginary part")
-    return total.real
-
-
 def stp_delta(chi: np.ndarray):
-    """Signed probability leak of chi: diagonal entries dd + cd."""
+    """Signed probability leak of chi: its defection weight, choice_probability(chi)."""
     chi = np.asarray(chi)
-    delta = _real_diag_sum(chi, [0, 2])
-    return float(delta) if chi.ndim == 2 else delta
+    if np.max(np.abs(choice_probability(chi.imag)), initial=0.0) > _IMAG_TOL:
+        raise ValueError("chi diagonal has a non-negligible imaginary part")
+    return choice_probability(chi)
 
 
 def stp_delta_bound(chi: np.ndarray):

@@ -8,12 +8,12 @@ import qpdsim
 PUBLIC_NAMES = {
     # dynamics
     "DEFAULT_GAMMA", "DEFAULT_MU", "DEFAULT_SAMPLES", "DEFAULT_T_MAX", "HamiltonianParams",
-    "MeasurementOutcome", "Trajectory", "build_hamiltonian", "evolve", "measure_action", "time_grid",
+    "Trajectory", "build_hamiltonian", "evolve", "time_grid",
     # errors
     "DimensionMismatchError", "EmptyInputError", "EmptyTrajectoryError", "GridMismatchError",
     "InvalidModelError", "MissingSubsetError", "NonHermitianError", "NotNormalizedError", "NotPositiveError",
     # interference
-    "QuantumSlitModel", "SlitExperiment", "interference_i2", "interference_i3", "pairwise_interference",
+    "QuantumSlitModel", "SlitExperiment", "interference_i3", "pairwise_interference",
     "random_slit_model", "run_interference_survey", "run_slit_model", "slit_experiment_from_json",
     "slit_experiment_to_json", "subset_keys",
     # linalg
@@ -22,7 +22,7 @@ PUBLIC_NAMES = {
     # measures
     "MeasureRecord", "MeasureSeries", "average_measures", "concurrence", "entanglement_of_formation",
     "l1_coherence", "measure_series", "measure_state", "mutual_information", "relative_entropy_coherence",
-    "time_average", "trapezoid_mean", "von_neumann_entropy",
+    "trapezoid_mean", "von_neumann_entropy",
     # report
     "CaseAnalysis", "ReproduceReport", "analyze_case", "analyze_catalog", "load_reference_table",
     "reproduce_all", "table1_rows", "table2_rows", "table3_rows",

@@ -112,10 +112,11 @@ def test_error_paths(tmp_path, capsys):
     assert main(["--case", "1", "--outputs", "bogus", "--out-dir", str(tmp_path)]) == 1
     assert "unknown output" in capsys.readouterr().err
 
-    not_a_mapping = tmp_path / "list.json"
-    not_a_mapping.write_text("[1]")
-    assert main(["--case", "1", "--config", str(not_a_mapping), "--out-dir", str(tmp_path)]) == 1
-    assert "config: top level must be a mapping" in capsys.readouterr().err
+    for name, text, shown in (("list.json", "[1]", "[1]"), ("number.json", "5", "5"), ("null.json", "null", "None")):
+        not_a_mapping = tmp_path / name
+        not_a_mapping.write_text(text)
+        assert main(["--case", "1", "--config", str(not_a_mapping), "--out-dir", str(tmp_path)]) == 1
+        assert f"config: top level must be a mapping, got {shown}" in capsys.readouterr().err
 
     fresh = tmp_path / "fresh"
     assert main(["--case", "3", "--t-max", "inf", "--out-dir", str(fresh)]) == 1
@@ -179,6 +180,31 @@ def test_render_failure_writes_nothing(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
+def test_write_failure_removes_the_files_written(tmp_path, monkeypatch, capsys):
+    real_write = cli.atomic_write_text
+    calls = []
+
+    def fail_on_second(path, text):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        real_write(path, text)
+
+    monkeypatch.setattr(cli, "atomic_write_text", fail_on_second)
+    out_dir = tmp_path / "fresh"
+    assert main(["--case", "1", "--outputs", "table1,table2,table3", "--out-dir", str(out_dir)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert not out_dir.exists()
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("not the run's")
+    calls.clear()
+    assert main(["--case", "1", "--outputs", "table1,table2,table3", "--out-dir", str(kept)]) == 1
+    assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]
+
+
 def test_reproduce_all_passes(capsys):
     assert main(["--reproduce-all"]) == 0
     out = capsys.readouterr().out
@@ -209,3 +235,19 @@ def test_reproduce_all_rejects_a_scenario(tmp_path, capsys):
     assert main(["--reproduce-all", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert "whole catalog" in captured.err and captured.out == ""
+
+
+def test_reproduce_all_rejects_run_output_flags(tmp_path, capsys):
+    for extra, flag in (
+        (["--outputs", "bogus"], "--outputs"),
+        (["--out-dir", str(tmp_path / "o2")], "--out-dir"),
+        (["--seed", "3"], "--seed"),
+    ):
+        assert main(["--reproduce-all", *extra]) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+    args = ["--reproduce-all", "--outputs", "bogus", "--out-dir", str(tmp_path / "o2"), "--seed", "3"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "--outputs, --out-dir, --seed" in captured.err and captured.out == ""
+    assert not (tmp_path / "o2").exists()

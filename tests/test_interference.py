@@ -12,7 +12,6 @@ from qpdsim import (
     choice_probability,
     evolve,
     initial_mental_state,
-    interference_i2,
     interference_i3,
     pairwise_interference,
     random_slit_model,
@@ -54,12 +53,7 @@ class TestSlitExperiment:
 class TestI2:
     def test_classical_additive_assignment(self):
         exp = SlitExperiment(2, {"1": 0.2, "2": 0.3, "12": 0.5})
-        assert interference_i2(exp) == 0.0
-
-    def test_requires_two_slits(self):
-        exp = SlitExperiment(3, {k: 0.1 for k in subset_keys(3)})
-        with pytest.raises(ValueError):
-            interference_i2(exp)
+        assert pairwise_interference(exp, 1, 2) == 0.0
 
     def test_positive_for_equal_superposition(self):
         # state and detector both aligned with (|1> + |2>)/sqrt(2): opening
@@ -71,8 +65,8 @@ class TestI2:
         assert exp["12"] == pytest.approx(1.0)
         assert exp["1"] == pytest.approx(0.25)
         assert exp["2"] == pytest.approx(0.25)
-        assert interference_i2(exp) == pytest.approx(0.5)
-        assert interference_i2(exp) > 0.0
+        assert pairwise_interference(exp, 1, 2) == pytest.approx(0.5)
+        assert pairwise_interference(exp, 1, 2) > 0.0
 
     def test_choice_deviation_is_two_slit_interference(self):
         # the mixture deviation of the decision model is exactly a two-slit
@@ -88,7 +82,7 @@ class TestI2:
             2, {"1": spec.p_b * p_d, "2": (1 - spec.p_b) * p_c, "12": p_u}
         )
         delta = stp_delta(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[1])
-        assert interference_i2(exp) == pytest.approx(delta, abs=1e-12)
+        assert pairwise_interference(exp, 1, 2) == pytest.approx(delta, abs=1e-12)
 
 
 class TestI3:
@@ -171,3 +165,8 @@ class TestSurvey:
         assert out["max_abs_i3"] < 1e-10
         assert out["frac_i2_above_0.01"] >= 0.10
         assert out["diagonal_max_abs_i2"] < 1e-10
+
+    @pytest.mark.parametrize("n_draws", [0, -3])
+    def test_rejects_no_draws(self, n_draws):
+        with pytest.raises(ValueError, match="n_draws"):
+            run_interference_survey(n_draws, seed=0)

@@ -21,7 +21,6 @@ from qpdsim import (
     partial_trace,
     relative_entropy_coherence,
     tensor,
-    time_average,
     time_grid,
     trapezoid_mean,
     von_neumann_entropy,
@@ -139,20 +138,20 @@ class TestMutualInformation:
 class TestTimeAverage:
     def test_constant_functional(self):
         traj = evolve(np.eye(4) / 4, build_hamiltonian(), time_grid(samples=16))
-        assert time_average(traj, lambda rho: 3.5) == pytest.approx(3.5)
+        assert trapezoid_mean(np.full(traj.times.shape, 3.5), traj.times) == pytest.approx(3.5)
 
     def test_case1_uncertain_joint_entropy(self):
         traj = evolve(
             initial_mental_state(catalog_case("1"), "u"), build_hamiltonian(), time_grid(samples=1025)
         )
-        assert time_average(traj, von_neumann_entropy) == pytest.approx(2.0, abs=1e-9)
+        assert trapezoid_mean(von_neumann_entropy(traj.states), traj.times) == pytest.approx(2.0, abs=1e-9)
 
     def test_case1_defect_branch_paper_means(self):
         traj = evolve(
             initial_mental_state(catalog_case("1"), "d"), build_hamiltonian(), time_grid()
         )
-        assert time_average(traj, relative_entropy_coherence) == pytest.approx(0.83, abs=0.02)
-        assert time_average(traj, mutual_information) == pytest.approx(0.65, abs=0.02)
+        assert trapezoid_mean(relative_entropy_coherence(traj.states), traj.times) == pytest.approx(0.83, abs=0.02)
+        assert trapezoid_mean(mutual_information(traj.states), traj.times) == pytest.approx(0.65, abs=0.02)
 
     def test_quadrature_convergence_on_halved_grid(self):
         # halving the sample count moves the case-4 uncertain-branch mean of
@@ -169,13 +168,7 @@ class TestTimeAverage:
     def test_empty_trajectory(self):
         traj = Trajectory(np.zeros(0), np.zeros((0, 4, 4), dtype=complex))
         with pytest.raises(EmptyTrajectoryError):
-            time_average(traj, von_neumann_entropy)
-
-    def test_nonuniform_grid_rejected(self):
-        times = np.array([0.0, 0.5, 2.0])
-        states = np.stack([np.eye(4, dtype=complex) / 4] * 3)
-        with pytest.raises(ValueError):
-            time_average(Trajectory(times, states), von_neumann_entropy)
+            trapezoid_mean(von_neumann_entropy(traj.states), traj.times)
 
 
 class TestMeasureRecord:

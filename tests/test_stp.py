@@ -91,6 +91,18 @@ class TestDelta:
     def test_zero_matrix(self):
         assert stp_delta(np.zeros((4, 4), dtype=complex)) == 0.0
 
+    def test_rejects_imaginary_diagonal(self):
+        # off-diagonal imaginary parts are legitimate; only the dd + cd
+        # diagonal sum must be real
+        chi = np.zeros((3, 4, 4), dtype=complex)
+        chi[:, 0, 1] = 0.3j
+        assert np.array_equal(stp_delta(chi), np.zeros(3))
+        chi[1, 2, 2] = 2e-12j
+        with pytest.raises(ValueError, match="imaginary part"):
+            stp_delta(chi)
+        with pytest.raises(ValueError, match="imaginary part"):
+            stp_delta(chi[1])
+
     def test_case2_never_deviates(self):
         spec = catalog_case("2")
         trajs = branch_trajectories(spec)
