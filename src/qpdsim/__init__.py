@@ -30,14 +30,11 @@ from .errors import (
 )
 from .interference import (
     QuantumSlitModel,
-    SlitExperiment,
     interference_i3,
     pairwise_interference,
     random_slit_model,
     run_interference_survey,
     run_slit_model,
-    slit_experiment_from_json,
-    slit_experiment_to_json,
     subset_keys,
 )
 from .linalg import (

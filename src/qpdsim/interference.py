@@ -5,21 +5,27 @@ assignments generally do not, yet both theories cancel the third-order
 combination exactly (I3 = 0). A nonzero I3 therefore certifies statistics
 beyond quantum probability, which is what a three-choice game extension
 would be tested against.
+
+A slit experiment is an array of detection probabilities over the non-empty
+slit subsets, last axis in ``subset_keys`` order; leading axes index draws.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import InvalidModelError, MissingSubsetError
 
 _RANGE_TOL = 1e-12
+_MODEL_TOL = 1e-10
 _SURVEY_SLITS = 3  # the fewest slits with a third-order term
+# Draws per survey block. Checking a block forms (block, 3, 3, 3, 3) projector
+# products, so the block, not the survey, sets the memory they take.
+_SURVEY_BLOCK = 128
+_I3_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])  # subset_keys(3) order
 
 
 def subset_keys(n_slits: int) -> tuple[str, ...]:
@@ -31,120 +37,133 @@ def subset_keys(n_slits: int) -> tuple[str, ...]:
     return tuple(keys)
 
 
-@dataclass(frozen=True)
-class SlitExperiment:
-    """Detection probability for every non-empty subset of open slits."""
-
-    n_slits: int
-    probs: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        if self.n_slits not in (2, 3):
-            raise ValueError(f"n_slits must be 2 or 3, got {self.n_slits}")
-        for key in subset_keys(self.n_slits):
-            if key not in self.probs:
-                raise MissingSubsetError(f"missing probability for slit subset {key!r}")
-        for key, p in self.probs.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"P_{key} = {p} outside [0, 1]")
-
-    def __getitem__(self, key: str) -> float:
-        return self.probs[key]
+def _raise_first(bad: np.ndarray, message: str) -> None:
+    """Raise InvalidModelError naming the first draw flagged in the (n,) mask."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise InvalidModelError(f"draw {hits[0]}: {message}")
 
 
-def pairwise_interference(exp: SlitExperiment, i: int, j: int) -> float:
-    """Sorkin's second-order term I2 = P_ij - P_i - P_j for one slit pair."""
-    key = "".join(map(str, sorted((i, j))))
-    return exp[key] - exp[str(i)] - exp[str(j)]
+def _check_probabilities(probs: np.ndarray, keys: tuple[str, ...], tol: float, error: type[ValueError]) -> None:
+    """Raise naming the first draw and subset whose probability leaves [0, 1] by more than tol."""
+    bad = ~((probs >= -tol) & (probs <= 1.0 + tol))  # NaN counts as bad
+    if bad.any():
+        *draw, s = np.argwhere(bad)[0]
+        where = f"draw {', '.join(map(str, draw))}: " if draw else ""
+        beyond = " beyond tolerance" if tol else ""
+        raise error(f"{where}P_{keys[s]} = {probs[(*draw, s)]} outside [0, 1]{beyond}")
 
 
-def interference_i3(exp: SlitExperiment) -> float:
-    """I3 = P_123 - P_12 - P_13 - P_23 + P_1 + P_2 + P_3 of a three-slit one."""
-    if exp.n_slits != 3:
+def _experiment(probs) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Probabilities as a float array and their subset keys; one entry per subset, each in [0, 1]."""
+    probs = np.asarray(probs, dtype=float)
+    keys = {(3,): subset_keys(2), (7,): subset_keys(3)}.get(probs.shape[-1:])
+    if keys is None:
+        raise MissingSubsetError(f"need one probability per slit subset (3 or 7), got shape {probs.shape}")
+    _check_probabilities(probs, keys, 0.0, ValueError)
+    return probs, keys
+
+
+def pairwise_interference(probs, i: int, j: int) -> np.ndarray:
+    """Sorkin's second-order term I2 = P_ij - P_i - P_j for one slit pair, per draw."""
+    probs, keys = _experiment(probs)
+    pair = "".join(map(str, sorted((i, j))))
+    return probs[..., keys.index(pair)] - probs[..., keys.index(str(i))] - probs[..., keys.index(str(j))]
+
+
+def interference_i3(probs) -> np.ndarray:
+    """I3 = P_123 - P_12 - P_13 - P_23 + P_1 + P_2 + P_3 of three-slit experiments, per draw."""
+    probs, keys = _experiment(probs)
+    if len(keys) != len(_I3_SIGNS):
         raise ValueError("I3 is defined on three-slit experiments")
-    return (
-        exp["123"]
-        - exp["12"]
-        - exp["13"]
-        - exp["23"]
-        + exp["1"]
-        + exp["2"]
-        + exp["3"]
-    )
+    return probs @ _I3_SIGNS
 
 
 @dataclass(frozen=True)
 class QuantumSlitModel:
-    """Density matrix, orthogonal rank-1 slit projectors, and detection effect."""
+    """A stack of models: density matrices, orthogonal rank-1 slit projectors, detection effects.
 
-    rho: np.ndarray
-    projectors: np.ndarray  # (n, d, d)
-    effect: np.ndarray
+    The leading axis indexes draws; a failed check names the first bad draw.
+    """
+
+    rho: np.ndarray  # (n_draws, d, d)
+    projectors: np.ndarray  # (n_draws, d slits, d, d)
+    effect: np.ndarray  # (n_draws, d, d)
 
     def __post_init__(self) -> None:
-        n = self.projectors.shape[0]
-        d = self.rho.shape[0]
-        if self.projectors.shape != (n, d, d) or self.effect.shape != (d, d) or n != d:
+        n_draws, d = self.rho.shape[:2]
+        p, effect = self.projectors, self.effect
+        if self.rho.shape != (n_draws, d, d) or p.shape != (n_draws, d, d, d) or effect.shape != (n_draws, d, d):
             raise InvalidModelError("model dimensions are inconsistent")
-        total = self.projectors.sum(axis=0)
-        if np.max(np.abs(total - np.eye(d))) > _RANGE_TOL:
-            raise InvalidModelError("projectors must sum to the identity")
-        products = np.einsum("aij,bjk->abik", self.projectors, self.projectors)
-        expected = np.zeros_like(products)
-        idx = np.arange(n)
-        expected[idx, idx] = self.projectors
-        if np.max(np.abs(products - expected)) > 1e-10:
-            raise InvalidModelError("projectors must be orthogonal and idempotent")
-        if np.max(np.abs(self.effect - self.effect.conj().T)) > 1e-10:
-            raise InvalidModelError("effect must be Hermitian")
-        eff_eigs = np.linalg.eigvalsh(self.effect)
-        if eff_eigs[0] < -1e-10 or eff_eigs[-1] > 1.0 + 1e-10:
-            raise InvalidModelError("effect eigenvalues must lie in [0, 1]")
+        total = p.sum(axis=1)
+        _raise_first(np.abs(total - np.eye(d)).max(axis=(1, 2)) > _RANGE_TOL, "projectors must sum to the identity")
+        # rows (a, i) of every P_a times columns (b, k) of every P_b: products[n, a, i, b, k] = (P_a P_b)[i, k]
+        rows = p.reshape(n_draws, d * d, d)
+        products = (rows @ p.swapaxes(1, 2).reshape(n_draws, d, d * d)).reshape(n_draws, d, d, d, d)
+        # minus delta_ab P_a: indexing a = b at axes 1 and 3 yields (a, n, i, k), the layout of p.swapaxes(0, 1)
+        products[:, np.arange(d), :, np.arange(d)] -= p.swapaxes(0, 1)
+        bad = np.abs(products).max(axis=(1, 2, 3, 4)) > _MODEL_TOL
+        _raise_first(bad, "projectors must be orthogonal and idempotent")
+        bad = np.abs(effect - effect.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _MODEL_TOL
+        _raise_first(bad, "effect must be Hermitian")
+        eigs = np.linalg.eigvalsh(effect)
+        bad = (eigs[:, 0] < -_MODEL_TOL) | (eigs[:, -1] > 1.0 + _MODEL_TOL)
+        _raise_first(bad, "effect eigenvalues must lie in [0, 1]")
 
 
-def run_slit_model(model: QuantumSlitModel) -> SlitExperiment:
-    """Project onto each open-slit subspace, then detect: P_S = tr(Pi_S rho Pi_S M)."""
-    n = model.projectors.shape[0]
-    probs = {}
-    for key in subset_keys(n):
-        pi = sum(model.projectors[int(ch) - 1] for ch in key)
-        p = float(np.trace(pi @ model.rho @ pi @ model.effect).real)
-        if p < -_RANGE_TOL or p > 1.0 + _RANGE_TOL:
-            raise InvalidModelError(f"P_{key} = {p} outside [0, 1] beyond tolerance")
-        probs[key] = min(max(p, 0.0), 1.0)
-    return SlitExperiment(n, probs)
+def run_slit_model(model: QuantumSlitModel) -> np.ndarray:
+    """Project onto each open-slit subspace, then detect: P_S = tr(Pi_S rho Pi_S M).
+
+    Returns (n_draws, 2^d - 1) probabilities in subset_keys order, clipped
+    onto [0, 1] after a range check with tolerance.
+    """
+    n_draws, d = model.rho.shape[:2]
+    rows = model.projectors.reshape(n_draws, d * d, d)  # rows (a, i) of every P_a
+    p_rho = (rows @ model.rho).reshape(n_draws, d, d, d)
+    p_effect = (rows @ model.effect).reshape(n_draws, d, d, d)
+    # terms[n, a, b] = tr(P_a rho P_b M); P_S is the sum of the terms with a and b in S
+    terms = np.einsum("naik,nbki->nab", p_rho, p_effect).real
+    keys = subset_keys(d)
+    mask = np.array([[str(k) in key for k in range(1, d + 1)] for key in keys], dtype=float)
+    pair_mask = (mask[:, :, None] * mask[:, None, :]).reshape(len(keys), d * d)
+    probs = terms.reshape(n_draws, d * d) @ pair_mask.T
+    _check_probabilities(probs, keys, _RANGE_TOL, InvalidModelError)
+    return np.clip(probs, 0.0, 1.0)
 
 
-def _random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def _haar_unitaries(rng: np.random.Generator, n_draws: int, d: int) -> np.ndarray:
+    """Haar-random (n_draws, d, d) unitaries: QR with the phases of R moved into Q (Mezzadri 2007)."""
+    g = rng.standard_normal((n_draws, d, d)) + 1j * rng.standard_normal((n_draws, d, d))
     q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
-def random_slit_model(rng: np.random.Generator, diagonal: bool = False) -> QuantumSlitModel:
-    """Draw a random three-slit model: Haar-ish slit basis, full-rank state, random effect.
+def random_slit_model(rng: np.random.Generator, n_draws: int, diagonal: bool = False) -> QuantumSlitModel:
+    """Draw n_draws random three-slit models: Haar slit basis, full-rank state, random effect.
 
-    With diagonal=True the state commutes with every slit projector (the
+    With diagonal=True each state commutes with its slit projectors (the
     classical limit), which kills every second-order interference term.
     """
     n = _SURVEY_SLITS
-    u = _random_unitary(rng, n)
-    projectors = np.stack([np.outer(u[:, k], u[:, k].conj()) for k in range(n)])
+    u = _haar_unitaries(rng, n_draws, n)
+    projectors = np.einsum("mik,mjk->mkij", u, u.conj())
     if diagonal:
-        weights = rng.dirichlet(np.ones(n))
-        rho = sum(w * p for w, p in zip(weights, projectors))
+        weights = rng.dirichlet(np.ones(n), size=n_draws)
+        rho = np.einsum("mk,mkij->mij", weights, projectors)
     else:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-    v = _random_unitary(rng, n)
-    effect = (v * rng.uniform(0.0, 1.0, n)) @ v.conj().T
+        g = rng.standard_normal((n_draws, n, n)) + 1j * rng.standard_normal((n_draws, n, n))
+        rho = g @ g.conj().swapaxes(1, 2)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    v = _haar_unitaries(rng, n_draws, n)
+    effect = (v * rng.uniform(0.0, 1.0, (n_draws, 1, n))) @ v.conj().swapaxes(1, 2)
     return QuantumSlitModel(rho, projectors, effect)
 
 
 def run_interference_survey(n_draws: int, seed: int) -> dict:
     """Monte-Carlo check of the hierarchy on random quantum slit models.
 
+    Models are drawn, checked and evaluated in blocks of _SURVEY_BLOCK draws.
     Returns the largest |I3| seen, the fraction of draws whose I2 of slits
     1 and 2 exceeds 0.01 in magnitude, and the largest I2 produced by
     diagonal (classical-limit) models.
@@ -152,33 +171,16 @@ def run_interference_survey(n_draws: int, seed: int) -> dict:
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     rng = np.random.default_rng(seed)
-    max_abs_i3 = 0.0
-    n_visible_i2 = 0
-    diag_max_abs_i2 = 0.0
-    for _ in range(n_draws):
-        exp = run_slit_model(random_slit_model(rng))
-        max_abs_i3 = max(max_abs_i3, abs(interference_i3(exp)))
-        if abs(pairwise_interference(exp, 1, 2)) > 0.01:
-            n_visible_i2 += 1
-        diag_exp = run_slit_model(random_slit_model(rng, diagonal=True))
-        diag_max_abs_i2 = max(diag_max_abs_i2, abs(pairwise_interference(diag_exp, 1, 2)))
+    blocks = [
+        (run_slit_model(random_slit_model(rng, size)), run_slit_model(random_slit_model(rng, size, diagonal=True)))
+        for size in (min(_SURVEY_BLOCK, n_draws - start) for start in range(0, n_draws, _SURVEY_BLOCK))
+    ]
+    probs, diag_probs = (np.concatenate(stack) for stack in zip(*blocks))
     return {
         "n_draws": n_draws,
         "seed": seed,
         "n_slits": _SURVEY_SLITS,
-        "max_abs_i3": max_abs_i3,
-        "frac_i2_above_0.01": n_visible_i2 / n_draws,
-        "diagonal_max_abs_i2": diag_max_abs_i2,
+        "max_abs_i3": float(np.abs(interference_i3(probs)).max()),
+        "frac_i2_above_0.01": int(np.count_nonzero(np.abs(pairwise_interference(probs, 1, 2)) > 0.01)) / n_draws,
+        "diagonal_max_abs_i2": float(np.abs(pairwise_interference(diag_probs, 1, 2)).max()),
     }
-
-
-def slit_experiment_to_json(exp: SlitExperiment) -> str:
-    """Serialize as a flat subset-key to probability mapping."""
-    return json.dumps({key: exp[key] for key in subset_keys(exp.n_slits)}, indent=2)
-
-
-def slit_experiment_from_json(text: str) -> SlitExperiment:
-    """Parse the flat mapping; the slit count is inferred from the keys."""
-    probs = {str(k): float(v) for k, v in json.loads(text).items()}
-    n = max((int(ch) for key in probs for ch in key), default=0)
-    return SlitExperiment(n, probs)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qpdsim import HamiltonianParams, ScenarioSpec, SubsystemParams
+from qpdsim import HamiltonianParams, ScenarioSpec, SubsystemParams, subset_keys
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -57,3 +57,15 @@ def rk4_propagator(h: np.ndarray, t: float, steps: int = 2000) -> np.ndarray:
         k4 = -1j * (h @ (u + dt * k3))
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return u
+
+
+def slit_probabilities(rho: np.ndarray, projectors: np.ndarray, effect: np.ndarray) -> np.ndarray:
+    """Per-draw, per-subset loop over P_S = tr(Pi_S rho Pi_S M), in subset_keys order."""
+    n_draws, n_slits = projectors.shape[:2]
+    keys = subset_keys(n_slits)
+    probs = np.empty((n_draws, len(keys)))
+    for draw in range(n_draws):
+        for s, key in enumerate(keys):
+            pi = sum(projectors[draw, int(ch) - 1] for ch in key)
+            probs[draw, s] = np.trace(pi @ rho[draw] @ pi @ effect[draw]).real
+    return probs

@@ -13,9 +13,8 @@ PUBLIC_NAMES = {
     "DimensionMismatchError", "EmptyInputError", "EmptyTrajectoryError", "GridMismatchError",
     "InvalidModelError", "MissingSubsetError", "NonHermitianError", "NotNormalizedError", "NotPositiveError",
     # interference
-    "QuantumSlitModel", "SlitExperiment", "interference_i3", "pairwise_interference",
-    "random_slit_model", "run_interference_survey", "run_slit_model", "slit_experiment_from_json",
-    "slit_experiment_to_json", "subset_keys",
+    "QuantumSlitModel", "interference_i3", "pairwise_interference", "random_slit_model",
+    "run_interference_survey", "run_slit_model", "subset_keys",
     # linalg
     "HERM_TOL", "PSD_TOL", "Spectrum", "assert_density_matrix", "eig_hermitian", "hermitian_eigenvalues",
     "is_hermitian", "partial_trace", "tensor", "unitary_from_hamiltonian",

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from qpdsim import (
     InvalidModelError,
     MissingSubsetError,
     QuantumSlitModel,
-    SlitExperiment,
     build_hamiltonian,
     catalog_case,
     chi_series,
@@ -17,17 +17,36 @@ from qpdsim import (
     random_slit_model,
     run_interference_survey,
     run_slit_model,
-    slit_experiment_from_json,
-    slit_experiment_to_json,
     stp_delta,
     subset_keys,
 )
 
+from support import slit_probabilities
+
+
+def basis_projectors(n):
+    return np.stack([np.diag(np.eye(n)[i]) for i in range(n)]).astype(complex)
+
 
 def projector_model(rho, effect):
+    """A one-draw stack whose slits are the computational basis states."""
     n = rho.shape[0]
-    projectors = np.stack([np.diag([1.0 if k == i else 0.0 for k in range(n)]) for i in range(n)]).astype(complex)
-    return QuantumSlitModel(np.asarray(rho, dtype=complex), projectors, np.asarray(effect, dtype=complex))
+    return QuantumSlitModel(
+        np.asarray(rho, dtype=complex)[None],
+        basis_projectors(n)[None],
+        np.asarray(effect, dtype=complex)[None],
+    )
+
+
+def by_key(probs):
+    """One draw's probabilities keyed by slit subset."""
+    n = {3: 2, 7: 3}[len(probs)]
+    return dict(zip(subset_keys(n), probs))
+
+
+def table(probs):
+    """A three-slit probability array from a subset-key mapping."""
+    return np.array([probs[key] for key in subset_keys(3)])
 
 
 class TestSlitExperiment:
@@ -37,36 +56,36 @@ class TestSlitExperiment:
 
     def test_missing_subset(self):
         with pytest.raises(MissingSubsetError):
-            SlitExperiment(2, {"1": 0.2, "2": 0.3})
+            pairwise_interference(np.array([0.2, 0.3]), 1, 2)
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
-            SlitExperiment(2, {"1": 0.2, "2": 0.3, "12": 1.4})
+            pairwise_interference(np.array([0.2, 0.3, 1.4]), 1, 2)
 
-    def test_json_roundtrip(self):
-        exp = SlitExperiment(3, {k: 0.1 for k in subset_keys(3)})
-        again = slit_experiment_from_json(slit_experiment_to_json(exp))
-        assert again.n_slits == 3
-        assert again.probs == exp.probs
+    def test_out_of_range_names_draw_and_subset(self):
+        probs = np.full((4, 7), 0.1)
+        probs[2, 4] = -0.5
+        with pytest.raises(ValueError, match=r"^draw 2: P_13 = -0\.5 outside \[0, 1\]$"):
+            interference_i3(probs)
 
 
 class TestI2:
     def test_classical_additive_assignment(self):
-        exp = SlitExperiment(2, {"1": 0.2, "2": 0.3, "12": 0.5})
-        assert pairwise_interference(exp, 1, 2) == 0.0
+        assert pairwise_interference(np.array([0.2, 0.3, 0.5]), 1, 2) == 0.0
 
     def test_positive_for_equal_superposition(self):
         # state and detector both aligned with (|1> + |2>)/sqrt(2): opening
         # the second slit doubles the overlap instead of adding a half
         psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
         rho = np.outer(psi, psi)
-        exp = run_slit_model(projector_model(rho, rho.copy()))
+        probs = run_slit_model(projector_model(rho, rho.copy()))[0]
+        exp = by_key(probs)
         # oracle: evaluate tr(Pi_S rho Pi_S M) by hand for each subset
         assert exp["12"] == pytest.approx(1.0)
         assert exp["1"] == pytest.approx(0.25)
         assert exp["2"] == pytest.approx(0.25)
-        assert pairwise_interference(exp, 1, 2) == pytest.approx(0.5)
-        assert pairwise_interference(exp, 1, 2) > 0.0
+        assert pairwise_interference(probs, 1, 2) == pytest.approx(0.5)
+        assert pairwise_interference(probs, 1, 2) > 0.0
 
     def test_choice_deviation_is_two_slit_interference(self):
         # the mixture deviation of the decision model is exactly a two-slit
@@ -78,11 +97,9 @@ class TestI2:
         p_u = choice_probability(trajs["u"].states[1])
         p_d = choice_probability(trajs["d"].states[1])
         p_c = choice_probability(trajs["c"].states[1])
-        exp = SlitExperiment(
-            2, {"1": spec.p_b * p_d, "2": (1 - spec.p_b) * p_c, "12": p_u}
-        )
+        probs = np.array([spec.p_b * p_d, (1 - spec.p_b) * p_c, p_u])
         delta = stp_delta(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[1])
-        assert pairwise_interference(exp, 1, 2) == pytest.approx(delta, abs=1e-12)
+        assert pairwise_interference(probs, 1, 2) == pytest.approx(delta, abs=1e-12)
 
 
 class TestI3:
@@ -90,37 +107,41 @@ class TestI3:
         singles = {"1": 0.1, "2": 0.2, "3": 0.3}
         probs = dict(singles)
         probs.update({"12": 0.3, "13": 0.4, "23": 0.5, "123": 0.6})
-        assert interference_i3(SlitExperiment(3, probs)) == pytest.approx(0.0)
+        assert interference_i3(table(probs)) == pytest.approx(0.0)
 
     def test_supra_quantum_perturbation(self):
         probs = {k: 0.1 for k in subset_keys(3)}
-        base = interference_i3(SlitExperiment(3, probs))
+        base = interference_i3(table(probs))
         probs["123"] = 0.1 + 0.1
-        assert interference_i3(SlitExperiment(3, probs)) - base == pytest.approx(0.1)
+        assert interference_i3(table(probs)) - base == pytest.approx(0.1)
 
     def test_sign_pattern(self):
         # linear in each subset probability with signs +1 for singles and the
         # triple, -1 for pairs
         signs = {"1": 1, "2": 1, "3": 1, "12": -1, "13": -1, "23": -1, "123": 1}
         base_probs = {k: 0.2 for k in subset_keys(3)}
-        base = interference_i3(SlitExperiment(3, base_probs))
+        base = interference_i3(table(base_probs))
         for key, sign in signs.items():
             probs = dict(base_probs)
             probs[key] += 0.05
-            shifted = interference_i3(SlitExperiment(3, probs))
+            shifted = interference_i3(table(probs))
             assert shifted - base == pytest.approx(sign * 0.05, abs=1e-12)
 
     def test_zero_for_random_quantum_models(self):
         rng = np.random.default_rng(61)
-        for _ in range(500):
-            exp = run_slit_model(random_slit_model(rng))
-            assert abs(interference_i3(exp)) < 1e-10
+        i3 = interference_i3(run_slit_model(random_slit_model(rng, 500)))
+        assert i3.shape == (500,)
+        assert np.max(np.abs(i3)) < 1e-10
+
+    def test_rejects_two_slit_experiments(self):
+        with pytest.raises(ValueError, match="three-slit"):
+            interference_i3(np.array([0.2, 0.3, 0.5]))
 
 
 class TestRunSlitModel:
     def test_maximally_mixed_identity_effect(self):
         n = 3
-        exp = run_slit_model(projector_model(np.eye(n) / n, np.eye(n)))
+        exp = by_key(run_slit_model(projector_model(np.eye(n) / n, np.eye(n)))[0])
         for key in subset_keys(n):
             assert exp[key] == pytest.approx(len(key) / n)
 
@@ -131,27 +152,110 @@ class TestRunSlitModel:
         rho /= np.trace(rho).real
         u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         effect = (u * rng.uniform(0, 1, 3)) @ u.conj().T
-        exp = run_slit_model(projector_model(rho, effect))
+        exp = by_key(run_slit_model(projector_model(rho, effect))[0])
         for i in range(3):
             want = rho[i, i].real * effect[i, i].real
             assert exp[str(i + 1)] == pytest.approx(want, abs=1e-12)
 
     def test_diagonal_state_kills_pairwise_terms(self):
         rng = np.random.default_rng(63)
-        for _ in range(200):
-            exp = run_slit_model(random_slit_model(rng, diagonal=True))
-            for pair in ((1, 2), (1, 3), (2, 3)):
-                assert abs(pairwise_interference(exp, *pair)) < 1e-12
+        probs = run_slit_model(random_slit_model(rng, 200, diagonal=True))
+        for pair in ((1, 2), (1, 3), (2, 3)):
+            assert np.max(np.abs(pairwise_interference(probs, *pair))) < 1e-12
 
     def test_rejects_non_orthogonal_projectors(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         projectors = np.stack([np.outer(v, v), np.diag([0.0, 1.0])]).astype(complex)
         with pytest.raises(InvalidModelError):
-            QuantumSlitModel(np.eye(2, dtype=complex) / 2, projectors, np.eye(2, dtype=complex))
+            QuantumSlitModel(np.eye(2, dtype=complex)[None] / 2, projectors[None], np.eye(2, dtype=complex)[None])
 
     def test_rejects_oversized_effect(self):
         with pytest.raises(InvalidModelError):
             projector_model(np.eye(2) / 2, 2.0 * np.eye(2))
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["general", "diagonal"])
+    def test_matches_scalar_oracle(self, diagonal):
+        rng = np.random.default_rng(64)
+        model = random_slit_model(rng, 64, diagonal=diagonal)
+        want = slit_probabilities(model.rho, model.projectors, model.effect)
+        got = run_slit_model(model)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        rows = [by_key(row) for row in want]
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            pair = f"{i}{j}"
+            i2 = [p[pair] - p[str(i)] - p[str(j)] for p in rows]
+            assert_allclose(pairwise_interference(got, i, j), i2, rtol=0, atol=1e-12)
+        i3 = [p["123"] - p["12"] - p["13"] - p["23"] + p["1"] + p["2"] + p["3"] for p in rows]
+        assert_allclose(interference_i3(got), i3, rtol=0, atol=1e-12)
+
+
+def valid_stack(n_draws=5, d=3):
+    """Maximally mixed states, basis slits and the effect 1/2, one per draw."""
+    rho = np.tile(np.eye(d, dtype=complex) / d, (n_draws, 1, 1))
+    projectors = np.tile(basis_projectors(d), (n_draws, 1, 1, 1))
+    effect = np.tile(np.eye(d, dtype=complex) / 2, (n_draws, 1, 1))
+    return rho, projectors, effect
+
+
+class TestStackChecks:
+    """Each check names the one corrupted draw of an otherwise valid stack."""
+
+    def test_valid_stack_passes(self):
+        probs = run_slit_model(QuantumSlitModel(*valid_stack()))
+        assert_allclose(probs, np.tile([1, 1, 1, 2, 2, 2, 3], (5, 1)) / 6, rtol=0, atol=1e-15)
+
+    def test_projectors_must_sum_to_identity(self):
+        rho, projectors, effect = valid_stack()
+        projectors[3, 0] *= 0.5
+        with pytest.raises(InvalidModelError, match=r"^draw 3: projectors must sum to the identity$"):
+            QuantumSlitModel(rho, projectors, effect)
+
+    def test_projectors_must_be_orthogonal_and_idempotent(self):
+        rho, projectors, effect = valid_stack()
+        # still sums to the identity, but 2|1><1| is not idempotent
+        projectors[3, 0, 0, 0] = 2.0
+        projectors[3, 1, 0, 0] = -1.0
+        with pytest.raises(InvalidModelError, match=r"^draw 3: projectors must be orthogonal and idempotent$"):
+            QuantumSlitModel(rho, projectors, effect)
+
+    def test_effect_must_be_hermitian(self):
+        rho, projectors, effect = valid_stack()
+        effect[3, 0, 1] = 0.1
+        with pytest.raises(InvalidModelError, match=r"^draw 3: effect must be Hermitian$"):
+            QuantumSlitModel(rho, projectors, effect)
+
+    def test_effect_eigenvalues_must_lie_in_unit_interval(self):
+        rho, projectors, effect = valid_stack()
+        effect[3] = 1.5 * np.eye(3)
+        with pytest.raises(InvalidModelError, match=r"^draw 3: effect eigenvalues must lie in \[0, 1\]$"):
+            QuantumSlitModel(rho, projectors, effect)
+
+    def test_probabilities_must_lie_in_unit_interval(self):
+        rho, projectors, effect = valid_stack()
+        effect[:] = np.eye(3)
+        rho[3] = np.diag([0.6, 0.0, 0.6])
+        with pytest.raises(InvalidModelError, match=r"^draw 3: P_13 = 1\.2 outside \[0, 1\] beyond tolerance$"):
+            run_slit_model(QuantumSlitModel(rho, projectors, effect))
+
+    def test_names_the_first_of_several_bad_draws(self):
+        rho, projectors, effect = valid_stack()
+        effect[3, 0, 1] = 0.1
+        effect[1, 1, 2] = 0.1
+        with pytest.raises(InvalidModelError, match=r"^draw 1: effect must be Hermitian$"):
+            QuantumSlitModel(rho, projectors, effect)
+
+    def test_residue_within_tolerance_is_clipped(self):
+        rho, projectors, effect = valid_stack(n_draws=1)
+        effect[:] = np.eye(3)
+        rho[0] = np.diag([1.0 + 1e-13, -1e-13, 0.0])
+        exp = by_key(run_slit_model(QuantumSlitModel(rho, projectors, effect))[0])
+        assert exp["1"] == 1.0
+        assert exp["2"] == 0.0
+
+    def test_inconsistent_dimensions(self):
+        rho, projectors, effect = valid_stack()
+        with pytest.raises(InvalidModelError, match="dimensions"):
+            QuantumSlitModel(rho, projectors[:4], effect)
 
 
 class TestSurvey:
