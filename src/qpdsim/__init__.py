@@ -92,7 +92,6 @@ from .states import (
 from .stp import (
     DELTA_EPS,
     StpVerdict,
-    chi_series,
     choice_probability,
     stp_delta,
     stp_delta_bound,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import tensor, unitary_from_hamiltonian
+from .linalg import DiagonalizedStates, tensor, unitary_from_hamiltonian
 
 DEFAULT_MU = 0.59
 DEFAULT_GAMMA = 1.74
@@ -74,6 +74,21 @@ class Trajectory:
         self.states.setflags(write=False)
 
 
+def propagate(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U rho0 U^dagger for every propagator U in the stack u (..., d, d)."""
+    return u @ rho0 @ u.conj().swapaxes(-1, -2)
+
+
+def diagonalized_orbit(states: np.ndarray, rho0: np.ndarray, u: np.ndarray) -> DiagonalizedStates:
+    """``states = propagate(rho0, u)`` with the eigensystem they keep from t=0.
+
+    Unitary evolution fixes the spectrum, so rho0 is diagonalized once: every
+    state has its eigenvalues, and the eigenvectors U(t) V0.
+    """
+    w0, v0 = np.linalg.eigh(np.asarray(rho0, dtype=complex))
+    return DiagonalizedStates(states, w0, u @ v0)
+
+
 def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     """Propagate rho0 along U(t) rho0 U(t)^dagger for every grid time.
 
@@ -85,6 +100,4 @@ def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     if rho0.shape != h.shape:
         raise DimensionMismatchError(f"state shape {rho0.shape} != Hamiltonian shape {h.shape}")
     times = np.asarray(times, dtype=float)
-    u = unitary_from_hamiltonian(h, times)
-    states = u @ rho0 @ u.conj().swapaxes(-1, -2)
-    return Trajectory(times, states)
+    return Trajectory(times, propagate(rho0, unitary_from_hamiltonian(h, times)))

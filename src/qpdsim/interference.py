@@ -92,9 +92,12 @@ class QuantumSlitModel:
 
     def __post_init__(self) -> None:
         n_draws, d = self.rho.shape[:2]
-        p, effect = self.projectors, self.effect
-        if self.rho.shape != (n_draws, d, d) or p.shape != (n_draws, d, d, d) or effect.shape != (n_draws, d, d):
+        rho, p, effect = self.rho, self.projectors, self.effect
+        if rho.shape != (n_draws, d, d) or p.shape != (n_draws, d, d, d) or effect.shape != (n_draws, d, d):
             raise InvalidModelError("model dimensions are inconsistent")
+        _raise_first(np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _MODEL_TOL, "state must be Hermitian")
+        _raise_first(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) > _MODEL_TOL, "state must have unit trace")
+        _raise_first(np.linalg.eigvalsh(rho)[:, 0] < -_MODEL_TOL, "state must be positive semidefinite")
         total = p.sum(axis=1)
         _raise_first(np.abs(total - np.eye(d)).max(axis=(1, 2)) > _RANGE_TOL, "projectors must sum to the identity")
         # rows (a, i) of every P_a times columns (b, k) of every P_b: products[n, a, i, b, k] = (P_a P_b)[i, k]

@@ -45,6 +45,27 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
 
 
+class DiagonalizedStates(NamedTuple):
+    """Stacked states (N, d, d) with their eigensystem, eigenvalues ascending.
+
+    ``eigenvalues`` is (N, d), or (d,) when all states share one spectrum,
+    as along a unitary orbit. ``eigenvectors`` (N, d, d) is as large as the
+    states themselves.
+    """
+
+    states: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
+    """``states`` with its eigensystem: the one it carries, else one eigh per state."""
+    if isinstance(states, DiagonalizedStates):
+        return states
+    states = np.asarray(states, dtype=complex)
+    return DiagonalizedStates(states, *np.linalg.eigh(states))
+
+
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of stacked Hermitian matrices (..., d, d), descending.
 
@@ -87,16 +108,39 @@ def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
+class SpectralPropagator:
+    """exp(-i h t) at the times t from one diagonalization h = W diag(E) W^dagger.
+
+    ``phases`` holds exp(-i E t): (d,) for a scalar t, (N, d) for N times.
+    """
+
+    def __init__(self, h: np.ndarray, t) -> None:
+        self.energies, self.basis = eig_hermitian(h)
+        self.phases = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), self.energies))
+
+    def unitaries(self) -> np.ndarray:
+        """U(t) = W diag(exp(-i E t)) W^dagger: (d, d) or (N, d, d)."""
+        return (self.basis * self.phases[..., None, :]) @ self.basis.conj().T
+
+    def conjugated_diagonal(self, m0: np.ndarray) -> np.ndarray:
+        """Diagonal of U(t) m0 U(t)^dagger, (d,) or (N, d), without forming the matrices.
+
+        With C = W^dagger m0 W in H's eigenbasis, entry a is the sum over j, k of
+        W_aj C_jk conj(W_ak) exp(-i (E_j - E_k) t). A zero m0 gives exact zeros.
+        """
+        w = self.basis
+        coefficients = np.einsum("aj,jk,ak->jka", w, w.conj().T @ m0 @ w, w.conj())
+        bohr = self.phases[..., :, None] * self.phases.conj()[..., None, :]
+        return np.einsum("...jk,jka->...a", bohr, coefficients)
+
+
 def unitary_from_hamiltonian(h: np.ndarray, t) -> np.ndarray:
     """Propagator exp(-i h t) via the spectral decomposition of Hermitian h.
 
     A scalar t gives one (d, d) matrix; a 1-D array of N times gives the
     stack (N, d, d), every entry built from the same decomposition.
     """
-    t = np.asarray(t, dtype=float)
-    w, v = eig_hermitian(h)
-    phases = np.exp(-1j * np.multiply.outer(t, w))  # (d,) or (N, d)
-    return (v * phases[..., None, :]) @ v.conj().T
+    return SpectralPropagator(h, t).unitaries()
 
 
 def assert_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:

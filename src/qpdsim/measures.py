@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyTrajectoryError
-from .linalg import hermitian_eigenvalues, partial_trace
+from .linalg import DiagonalizedStates, diagonalized, hermitian_eigenvalues, partial_trace
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real  # real +-1 antidiagonal
@@ -55,18 +55,18 @@ def relative_entropy_coherence(rho: np.ndarray):
     return _scalar_or_array(c, rho.ndim == 2)
 
 
-def concurrence(rho: np.ndarray):
+def concurrence(rho: np.ndarray | DiagonalizedStates):
     """Two-qubit concurrence from the spin-flipped state.
 
     The square-rooted eigenvalues of rho rho_tilde are obtained as singular
     values of sqrt(w) (V^dag Y V^*) sqrt(w) built from the eigensystem
     (w, V) of rho; the square-root weights enter multiplicatively, so the
-    values stay accurate even for (near-)pure inputs.
+    values stay accurate even for (near-)pure inputs. ``rho`` may be
+    DiagonalizedStates, whose eigensystem is used as given.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho, w, v = diagonalized(rho)
     if rho.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"concurrence needs 4x4 states, got {rho.shape[-2:]}")
-    w, v = np.linalg.eigh(rho)
     root_w = np.sqrt(np.clip(w, 0.0, None))
     congruent_flip = v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()
     n = root_w[..., :, None] * congruent_flip * root_w[..., None, :]
@@ -75,17 +75,16 @@ def concurrence(rho: np.ndarray):
     return _scalar_or_array(c, rho.ndim == 2)
 
 
-def entanglement_of_formation(rho: np.ndarray):
+def entanglement_of_formation(rho: np.ndarray | DiagonalizedStates):
     """Two-qubit entanglement of formation via the concurrence closed form.
 
     Agrees with the reduced-state entropy on pure states and vanishes on
     product states.
     """
-    rho = np.asarray(rho)
     c = np.asarray(concurrence(rho))
     x = 0.5 * (1.0 + np.sqrt(1.0 - np.clip(c, 0.0, 1.0) ** 2))
     ef = _entropy_from_probs(np.stack([x, 1.0 - x], axis=-1))
-    return _scalar_or_array(ef, rho.ndim == 2)
+    return _scalar_or_array(ef, c.ndim == 0)
 
 
 def mutual_information(rho: np.ndarray):
@@ -139,12 +138,17 @@ class MeasureSeries:
 MEASURE_FIELDS = tuple(f.name for f in fields(MeasureRecord))
 
 
-def measure_series(states: np.ndarray) -> MeasureSeries:
-    """All measures along stacked states (N, 4, 4), fully vectorized."""
-    states = np.asarray(states, dtype=complex)
+def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureSeries:
+    """All measures along stacked states (N, 4, 4), fully vectorized.
+
+    A bare stack is diagonalized by eigh; DiagonalizedStates, such as an
+    orbit, bring their eigensystem. Both then run the same formulas.
+    """
+    diagonal_form = diagonalized(states)
+    states = diagonal_form.states
     rho_b = partial_trace(states, "B", (2, 2))
     rho_a = partial_trace(states, "A", (2, 2))
-    s_ab = _entropy_from_probs(hermitian_eigenvalues(states))
+    s_ab = np.full(states.shape[:-2], _entropy_from_probs(diagonal_form.eigenvalues))
     s_b = _entropy_from_probs(hermitian_eigenvalues(rho_b))
     s_a = _entropy_from_probs(hermitian_eigenvalues(rho_a))
     return MeasureSeries(
@@ -156,7 +160,7 @@ def measure_series(states: np.ndarray) -> MeasureSeries:
         Cl1_A=np.asarray(l1_coherence(rho_a)),
         Cl1_AB=np.asarray(l1_coherence(states)),
         CRE_AB=_entropy_from_probs(np.diagonal(states, axis1=-2, axis2=-1).real) - s_ab,
-        EF_AB=np.asarray(entanglement_of_formation(states)),
+        EF_AB=np.asarray(entanglement_of_formation(diagonal_form)),
     )
 
 

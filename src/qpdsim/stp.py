@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Trajectory
 from .errors import EmptyInputError, GridMismatchError
 
 # Threshold separating rounding noise (<= 1e-10 when chi is formed by
@@ -26,41 +25,44 @@ DELTA_EPS = 1e-6
 _IMAG_TOL = 1e-12
 
 
+def _defection_weight(diagonal: np.ndarray) -> np.ndarray:
+    # basis {dd, dc, cd, cc}: the action is d in entries 0 and 2
+    return diagonal[..., 0].real + diagonal[..., 2].real
+
+
 def choice_probability(rho: np.ndarray):
     """Probability of choosing defection: diagonal entries dd and cd.
 
     Accepts a single 4x4 state or a stacked batch (..., 4, 4).
     """
     rho = np.asarray(rho)
-    p = rho[..., 0, 0].real + rho[..., 2, 2].real
+    p = _defection_weight(np.diagonal(rho, axis1=-2, axis2=-1))
     return float(p) if rho.ndim == 2 else p
 
 
-def chi_series(
-    traj_u: Trajectory, traj_d: Trajectory, traj_c: Trajectory, p_b: float
-) -> np.ndarray:
-    """chi(t) = rho_u(t) - p_B rho_d(t) - (1 - p_B) rho_c(t) on a shared grid."""
-    if not (
-        traj_u.times.shape == traj_d.times.shape == traj_c.times.shape
-        and np.array_equal(traj_u.times, traj_d.times)
-        and np.array_equal(traj_u.times, traj_c.times)
-    ):
-        raise GridMismatchError("branch trajectories must share one time grid")
-    return traj_u.states - p_b * traj_d.states - (1.0 - p_b) * traj_c.states
+def stp_leak(chi_diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """delta and its bound Delta from diagonals of chi (..., 4).
+
+    delta is the defection weight of chi; Delta sums the moduli of the
+    whole diagonal, so Delta >= |delta|.
+    """
+    chi_diagonal = np.asarray(chi_diagonal)
+    if np.max(np.abs(_defection_weight(chi_diagonal.imag)), initial=0.0) > _IMAG_TOL:
+        raise ValueError("chi diagonal has a non-negligible imaginary part")
+    return _defection_weight(chi_diagonal), np.sum(np.abs(chi_diagonal), axis=-1)
 
 
 def stp_delta(chi: np.ndarray):
-    """Signed probability leak of chi: its defection weight, choice_probability(chi)."""
+    """Signed probability leak of chi (..., 4, 4): its defection weight, choice_probability(chi)."""
     chi = np.asarray(chi)
-    if np.max(np.abs(choice_probability(chi.imag)), initial=0.0) > _IMAG_TOL:
-        raise ValueError("chi diagonal has a non-negligible imaginary part")
-    return choice_probability(chi)
+    delta, _ = stp_leak(np.diagonal(chi, axis1=-2, axis2=-1))
+    return float(delta) if chi.ndim == 2 else delta
 
 
 def stp_delta_bound(chi: np.ndarray):
     """Upper envelope for |delta|: sum of |chi_ii| over the full diagonal."""
     chi = np.asarray(chi)
-    bound = np.sum(np.abs(np.diagonal(chi, axis1=-2, axis2=-1)), axis=-1)
+    _, bound = stp_leak(np.diagonal(chi, axis1=-2, axis2=-1))
     return float(bound) if chi.ndim == 2 else bound
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qpdsim import HamiltonianParams, ScenarioSpec, SubsystemParams, subset_keys
+from qpdsim import GridMismatchError, HamiltonianParams, ScenarioSpec, SubsystemParams, subset_keys
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -57,6 +57,17 @@ def rk4_propagator(h: np.ndarray, t: float, steps: int = 2000) -> np.ndarray:
         k4 = -1j * (h @ (u + dt * k3))
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return u
+
+
+def chi_series(traj_u, traj_d, traj_c, p_b: float) -> np.ndarray:
+    """Branch-subtraction oracle: chi(t) = rho_u(t) - p_B rho_d(t) - (1 - p_B) rho_c(t) on a shared grid."""
+    if not (
+        traj_u.times.shape == traj_d.times.shape == traj_c.times.shape
+        and np.array_equal(traj_u.times, traj_d.times)
+        and np.array_equal(traj_u.times, traj_c.times)
+    ):
+        raise GridMismatchError("branch trajectories must share one time grid")
+    return traj_u.states - p_b * traj_d.states - (1.0 - p_b) * traj_c.states
 
 
 def slit_probabilities(rho: np.ndarray, projectors: np.ndarray, effect: np.ndarray) -> np.ndarray:

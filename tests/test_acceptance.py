@@ -22,7 +22,6 @@ from qpdsim import (
     partial_trace,
     run_interference_survey,
     stp_delta,
-    chi_series,
     time_grid,
     unitary_from_hamiltonian,
     von_neumann_entropy,
@@ -40,6 +39,7 @@ from qpdsim.report import (
     table3_rows,
 )
 from support import (
+    chi_series,
     random_density,
     random_hamiltonian_params,
     random_hermitian,

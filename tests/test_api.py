@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
     "chi_initial", "classical_mental_state", "initial_mental_state", "load_scenario", "qubit_state",
     "scenario_from_config", "scenario_to_config",
     # stp
-    "DELTA_EPS", "StpVerdict", "chi_series", "choice_probability", "stp_delta", "stp_delta_bound",
+    "DELTA_EPS", "StpVerdict", "choice_probability", "stp_delta", "stp_delta_bound",
     "stp_verdict",
 }
 

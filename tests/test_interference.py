@@ -8,7 +8,6 @@ from qpdsim import (
     QuantumSlitModel,
     build_hamiltonian,
     catalog_case,
-    chi_series,
     choice_probability,
     evolve,
     initial_mental_state,
@@ -21,7 +20,7 @@ from qpdsim import (
     subset_keys,
 )
 
-from support import slit_probabilities
+from support import chi_series, slit_probabilities
 
 
 def basis_projectors(n):
@@ -230,11 +229,32 @@ class TestStackChecks:
         with pytest.raises(InvalidModelError, match=r"^draw 3: effect eigenvalues must lie in \[0, 1\]$"):
             QuantumSlitModel(rho, projectors, effect)
 
+    def test_state_must_be_hermitian(self):
+        rho, projectors, effect = valid_stack()
+        rho[3, 0, 1] = 0.1
+        with pytest.raises(InvalidModelError, match=r"^draw 3: state must be Hermitian$"):
+            QuantumSlitModel(rho, projectors, effect)
+
+    def test_state_must_have_unit_trace(self):
+        # with the identity effect this state used to give P_123 = 0.5
+        rho, projectors, effect = valid_stack()
+        rho[3] = np.eye(3) / 6
+        with pytest.raises(InvalidModelError, match=r"^draw 3: state must have unit trace$"):
+            QuantumSlitModel(rho, projectors, effect)
+
+    def test_state_must_be_positive_semidefinite(self):
+        # Hermitian with trace 1 and eigenvalues 1.4, 0, -0.4; its P_S all lay inside [0, 1]
+        rho, projectors, effect = valid_stack()
+        rho[3] = [[0.5, 0.9, 0.0], [0.9, 0.5, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(InvalidModelError, match=r"^draw 3: state must be positive semidefinite$"):
+            QuantumSlitModel(rho, projectors, effect)
+
     def test_probabilities_must_lie_in_unit_interval(self):
+        # trace 1 + 5e-11 passes the model checks (1e-10) but not the range check (1e-12)
         rho, projectors, effect = valid_stack()
         effect[:] = np.eye(3)
-        rho[3] = np.diag([0.6, 0.0, 0.6])
-        with pytest.raises(InvalidModelError, match=r"^draw 3: P_13 = 1\.2 outside \[0, 1\] beyond tolerance$"):
+        rho[3] = np.diag([0.5 + 5e-11, 0.0, 0.5])
+        with pytest.raises(InvalidModelError, match=r"^draw 3: P_13 = 1\.00000000005 outside \[0, 1\] beyond tolerance$"):
             run_slit_model(QuantumSlitModel(rho, projectors, effect))
 
     def test_names_the_first_of_several_bad_draws(self):

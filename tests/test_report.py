@@ -5,7 +5,19 @@ import stat
 import numpy as np
 import pytest
 
-from qpdsim import HamiltonianParams, analyze_case, catalog_case, load_reference_table
+from qpdsim import (
+    BRANCHES,
+    CATALOG_LABELS,
+    HamiltonianParams,
+    analyze_case,
+    catalog_case,
+    initial_mental_state,
+    load_reference_table,
+    measure_series,
+    stp_delta,
+    stp_delta_bound,
+)
+from qpdsim import linalg
 from qpdsim.measures import MEASURE_FIELDS, MeasureSeries
 from qpdsim.report import (
     TABLE1_COLUMNS,
@@ -19,7 +31,7 @@ from qpdsim.report import (
     reproduce_all,
     table2_rows,
 )
-from support import random_hamiltonian_params, random_scenario
+from support import chi_series, random_hamiltonian_params, random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +86,67 @@ class TestAnalyzeCase:
             p = a.probabilities
             gap = p["u"] - (spec.p_b * p["d"] + (1 - spec.p_b) * p["c"]) - a.delta
             assert np.max(np.abs(gap)) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def spectral_analyses():
+    """Every catalog case and six random scenarios, three of them coherence-free."""
+    analyses = [analyze_case(label, samples=257) for label in CATALOG_LABELS]
+    rng = np.random.default_rng(74)
+    for k in range(6):
+        spec = random_scenario(rng, coherent_prediction=k % 2 == 0)
+        analyses.append(analyze_case(spec, random_hamiltonian_params(rng), samples=257))
+    return analyses
+
+
+class TestSpectralEngine:
+    def test_one_diagonalization_of_h_and_none_per_sample(self, monkeypatch):
+        h_diagonalizations = []
+        stacked = []
+        real_eig = linalg.eig_hermitian
+
+        def counting_eig(m):
+            h_diagonalizations.append(m)
+            return real_eig(m)
+
+        def recording(fn):
+            def wrapped(m, *args, **kwargs):
+                stacked.append(np.shape(m))
+                return fn(m, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(linalg, "eig_hermitian", counting_eig)
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        analyze_case("3*", samples=65)
+        assert len(h_diagonalizations) == 1
+        assert [shape for shape in stacked if len(shape) > 2] == []
+
+    def test_branch_series_match_bare_states(self, spectral_analyses):
+        for a in spectral_analyses:
+            for alpha in BRANCHES:
+                bare = measure_series(a.trajectories[alpha].states)
+                got = a.series[alpha]
+                for name in ("S_AB", "I_AB", "CRE_AB"):
+                    np.testing.assert_allclose(getattr(got, name), getattr(bare, name), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.EF_AB, bare.EF_AB, rtol=0, atol=1e-10)
+                for name in ("S_B", "S_A", "Cl1_B", "Cl1_A", "Cl1_AB"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(bare, name))
+
+    def test_spectrum_preserved_along_branches(self, spectral_analyses):
+        for a in spectral_analyses:
+            for alpha in BRANCHES:
+                initial = np.linalg.eigvalsh(initial_mental_state(a.spec, alpha))
+                spectra = np.linalg.eigvalsh(a.trajectories[alpha].states)
+                np.testing.assert_allclose(spectra, np.broadcast_to(initial, spectra.shape), rtol=0, atol=1e-12)
+
+    def test_delta_matches_branch_subtraction(self, spectral_analyses):
+        for a in spectral_analyses:
+            trajs = a.trajectories
+            chi = chi_series(trajs["u"], trajs["d"], trajs["c"], a.spec.p_b)
+            np.testing.assert_allclose(a.delta, stp_delta(chi), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.delta_bound, stp_delta_bound(chi), rtol=0, atol=1e-12)
 
 
 class TestReferenceTables:

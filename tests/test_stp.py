@@ -10,7 +10,6 @@ from qpdsim import (
     build_hamiltonian,
     catalog_case,
     chi_initial,
-    chi_series,
     choice_probability,
     evolve,
     initial_mental_state,
@@ -20,7 +19,7 @@ from qpdsim import (
     time_grid,
     unitary_from_hamiltonian,
 )
-from support import random_hamiltonian_params, random_scenario
+from support import chi_series, random_hamiltonian_params, random_scenario
 
 SATISFYING = ("1", "1*", "2")
 VIOLATING = ("3", "3*", "4", "4*")
