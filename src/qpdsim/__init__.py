@@ -25,7 +25,6 @@ from .errors import (
     InvalidModelError,
     MissingSubsetError,
     NonHermitianError,
-    NotNormalizedError,
     NotPositiveError,
 )
 from .interference import (
@@ -40,18 +39,13 @@ from .interference import (
 from .linalg import (
     HERM_TOL,
     PSD_TOL,
-    Spectrum,
-    assert_density_matrix,
     eig_hermitian,
     hermitian_eigenvalues,
-    is_hermitian,
     partial_trace,
     tensor,
-    unitary_from_hamiltonian,
 )
 from .measures import (
     MeasureRecord,
-    MeasureSeries,
     average_measures,
     concurrence,
     entanglement_of_formation,
@@ -82,9 +76,7 @@ from .states import (
     SubsystemParams,
     catalog_case,
     chi_initial,
-    classical_mental_state,
     initial_mental_state,
-    load_scenario,
     qubit_state,
     scenario_from_config,
     scenario_to_config,
@@ -93,8 +85,6 @@ from .stp import (
     DELTA_EPS,
     StpVerdict,
     choice_probability,
-    stp_delta,
-    stp_delta_bound,
     stp_verdict,
 )
 

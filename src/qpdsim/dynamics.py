@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import DiagonalizedStates, tensor, unitary_from_hamiltonian
+from .linalg import DiagonalizedStates, SpectralPropagator, tensor
 
 DEFAULT_MU = 0.59
 DEFAULT_GAMMA = 1.74
@@ -100,4 +100,4 @@ def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     if rho0.shape != h.shape:
         raise DimensionMismatchError(f"state shape {rho0.shape} != Hamiltonian shape {h.shape}")
     times = np.asarray(times, dtype=float)
-    return Trajectory(times, propagate(rho0, unitary_from_hamiltonian(h, times)))
+    return Trajectory(times, propagate(rho0, SpectralPropagator(h, times).unitaries()))

@@ -13,10 +13,6 @@ class NotPositiveError(ValueError):
     """Matrix is not positive semidefinite within tolerance."""
 
 
-class NotNormalizedError(ValueError):
-    """Probabilities or trace do not sum to one within tolerance."""
-
-
 class GridMismatchError(ValueError):
     """Time grids of trajectories that must be aligned differ."""
 

@@ -20,7 +20,10 @@ import numpy as np
 from .errors import InvalidModelError, MissingSubsetError
 
 _RANGE_TOL = 1e-12
-_MODEL_TOL = 1e-10
+# The one tolerance e of every model check. With Hermitian projectors it keeps each P_S of a
+# three-slit model in [-6e, 1 + 19e] to first order, inside _RANGE_TOL: ||Pi_S||^2 <= 1 + 12e,
+# tr rho <= 1 + e, rho and M have eigenvalues >= -2e and M's are <= 1 + 2e. Survey draws sit below 2e-15.
+_MODEL_TOL = 5e-14
 _SURVEY_SLITS = 3  # the fewest slits with a third-order term
 # Draws per survey block. Checking a block forms (block, 3, 3, 3, 3) projector
 # products, so the block, not the survey, sets the memory they take.
@@ -99,7 +102,7 @@ class QuantumSlitModel:
         _raise_first(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) > _MODEL_TOL, "state must have unit trace")
         _raise_first(np.linalg.eigvalsh(rho)[:, 0] < -_MODEL_TOL, "state must be positive semidefinite")
         total = p.sum(axis=1)
-        _raise_first(np.abs(total - np.eye(d)).max(axis=(1, 2)) > _RANGE_TOL, "projectors must sum to the identity")
+        _raise_first(np.abs(total - np.eye(d)).max(axis=(1, 2)) > _MODEL_TOL, "projectors must sum to the identity")
         # rows (a, i) of every P_a times columns (b, k) of every P_b: products[n, a, i, b, k] = (P_a P_b)[i, k]
         rows = p.reshape(n_draws, d * d, d)
         products = (rows @ p.swapaxes(1, 2).reshape(n_draws, d, d * d)).reshape(n_draws, d, d, d, d)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError, NotNormalizedError, NotPositiveError
+from .errors import DimensionMismatchError, NonHermitianError
 
 # Validation tolerances. PSD_TOL also bounds how far below zero an eigenvalue
 # may sit before entropy-style functions refuse to clamp it silently.
@@ -20,19 +20,12 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
 
 
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # unitary, columns aligned with eigenvalues
-
-
 def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERM_TOL)
 
 
-def eig_hermitian(m: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix; eigenvalues sorted descending.
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a Hermitian matrix: eigenvalues descending, unitary eigenvector columns.
 
     Raises NonHermitianError if the symmetry tolerance is exceeded.
     """
@@ -42,7 +35,7 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     if not is_hermitian(m):
         raise NonHermitianError(f"matrix is not Hermitian within {HERM_TOL:g}")
     w, v = np.linalg.eigh(m)
-    return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 class DiagonalizedStates(NamedTuple):
@@ -112,11 +105,17 @@ class SpectralPropagator:
     """exp(-i h t) at the times t from one diagonalization h = W diag(E) W^dagger.
 
     ``phases`` holds exp(-i E t): (d,) for a scalar t, (N, d) for N times.
+    A phase E t that overflows raises ValueError naming the largest |E| and |t|.
     """
 
     def __init__(self, h: np.ndarray, t) -> None:
         self.energies, self.basis = eig_hermitian(h)
-        self.phases = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), self.energies))
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = np.multiply.outer(np.asarray(t, dtype=float), self.energies)
+        if not np.isfinite(angles).all():
+            largest_e, largest_t = np.max(np.abs(self.energies)), np.max(np.abs(t))
+            raise ValueError(f"phase E*t overflows: largest |E| = {largest_e:.6g}, largest |t| = {largest_t:.6g}")
+        self.phases = np.exp(-1j * angles)
 
     def unitaries(self) -> np.ndarray:
         """U(t) = W diag(exp(-i E t)) W^dagger: (d, d) or (N, d, d)."""
@@ -133,30 +132,3 @@ class SpectralPropagator:
         bohr = self.phases[..., :, None] * self.phases.conj()[..., None, :]
         return np.einsum("...jk,jka->...a", bohr, coefficients)
 
-
-def unitary_from_hamiltonian(h: np.ndarray, t) -> np.ndarray:
-    """Propagator exp(-i h t) via the spectral decomposition of Hermitian h.
-
-    A scalar t gives one (d, d) matrix; a 1-D array of N times gives the
-    stack (N, d, d), every entry built from the same decomposition.
-    """
-    return SpectralPropagator(h, t).unitaries()
-
-
-def assert_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate the Hermitian / unit-trace / PSD invariants of a state.
-
-    Returns the validated array unchanged so calls can be chained.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"{name}: expected a square matrix, got shape {rho.shape}")
-    if not is_hermitian(rho):
-        raise NonHermitianError(f"{name}: not Hermitian within {HERM_TOL:g}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotNormalizedError(f"{name}: trace {tr:.16g} differs from 1 beyond {TRACE_TOL:g}")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -PSD_TOL:
-        raise NotPositiveError(f"{name}: minimum eigenvalue {w[0]:.3e} below -{PSD_TOL:g}")
-    return rho

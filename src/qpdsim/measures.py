@@ -107,38 +107,23 @@ def trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MeasureRecord:
-    """Scalar information measures of one 4x4 state (or time-averaged)."""
+    """The nine information measures: floats for one state or a time average, arrays along a trajectory."""
 
-    S_B: float
-    S_A: float
-    S_AB: float
-    I_AB: float
-    Cl1_B: float
-    Cl1_A: float
-    Cl1_AB: float
-    CRE_AB: float
-    EF_AB: float
-
-
-@dataclass(frozen=True)
-class MeasureSeries:
-    """The same measures sampled along a trajectory, one array per field."""
-
-    S_B: np.ndarray
-    S_A: np.ndarray
-    S_AB: np.ndarray
-    I_AB: np.ndarray
-    Cl1_B: np.ndarray
-    Cl1_A: np.ndarray
-    Cl1_AB: np.ndarray
-    CRE_AB: np.ndarray
-    EF_AB: np.ndarray
+    S_B: float | np.ndarray
+    S_A: float | np.ndarray
+    S_AB: float | np.ndarray
+    I_AB: float | np.ndarray
+    Cl1_B: float | np.ndarray
+    Cl1_A: float | np.ndarray
+    Cl1_AB: float | np.ndarray
+    CRE_AB: float | np.ndarray
+    EF_AB: float | np.ndarray
 
 
 MEASURE_FIELDS = tuple(f.name for f in fields(MeasureRecord))
 
 
-def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureSeries:
+def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
     """All measures along stacked states (N, 4, 4), fully vectorized.
 
     A bare stack is diagonalized by eigh; DiagonalizedStates, such as an
@@ -151,7 +136,7 @@ def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureSeries:
     s_ab = np.full(states.shape[:-2], _entropy_from_probs(diagonal_form.eigenvalues))
     s_b = _entropy_from_probs(hermitian_eigenvalues(rho_b))
     s_a = _entropy_from_probs(hermitian_eigenvalues(rho_a))
-    return MeasureSeries(
+    return MeasureRecord(
         S_B=s_b,
         S_A=s_a,
         S_AB=s_ab,
@@ -170,7 +155,7 @@ def measure_state(rho: np.ndarray) -> MeasureRecord:
     return MeasureRecord(**{name: float(getattr(series, name)[0]) for name in MEASURE_FIELDS})
 
 
-def average_measures(series: MeasureSeries, times: np.ndarray) -> MeasureRecord:
+def average_measures(series: MeasureRecord, times: np.ndarray) -> MeasureRecord:
     """Trapezoid time average of every measure in a series."""
     return MeasureRecord(
         **{name: trapezoid_mean(getattr(series, name), times) for name in MEASURE_FIELDS}

@@ -14,7 +14,7 @@ import io
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .linalg import SpectralPropagator
 from .measures import (
     MEASURE_FIELDS,
     MeasureRecord,
-    MeasureSeries,
     average_measures,
     measure_series,
     measure_state,
@@ -110,16 +109,18 @@ _COLUMN_RANGES: dict[str, tuple[float, float]] = {
 def _checked_column(name: str, values) -> np.ndarray:
     """One output column clipped onto its valid range, with -0.0 as 0.0.
 
-    A value beyond the range by more than _RANGE_CLIP_TOL raises ValueError
-    naming the column and the first such 0-based data row.
+    A NaN, an infinity, or a value beyond the range by more than
+    _RANGE_CLIP_TOL raises ValueError naming the column and the first such
+    0-based data row.
     """
     values = np.asarray(values, dtype=float)
     lo, hi = _COLUMN_RANGES.get(name, (-np.inf, np.inf))
-    bad = np.flatnonzero((values < lo - _RANGE_CLIP_TOL) | (values > hi + _RANGE_CLIP_TOL))
+    ok = np.isfinite(values) & (values >= lo - _RANGE_CLIP_TOL) & (values <= hi + _RANGE_CLIP_TOL)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         row = bad[0]
         value = float(values[row])
-        side = f"below {lo}" if value < lo else f"above {hi}"
+        side = f"below {lo}" if value < lo else f"above {hi}" if value > hi else "is not finite"
         raise ValueError(f"column {name}, row {row}: value {value!r} {side}")
     return np.clip(values, lo, hi) + 0.0
 
@@ -133,7 +134,7 @@ class CaseAnalysis:
     probabilities: Mapping[str, np.ndarray]
     delta: np.ndarray
     delta_bound: np.ndarray
-    series: Mapping[str, MeasureSeries]
+    series: Mapping[str, MeasureRecord]
     means: Mapping[str, MeasureRecord]
     verdict: StpVerdict
 
@@ -199,9 +200,9 @@ def scenario_table1_rows(spec: ScenarioSpec) -> list[dict]:
     return _rows(spec.case_label, records, TABLE1_COLUMNS)
 
 
-def table1_rows(labels: Iterable[str] = CATALOG_LABELS) -> list[dict]:
+def table1_rows() -> list[dict]:
     """Initial-state coherence and entropy per catalog case and branch."""
-    return [row for label in labels for row in scenario_table1_rows(catalog_case(label))]
+    return [row for label in CATALOG_LABELS for row in scenario_table1_rows(catalog_case(label))]
 
 
 def table2_rows(analyses: Mapping[str, CaseAnalysis]) -> list[dict]:

@@ -9,14 +9,13 @@ share one action qubit.
 from __future__ import annotations
 
 import contextlib
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import NotNormalizedError, NotPositiveError
-from .linalg import PSD_TOL, TRACE_TOL, tensor
+from .errors import NotPositiveError
+from .linalg import PSD_TOL, tensor
 
 BRANCHES = ("u", "d", "c")
 
@@ -122,18 +121,6 @@ def chi_initial(spec: ScenarioSpec) -> np.ndarray:
     )
 
 
-def classical_mental_state(joint: np.ndarray) -> np.ndarray:
-    """Diagonal 4x4 state from a joint probability vector over {dd,dc,cd,cc}."""
-    joint = np.asarray(joint, dtype=float)
-    if joint.shape != (4,):
-        raise ValueError(f"expected 4 joint probabilities, got shape {joint.shape}")
-    if np.any(joint < 0):
-        raise NotPositiveError("joint probabilities must be nonnegative")
-    if abs(joint.sum() - 1.0) > TRACE_TOL:
-        raise NotNormalizedError(f"joint probabilities sum to {joint.sum():.16g}, not 1")
-    return np.diag(joint).astype(complex)
-
-
 # Built-in scenario catalog. Labels and parameters are frozen regression
 # anchors; the starred variants soften their base case so the uncertain
 # prediction keeps nonzero entropy.
@@ -222,7 +209,3 @@ def scenario_from_config(config: Mapping) -> ScenarioSpec:
         )
     return ScenarioSpec(str(_config_value(config, "case_label")), branches)
 
-
-def load_scenario(path) -> ScenarioSpec:
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_config(json.load(fh))

@@ -52,20 +52,6 @@ def stp_leak(chi_diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _defection_weight(chi_diagonal), np.sum(np.abs(chi_diagonal), axis=-1)
 
 
-def stp_delta(chi: np.ndarray):
-    """Signed probability leak of chi (..., 4, 4): its defection weight, choice_probability(chi)."""
-    chi = np.asarray(chi)
-    delta, _ = stp_leak(np.diagonal(chi, axis1=-2, axis2=-1))
-    return float(delta) if chi.ndim == 2 else delta
-
-
-def stp_delta_bound(chi: np.ndarray):
-    """Upper envelope for |delta|: sum of |chi_ii| over the full diagonal."""
-    chi = np.asarray(chi)
-    _, bound = stp_leak(np.diagonal(chi, axis1=-2, axis2=-1))
-    return float(bound) if chi.ndim == 2 else bound
-
-
 @dataclass(frozen=True)
 class StpVerdict:
     violated: bool
@@ -77,14 +63,19 @@ def stp_verdict(times: np.ndarray, delta: np.ndarray) -> StpVerdict:
     """Classify a scenario from its delta samples on the grid ``times``.
 
     Violated iff max |delta| exceeds DELTA_EPS; onset_time is the first grid time
-    where that happens, None when the principle holds.
+    where that happens, None when the principle holds. A NaN or infinite sample
+    raises ValueError naming the first one.
     """
     times = np.asarray(times, dtype=float)
-    abs_delta = np.abs(np.asarray(delta, dtype=float))
+    delta = np.asarray(delta, dtype=float)
+    abs_delta = np.abs(delta)
     if times.shape != abs_delta.shape:
         raise GridMismatchError(f"{times.shape} times but {abs_delta.shape} delta samples")
     if abs_delta.size == 0:
         raise EmptyInputError("no delta samples to judge")
+    bad = np.flatnonzero(~np.isfinite(delta))
+    if bad.size:
+        raise ValueError(f"delta sample {bad[0]} (t = {times[bad[0]]:g}) is {delta[bad[0]]}, not finite")
     max_abs = float(np.max(abs_delta))
     violated = max_abs > DELTA_EPS
     onset = float(times[np.argmax(abs_delta > DELTA_EPS)]) if violated else None

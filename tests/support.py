@@ -3,6 +3,7 @@
 import numpy as np
 
 from qpdsim import GridMismatchError, HamiltonianParams, ScenarioSpec, SubsystemParams, subset_keys
+from qpdsim.stp import stp_leak
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -68,6 +69,11 @@ def chi_series(traj_u, traj_d, traj_c, p_b: float) -> np.ndarray:
     ):
         raise GridMismatchError("branch trajectories must share one time grid")
     return traj_u.states - p_b * traj_d.states - (1.0 - p_b) * traj_c.states
+
+
+def chi_leak(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """delta and its bound Delta of chi (..., 4, 4), by stp_leak on the diagonal."""
+    return stp_leak(np.diagonal(chi, axis1=-2, axis2=-1))
 
 
 def slit_probabilities(rho: np.ndarray, projectors: np.ndarray, effect: np.ndarray) -> np.ndarray:

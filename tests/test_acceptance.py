@@ -21,12 +21,11 @@ from qpdsim import (
     load_reference_table,
     partial_trace,
     run_interference_survey,
-    stp_delta,
     time_grid,
-    unitary_from_hamiltonian,
     von_neumann_entropy,
 )
 from qpdsim.cli import main as cli_main
+from qpdsim.linalg import SpectralPropagator
 from qpdsim.report import (
     TABLE1_COLUMNS,
     TABLE2_COLUMNS,
@@ -39,6 +38,7 @@ from qpdsim.report import (
     table3_rows,
 )
 from support import (
+    chi_leak,
     chi_series,
     random_density,
     random_hamiltonian_params,
@@ -166,7 +166,7 @@ def test_criterion_6a_unitarity_trace_spectrum():
             else random_hermitian(rng, 4)
         )
         t = rng.uniform(0.0, 8.0)
-        u = unitary_from_hamiltonian(h, t)
+        u = SpectralPropagator(h, t).unitaries()
         worst = max(worst, np.max(np.abs(u.conj().T @ u - np.eye(4))))
         rho0 = random_density(rng, 4)
         traj = evolve(rho0, h, np.linspace(0.0, t, 8))
@@ -189,7 +189,7 @@ def test_criterion_6b_decomposition_identity():
         p_u = trajs["u"].states[:, 0, 0].real + trajs["u"].states[:, 2, 2].real
         p_d = trajs["d"].states[:, 0, 0].real + trajs["d"].states[:, 2, 2].real
         p_c = trajs["c"].states[:, 0, 0].real + trajs["c"].states[:, 2, 2].real
-        gap = p_u - (spec.p_b * p_d + (1 - spec.p_b) * p_c + stp_delta(chi))
+        gap = p_u - (spec.p_b * p_d + (1 - spec.p_b) * p_c + chi_leak(chi)[0])
         worst = max(worst, np.max(np.abs(gap)))
     ok = worst <= 1e-10
     assert report("6b mixture decomposition identity to 1e-10", ok, f"worst {worst:.2e}")
@@ -204,7 +204,7 @@ def test_criterion_6c_no_deviation_without_prediction_coherence():
         h = build_hamiltonian(random_hamiltonian_params(rng))
         trajs = {a: evolve(initial_mental_state(spec, a), h, grid) for a in BRANCHES}
         chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
-        worst = max(worst, np.max(np.abs(stp_delta(chi))))
+        worst = max(worst, np.max(np.abs(chi_leak(chi)[0])))
     ok = worst < 1e-10
     assert report("6c coherence-free prediction keeps |delta| below 1e-10", ok, f"worst {worst:.2e}")
 
@@ -230,7 +230,7 @@ def test_criterion_6e_propagator_matches_rk4():
             else random_hermitian(rng, 4)
         )
         t = rng.uniform(0.25, 2.0)
-        diff = np.max(np.abs(unitary_from_hamiltonian(h, t) - rk4_propagator(h, t)))
+        diff = np.max(np.abs(SpectralPropagator(h, t).unitaries() - rk4_propagator(h, t)))
         worst = max(worst, diff)
     ok = worst <= 1e-8
     assert report("6e spectral propagator matches RK4 oracle to 1e-8", ok, f"worst {worst:.2e}")

@@ -11,15 +11,14 @@ PUBLIC_NAMES = {
     "Trajectory", "build_hamiltonian", "evolve", "time_grid",
     # errors
     "DimensionMismatchError", "EmptyInputError", "EmptyTrajectoryError", "GridMismatchError",
-    "InvalidModelError", "MissingSubsetError", "NonHermitianError", "NotNormalizedError", "NotPositiveError",
+    "InvalidModelError", "MissingSubsetError", "NonHermitianError", "NotPositiveError",
     # interference
     "QuantumSlitModel", "interference_i3", "pairwise_interference", "random_slit_model",
     "run_interference_survey", "run_slit_model", "subset_keys",
     # linalg
-    "HERM_TOL", "PSD_TOL", "Spectrum", "assert_density_matrix", "eig_hermitian", "hermitian_eigenvalues",
-    "is_hermitian", "partial_trace", "tensor", "unitary_from_hamiltonian",
+    "HERM_TOL", "PSD_TOL", "eig_hermitian", "hermitian_eigenvalues", "partial_trace", "tensor",
     # measures
-    "MeasureRecord", "MeasureSeries", "average_measures", "concurrence", "entanglement_of_formation",
+    "MeasureRecord", "average_measures", "concurrence", "entanglement_of_formation",
     "l1_coherence", "measure_series", "measure_state", "mutual_information", "relative_entropy_coherence",
     "trapezoid_mean", "von_neumann_entropy",
     # report
@@ -27,11 +26,10 @@ PUBLIC_NAMES = {
     "reproduce_all", "table1_rows", "table2_rows", "table3_rows",
     # states
     "BRANCHES", "CATALOG_LABELS", "BranchState", "ScenarioSpec", "SubsystemParams", "catalog_case",
-    "chi_initial", "classical_mental_state", "initial_mental_state", "load_scenario", "qubit_state",
+    "chi_initial", "initial_mental_state", "qubit_state",
     "scenario_from_config", "scenario_to_config",
     # stp
-    "DELTA_EPS", "StpVerdict", "choice_probability", "stp_delta", "stp_delta_bound",
-    "stp_verdict",
+    "DELTA_EPS", "StpVerdict", "choice_probability", "stp_verdict",
 }
 
 

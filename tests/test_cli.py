@@ -180,6 +180,15 @@ def test_render_failure_writes_nothing(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
+def test_phase_overflow_names_energy_and_time(tmp_path, capsys):
+    # E*t overflows to inf; the run must stop before numpy warns or the measures fail
+    out_dir = tmp_path / "out"
+    assert main(["--case", "3*", "--gamma", "1e308", "--samples", "65", "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: phase E*t overflows: largest |E| = 1e+308, largest |t| = 6.28319\n"
+    assert not out_dir.exists()
+
+
 def test_write_failure_removes_the_files_written(tmp_path, monkeypatch, capsys):
     real_write = cli.atomic_write_text
     calls = []

@@ -16,11 +16,10 @@ from qpdsim import (
     random_slit_model,
     run_interference_survey,
     run_slit_model,
-    stp_delta,
     subset_keys,
 )
 
-from support import chi_series, slit_probabilities
+from support import chi_leak, chi_series, slit_probabilities
 
 
 def basis_projectors(n):
@@ -97,7 +96,7 @@ class TestI2:
         p_d = choice_probability(trajs["d"].states[1])
         p_c = choice_probability(trajs["c"].states[1])
         probs = np.array([spec.p_b * p_d, (1 - spec.p_b) * p_c, p_u])
-        delta = stp_delta(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[1])
+        delta = chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[1])[0]
         assert pairwise_interference(probs, 1, 2) == pytest.approx(delta, abs=1e-12)
 
 
@@ -249,13 +248,22 @@ class TestStackChecks:
         with pytest.raises(InvalidModelError, match=r"^draw 3: state must be positive semidefinite$"):
             QuantumSlitModel(rho, projectors, effect)
 
-    def test_probabilities_must_lie_in_unit_interval(self):
-        # trace 1 + 5e-11 passes the model checks (1e-10) but not the range check (1e-12)
+    def test_model_checks_keep_probabilities_in_range(self):
+        # trace 1 + 5e-11 would give P_13 = 1 + 5e-11, beyond the range check (1e-12)
         rho, projectors, effect = valid_stack()
         effect[:] = np.eye(3)
         rho[3] = np.diag([0.5 + 5e-11, 0.0, 0.5])
+        with pytest.raises(InvalidModelError, match=r"^draw 3: state must have unit trace$"):
+            QuantumSlitModel(rho, projectors, effect)
+
+    def test_probabilities_must_lie_in_unit_interval(self):
+        # a validated model whose state is then set to trace 1 + 5e-11
+        rho, projectors, effect = valid_stack()
+        effect[:] = np.eye(3)
+        model = QuantumSlitModel(rho, projectors, effect)
+        model.rho[3] = np.diag([0.5 + 5e-11, 0.0, 0.5])
         with pytest.raises(InvalidModelError, match=r"^draw 3: P_13 = 1\.00000000005 outside \[0, 1\] beyond tolerance$"):
-            run_slit_model(QuantumSlitModel(rho, projectors, effect))
+            run_slit_model(model)
 
     def test_names_the_first_of_several_bad_draws(self):
         rho, projectors, effect = valid_stack()
@@ -265,10 +273,12 @@ class TestStackChecks:
             QuantumSlitModel(rho, projectors, effect)
 
     def test_residue_within_tolerance_is_clipped(self):
+        # a validated model whose state is then given residue 1e-13, inside the range check (1e-12)
         rho, projectors, effect = valid_stack(n_draws=1)
         effect[:] = np.eye(3)
-        rho[0] = np.diag([1.0 + 1e-13, -1e-13, 0.0])
-        exp = by_key(run_slit_model(QuantumSlitModel(rho, projectors, effect))[0])
+        model = QuantumSlitModel(rho, projectors, effect)
+        model.rho[0] = np.diag([1.0 + 1e-13, -1e-13, 0.0])
+        exp = by_key(run_slit_model(model)[0])
         assert exp["1"] == 1.0
         assert exp["2"] == 0.0
 

@@ -5,39 +5,36 @@ from qpdsim import (
     DimensionMismatchError,
     HamiltonianParams,
     NonHermitianError,
-    NotNormalizedError,
-    NotPositiveError,
-    assert_density_matrix,
     build_hamiltonian,
     eig_hermitian,
     partial_trace,
     tensor,
-    unitary_from_hamiltonian,
 )
+from qpdsim.linalg import SpectralPropagator
 from support import random_density, random_hermitian, rk4_propagator
 
 
 class TestEigHermitian:
     def test_diagonal_maximally_mixed(self):
-        spec = eig_hermitian(np.diag([0.5, 0.5]))
-        np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5])
+        w, _ = eig_hermitian(np.diag([0.5, 0.5]))
+        np.testing.assert_allclose(w, [0.5, 0.5])
 
     def test_2x2_symmetric_closed_form(self):
-        spec = eig_hermitian(np.array([[0.5, 0.25], [0.25, 0.5]]))
-        np.testing.assert_allclose(spec.eigenvalues, [0.75, 0.25])
+        w, _ = eig_hermitian(np.array([[0.5, 0.25], [0.25, 0.5]]))
+        np.testing.assert_allclose(w, [0.75, 0.25])
 
     def test_diagonal_needs_reordering(self):
-        spec = eig_hermitian(np.diag([0.25, 0.75]))
-        np.testing.assert_allclose(spec.eigenvalues, [0.75, 0.25])
-        m = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
+        w, v = eig_hermitian(np.diag([0.25, 0.75]))
+        np.testing.assert_allclose(w, [0.75, 0.25])
+        m = v @ np.diag(w) @ v.conj().T
         np.testing.assert_allclose(m, np.diag([0.25, 0.75]), atol=1e-14)
 
     def test_prediction_control_term_eigenvalues(self):
         # each 2x2 payoff block squares to the identity, so the 4x4 control
         # term has eigenvalues +-1, each doubly degenerate
         h = build_hamiltonian(HamiltonianParams(mu_d=0.59, mu_c=0.59, gamma=0.0))
-        spec = eig_hermitian(h)
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0, -1.0, -1.0], atol=1e-12)
+        w, _ = eig_hermitian(h)
+        np.testing.assert_allclose(w, [1.0, 1.0, -1.0, -1.0], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
@@ -123,19 +120,21 @@ class TestPartialTrace:
 
 
 class TestUnitaryFromHamiltonian:
+    """exp(-i h t) as SpectralPropagator(h, t).unitaries() builds it."""
+
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(10)
         h = random_hermitian(rng, 4)
-        np.testing.assert_allclose(unitary_from_hamiltonian(h, 0.0), np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(SpectralPropagator(h, 0.0).unitaries(), np.eye(4), atol=1e-14)
 
     def test_involutory_hamiltonian_at_pi(self):
         # H^2 = I gives U(t) = cos(t) I - i sin(t) H, hence U(pi) = -I
         h = build_hamiltonian(HamiltonianParams(mu_d=0.59, mu_c=0.59, gamma=0.0))
-        np.testing.assert_allclose(unitary_from_hamiltonian(h, np.pi), -np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(SpectralPropagator(h, np.pi).unitaries(), -np.eye(4), atol=1e-12)
 
     def test_matches_rk4_oracle(self):
         h = build_hamiltonian(HamiltonianParams(0.59, 0.59, 1.74))
-        u = unitary_from_hamiltonian(h, 1.0)
+        u = SpectralPropagator(h, 1.0).unitaries()
         assert np.max(np.abs(u - rk4_propagator(h, 1.0))) <= 1e-8
 
     def test_group_law(self):
@@ -143,45 +142,26 @@ class TestUnitaryFromHamiltonian:
         for _ in range(25):
             h = random_hermitian(rng, 4)
             t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-            lhs = unitary_from_hamiltonian(h, t1) @ unitary_from_hamiltonian(h, t2)
-            rhs = unitary_from_hamiltonian(h, t1 + t2)
+            lhs = SpectralPropagator(h, t1).unitaries() @ SpectralPropagator(h, t2).unitaries()
+            rhs = SpectralPropagator(h, t1 + t2).unitaries()
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_unitarity(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
-            u = unitary_from_hamiltonian(random_hermitian(rng, 4), rng.uniform(0.0, 10.0))
+            u = SpectralPropagator(random_hermitian(rng, 4), rng.uniform(0.0, 10.0)).unitaries()
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
-            unitary_from_hamiltonian(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+            SpectralPropagator(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
 
     def test_time_array_stacks_scalar_propagators(self):
         rng = np.random.default_rng(14)
         h = random_hermitian(rng, 4)
         times = np.linspace(-3.0, 3.0, 7)
-        stack = unitary_from_hamiltonian(h, times)
+        stack = SpectralPropagator(h, times).unitaries()
         assert stack.shape == (7, 4, 4)
         for t, u in zip(times, stack):
-            np.testing.assert_allclose(u, unitary_from_hamiltonian(h, t), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(u, SpectralPropagator(h, t).unitaries(), rtol=0, atol=1e-14)
 
-
-class TestDensityValidation:
-    def test_accepts_valid(self):
-        rng = np.random.default_rng(13)
-        assert_density_matrix(random_density(rng, 4))
-
-    def test_rejects_non_hermitian(self):
-        m = np.diag([0.5, 0.5]).astype(complex)
-        m[0, 1] = 1e-6
-        with pytest.raises(NonHermitianError):
-            assert_density_matrix(m)
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(NotNormalizedError):
-            assert_density_matrix(np.diag([0.6, 0.6]))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NotPositiveError):
-            assert_density_matrix(np.diag([1.5, -0.5]))

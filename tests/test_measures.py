@@ -26,7 +26,7 @@ from qpdsim import (
     von_neumann_entropy,
 )
 from support import random_density, random_hermitian, random_pure_density
-from qpdsim.linalg import unitary_from_hamiltonian
+from qpdsim.linalg import SpectralPropagator
 
 BELL = np.zeros((4, 4))
 BELL[np.ix_([0, 3], [0, 3])] = 0.5
@@ -50,7 +50,7 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(41)
         for _ in range(100):
             rho = random_density(rng, 4)
-            u = unitary_from_hamiltonian(random_hermitian(rng, 4), rng.uniform(0, 5))
+            u = SpectralPropagator(random_hermitian(rng, 4), rng.uniform(0, 5)).unitaries()
             rotated = u @ rho @ u.conj().T
             assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-10
 

@@ -14,11 +14,9 @@ from qpdsim import (
     initial_mental_state,
     load_reference_table,
     measure_series,
-    stp_delta,
-    stp_delta_bound,
 )
 from qpdsim import linalg
-from qpdsim.measures import MEASURE_FIELDS, MeasureSeries
+from qpdsim.measures import MEASURE_FIELDS, MeasureRecord
 from qpdsim.report import (
     TABLE1_COLUMNS,
     TABLE2_COLUMNS,
@@ -31,7 +29,7 @@ from qpdsim.report import (
     reproduce_all,
     table2_rows,
 )
-from support import chi_series, random_hamiltonian_params, random_scenario
+from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +143,8 @@ class TestSpectralEngine:
         for a in spectral_analyses:
             trajs = a.trajectories
             chi = chi_series(trajs["u"], trajs["d"], trajs["c"], a.spec.p_b)
-            np.testing.assert_allclose(a.delta, stp_delta(chi), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(a.delta_bound, stp_delta_bound(chi), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.delta, chi_leak(chi)[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.delta_bound, chi_leak(chi)[1], rtol=0, atol=1e-12)
 
 
 class TestReferenceTables:
@@ -249,7 +247,7 @@ class TestRendering:
             },
             delta=np.array([-0.0, -0.25]),
             delta_bound=np.array([0.0, 0.75]),
-            series={"u": MeasureSeries(**{f: np.array(columns[f]) for f in MEASURE_FIELDS})},
+            series={"u": MeasureRecord(**{f: np.array(columns[f]) for f in MEASURE_FIELDS})},
         )
         assert render_trajectory_csv(hand, "u") == (
             "t,p_u,p_d,p_c,delta,Delta,S_A,S_B,S_AB,I_AB,Cl1_A,Cl1_B,Cl1_AB,CRE_AB,EF_AB\n"
@@ -271,6 +269,18 @@ class TestRendering:
         bad = dataclasses.replace(case2_analysis, delta=delta)
         with pytest.raises(ValueError, match=r"^column delta, row 7: value 1\.5 above 1\.0$"):
             render_trajectory_csv(bad, "d")
+
+    def test_non_finite_names_column_and_sample(self, case2_analysis):
+        delta = case2_analysis.delta.copy()
+        delta[7] = np.nan
+        bad = dataclasses.replace(case2_analysis, delta=delta)
+        with pytest.raises(ValueError, match=r"^column delta, row 7: value nan is not finite$"):
+            render_trajectory_csv(bad, "d")
+        # Cl1 columns have no upper bound, but an infinity is still rejected
+        series = dataclasses.replace(case2_analysis.series["u"], Cl1_AB=np.full(len(delta), np.inf))
+        bad = dataclasses.replace(case2_analysis, series={"u": series})
+        with pytest.raises(ValueError, match=r"^column Cl1_AB, row 0: value inf is not finite$"):
+            render_trajectory_csv(bad, "u")
 
     def test_table_out_of_range_names_column_and_row(self):
         row = {"case": "x", "alpha": "u", "Cl1_B": 0.0, "S_B": 0.0, "Cl1_A": 0.0, "S_A": 0.0}

@@ -6,22 +6,22 @@ import pytest
 from qpdsim import (
     BRANCHES,
     CATALOG_LABELS,
-    NotNormalizedError,
+    HERM_TOL,
+    PSD_TOL,
     NotPositiveError,
     ScenarioSpec,
     SubsystemParams,
-    assert_density_matrix,
     catalog_case,
     chi_initial,
-    classical_mental_state,
     eig_hermitian,
     initial_mental_state,
-    load_scenario,
     partial_trace,
     qubit_state,
     scenario_from_config,
     scenario_to_config,
 )
+from qpdsim.cli import main as cli_main
+from qpdsim.linalg import TRACE_TOL
 from qpdsim.report import TABLE1_COLUMNS, check_table, scenario_table1_rows, table1_rows
 from support import random_scenario
 
@@ -32,11 +32,11 @@ class TestQubitState:
 
     def test_maximal_coherence_is_pure(self):
         rho = qubit_state(SubsystemParams(0.5, 0.5))
-        np.testing.assert_allclose(eig_hermitian(rho).eigenvalues, [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(eig_hermitian(rho)[0], [1.0, 0.0], atol=1e-14)
 
     def test_imaginary_coherence_eigenvalues(self):
         rho = qubit_state(SubsystemParams(0.5, 0.25j))
-        np.testing.assert_allclose(eig_hermitian(rho).eigenvalues, [0.75, 0.25])
+        np.testing.assert_allclose(eig_hermitian(rho)[0], [0.75, 0.25])
 
     def test_rejects_excess_coherence(self):
         with pytest.raises(NotPositiveError):
@@ -68,7 +68,10 @@ class TestInitialMentalState:
         for label in CATALOG_LABELS:
             spec = catalog_case(label)
             for alpha in BRANCHES:
-                assert_density_matrix(initial_mental_state(spec, alpha), f"{label}/{alpha}")
+                rho = initial_mental_state(spec, alpha)
+                assert np.max(np.abs(rho - rho.conj().T)) <= HERM_TOL, (label, alpha)
+                assert abs(np.trace(rho) - 1.0) <= TRACE_TOL, (label, alpha)
+                assert np.linalg.eigvalsh(rho)[0] >= -PSD_TOL, (label, alpha)
 
 
 def closed_form_chi(p_a, lam_a, lam_b):
@@ -123,14 +126,7 @@ class TestChiInitial:
 
 
 class TestClassicalMentalState:
-    def test_pure_joint_outcome(self):
-        rho = classical_mental_state([1.0, 0.0, 0.0, 0.0])
-        want = np.zeros((4, 4))
-        want[0, 0] = 1.0
-        np.testing.assert_array_equal(rho, want)
-
-    def test_uniform(self):
-        np.testing.assert_allclose(classical_mental_state([0.25] * 4), np.eye(4) / 4)
+    """Diagonal joint states: no coherence, only a joint distribution over {dd, dc, cd, cc}."""
 
     def test_bayes_marginal_factorization(self):
         # brute force over random joint distributions: joints recombine from
@@ -138,7 +134,7 @@ class TestClassicalMentalState:
         rng = np.random.default_rng(22)
         for _ in range(200):
             p = rng.dirichlet(np.ones(4))
-            rho = classical_mental_state(p)
+            rho = np.diag(p).astype(complex)
             p_b = np.real(np.diagonal(partial_trace(rho, "B", (2, 2))))
             p_a_given_b = np.array(
                 [
@@ -149,14 +145,6 @@ class TestClassicalMentalState:
             for i in range(2):
                 for j in range(2):
                     assert p[2 * i + j] == pytest.approx(p_a_given_b[i, j] * p_b[i], abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(NotPositiveError):
-            classical_mental_state([0.5, 0.6, -0.1, 0.0])
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalizedError):
-            classical_mental_state([0.5, 0.2, 0.2, 0.2])
 
 
 class TestScenarioSpec:
@@ -193,9 +181,12 @@ class TestScenarioSpec:
         assert again == spec
 
     def test_load_scenario_file(self, tmp_path):
+        # the CLI reads a scenario file written from scenario_to_config as the catalog case itself
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario_to_config(catalog_case("3*"))))
-        assert load_scenario(path) == catalog_case("3*")
+        assert cli_main(["--config", str(path), "--outputs", "table1", "--out-dir", str(tmp_path / "file")]) == 0
+        assert cli_main(["--case", "3*", "--outputs", "table1", "--out-dir", str(tmp_path / "case")]) == 0
+        assert (tmp_path / "file" / "table1.csv").read_text() == (tmp_path / "case" / "table1.csv").read_text()
 
 
 def test_table1_catalog_reproduces_reference():

@@ -13,13 +13,11 @@ from qpdsim import (
     choice_probability,
     evolve,
     initial_mental_state,
-    stp_delta,
-    stp_delta_bound,
     stp_verdict,
     time_grid,
-    unitary_from_hamiltonian,
 )
-from support import chi_series, random_hamiltonian_params, random_scenario
+from qpdsim.linalg import SpectralPropagator
+from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario
 
 SATISFYING = ("1", "1*", "2")
 VIOLATING = ("3", "3*", "4", "4*")
@@ -76,7 +74,7 @@ class TestChiSeries:
         h = build_hamiltonian()
         chi0 = chi_initial(spec)
         for k in (1, 64, 200, 256):
-            u = unitary_from_hamiltonian(h, times[k])
+            u = SpectralPropagator(h, times[k]).unitaries()
             np.testing.assert_allclose(chi[k], u @ chi0 @ u.conj().T, atol=1e-10)
 
     def test_traceless_along_evolution(self):
@@ -88,25 +86,25 @@ class TestChiSeries:
 
 class TestDelta:
     def test_zero_matrix(self):
-        assert stp_delta(np.zeros((4, 4), dtype=complex)) == 0.0
+        assert chi_leak(np.zeros((4, 4), dtype=complex))[0] == 0.0
 
     def test_rejects_imaginary_diagonal(self):
         # off-diagonal imaginary parts are legitimate; only the dd + cd
         # diagonal sum must be real
         chi = np.zeros((3, 4, 4), dtype=complex)
         chi[:, 0, 1] = 0.3j
-        assert np.array_equal(stp_delta(chi), np.zeros(3))
+        assert np.array_equal(chi_leak(chi)[0], np.zeros(3))
         chi[1, 2, 2] = 2e-12j
         with pytest.raises(ValueError, match="imaginary part"):
-            stp_delta(chi)
+            chi_leak(chi)
         with pytest.raises(ValueError, match="imaginary part"):
-            stp_delta(chi[1])
+            chi_leak(chi[1])
 
     def test_case2_never_deviates(self):
         spec = catalog_case("2")
         trajs = branch_trajectories(spec)
         chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
-        assert np.max(np.abs(stp_delta(chi))) < 1e-10
+        assert np.max(np.abs(chi_leak(chi)[0])) < 1e-10
 
     def test_matches_probability_difference_oracle(self):
         # independent path: delta from the three choice probabilities
@@ -118,7 +116,7 @@ class TestDelta:
         p_d = choice_probability(trajs["d"].states[1])
         p_c = choice_probability(trajs["c"].states[1])
         want = p_u - (spec.p_b * p_d + (1 - spec.p_b) * p_c)
-        assert stp_delta(chi1) == pytest.approx(want, abs=1e-12)
+        assert chi_leak(chi1)[0] == pytest.approx(want, abs=1e-12)
         assert abs(want) > 1e-3  # the case genuinely deviates at t = 1
 
     def test_decomposition_identity_every_sample(self):
@@ -127,7 +125,7 @@ class TestDelta:
         specs += [random_scenario(rng) for _ in range(5)]
         for spec in specs:
             trajs = branch_trajectories(spec, times=time_grid(samples=513))
-            delta = stp_delta(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b))
+            delta = chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b))[0]
             p = {alpha: choice_probability(trajs[alpha].states) for alpha in BRANCHES}
             mixture = spec.p_b * p["d"] + (1 - spec.p_b) * p["c"]
             np.testing.assert_allclose(p["u"], mixture + delta, rtol=0, atol=1e-10)
@@ -136,7 +134,8 @@ class TestDelta:
         spec = catalog_case("4*")
         trajs = branch_trajectories(spec)
         chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
-        assert np.all(stp_delta_bound(chi) >= np.abs(stp_delta(chi)) - 1e-12)
+        delta, bound = chi_leak(chi)
+        assert np.all(bound >= np.abs(delta) - 1e-12)
 
     def test_coherence_free_prediction_never_deviates(self):
         # necessity: without prediction coherence the deviation vanishes for
@@ -146,20 +145,20 @@ class TestDelta:
             spec = random_scenario(rng, coherent_prediction=False)
             trajs = branch_trajectories(spec, params=random_hamiltonian_params(rng))
             chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
-            assert np.max(np.abs(stp_delta(chi))) < 1e-10
+            assert np.max(np.abs(chi_leak(chi)[0])) < 1e-10
 
     @pytest.mark.parametrize("label", VIOLATING)
     def test_catalog_violations_are_visible(self, label):
         spec = catalog_case(label)
         trajs = branch_trajectories(spec)
         chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
-        assert np.max(np.abs(stp_delta(chi))) > 1e-3
+        assert np.max(np.abs(chi_leak(chi)[0])) > 1e-3
 
 
 def sampled_delta(spec):
     times = time_grid()
     trajs = branch_trajectories(spec, times=times)
-    return times, stp_delta(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b))
+    return times, chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b))[0]
 
 
 class TestVerdict:
@@ -197,6 +196,10 @@ class TestVerdict:
         with pytest.raises(EmptyInputError):
             stp_verdict(np.array([]), np.array([]))
 
+    def test_non_finite_delta_rejected(self):
+        with pytest.raises(ValueError, match=r"^delta sample 2 \(t = 2\) is nan, not finite$"):
+            stp_verdict(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 5e-3, np.nan, np.inf]))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(GridMismatchError):
             stp_verdict(np.array([0.0, 1.0]), np.array([0.0]))
@@ -206,4 +209,4 @@ def test_delta_bound_nonnegative_series():
     spec = catalog_case("3")
     trajs = branch_trajectories(spec, times=time_grid(samples=129))
     chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
-    assert np.min(stp_delta_bound(chi)) >= 0.0
+    assert np.min(chi_leak(chi)[1]) >= 0.0
