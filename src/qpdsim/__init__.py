@@ -71,7 +71,6 @@ from .report import (
 from .states import (
     BRANCHES,
     CATALOG_LABELS,
-    BranchState,
     ScenarioSpec,
     SubsystemParams,
     catalog_case,

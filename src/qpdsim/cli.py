@@ -33,7 +33,7 @@ from .report import (
     table2_rows,
     table3_rows,
 )
-from .states import ScenarioSpec, _config_float, catalog_case, scenario_from_config
+from .states import BRANCHES, ScenarioSpec, _config_float, catalog_case, scenario_from_config
 
 OUTPUT_KINDS = ("table1", "table2", "table3", "trajectory", "sorkin")
 DEFAULT_OUTPUTS = ("table1", "table2", "table3", "trajectory")
@@ -143,7 +143,7 @@ def run(config: RunConfig) -> list[str]:
     if "table3" in config.outputs:
         rendered.append(("table3.csv", render_table_csv(table3_rows({label: analysis}), TABLE3_COLUMNS)))
     if "trajectory" in config.outputs:
-        for alpha in ("u", "d", "c"):
+        for alpha in BRANCHES:
             name = f"trajectory_case_{case_file_tag(label)}_{alpha}.csv"
             rendered.append((name, render_trajectory_csv(analysis, alpha)))
     if "sorkin" in config.outputs:

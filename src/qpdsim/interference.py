@@ -20,13 +20,14 @@ import numpy as np
 from .errors import InvalidModelError, MissingSubsetError
 
 _RANGE_TOL = 1e-12
-# The one tolerance e of every model check. With Hermitian projectors it keeps each P_S of a
-# three-slit model in [-6e, 1 + 19e] to first order, inside _RANGE_TOL: ||Pi_S||^2 <= 1 + 12e,
-# tr rho <= 1 + e, rho and M have eigenvalues >= -2e and M's are <= 1 + 2e. Survey draws sit below 2e-15.
+# The one tolerance e of every model check. A slit basis with |U^H U - I| <= e entrywise gives
+# ||Pi_S|| <= 1 + 3e for every slit subset S of a three-slit model (Gershgorin on the block of U^H U
+# that S selects). With tr rho <= 1 + e, eigenvalues of rho and M >= -2e and M's <= 1 + 2e, each P_S
+# then lies in [-6e, 1 + 13e] to first order, inside _RANGE_TOL. Survey draws sit below 2e-15.
 _MODEL_TOL = 5e-14
 _SURVEY_SLITS = 3  # the fewest slits with a third-order term
-# Draws per survey block. Checking a block forms (block, 3, 3, 3, 3) projector
-# products, so the block, not the survey, sets the memory they take.
+# Draws per survey block: the block, not the survey, sets the memory the
+# (block, 3, 3, 3) projector stacks take.
 _SURVEY_BLOCK = 128
 _I3_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])  # subset_keys(3) order
 
@@ -70,6 +71,9 @@ def _experiment(probs) -> tuple[np.ndarray, tuple[str, ...]]:
 def pairwise_interference(probs, i: int, j: int) -> np.ndarray:
     """Sorkin's second-order term I2 = P_ij - P_i - P_j for one slit pair, per draw."""
     probs, keys = _experiment(probs)
+    n_slits = len(keys[-1])
+    if i == j or not {str(i), str(j)} <= set(keys[:n_slits]):
+        raise ValueError(f"slits ({i}, {j}) are not two distinct slits of 1..{n_slits}")
     pair = "".join(map(str, sorted((i, j))))
     return probs[..., keys.index(pair)] - probs[..., keys.index(str(i))] - probs[..., keys.index(str(j))]
 
@@ -84,37 +88,36 @@ def interference_i3(probs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumSlitModel:
-    """A stack of models: density matrices, orthogonal rank-1 slit projectors, detection effects.
+    """A stack of models: density matrices, slit bases, detection effects.
 
-    The leading axis indexes draws; a failed check names the first bad draw.
+    Slit a of a draw is the projector onto column a of its unitary basis. The
+    leading axis indexes draws; a failed check names the first bad draw.
     """
 
     rho: np.ndarray  # (n_draws, d, d)
-    projectors: np.ndarray  # (n_draws, d slits, d, d)
+    basis: np.ndarray  # (n_draws, d, d), one column per slit
     effect: np.ndarray  # (n_draws, d, d)
 
     def __post_init__(self) -> None:
         n_draws, d = self.rho.shape[:2]
-        rho, p, effect = self.rho, self.projectors, self.effect
-        if rho.shape != (n_draws, d, d) or p.shape != (n_draws, d, d, d) or effect.shape != (n_draws, d, d):
+        rho, basis, effect = self.rho, self.basis, self.effect
+        if any(a.shape != (n_draws, d, d) for a in (rho, basis, effect)):
             raise InvalidModelError("model dimensions are inconsistent")
         _raise_first(np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _MODEL_TOL, "state must be Hermitian")
         _raise_first(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) > _MODEL_TOL, "state must have unit trace")
         _raise_first(np.linalg.eigvalsh(rho)[:, 0] < -_MODEL_TOL, "state must be positive semidefinite")
-        total = p.sum(axis=1)
-        _raise_first(np.abs(total - np.eye(d)).max(axis=(1, 2)) > _MODEL_TOL, "projectors must sum to the identity")
-        # rows (a, i) of every P_a times columns (b, k) of every P_b: products[n, a, i, b, k] = (P_a P_b)[i, k]
-        rows = p.reshape(n_draws, d * d, d)
-        products = (rows @ p.swapaxes(1, 2).reshape(n_draws, d, d * d)).reshape(n_draws, d, d, d, d)
-        # minus delta_ab P_a: indexing a = b at axes 1 and 3 yields (a, n, i, k), the layout of p.swapaxes(0, 1)
-        products[:, np.arange(d), :, np.arange(d)] -= p.swapaxes(0, 1)
-        bad = np.abs(products).max(axis=(1, 2, 3, 4)) > _MODEL_TOL
-        _raise_first(bad, "projectors must be orthogonal and idempotent")
+        gram = basis.conj().swapaxes(1, 2) @ basis
+        _raise_first(np.abs(gram - np.eye(d)).max(axis=(1, 2)) > _MODEL_TOL, "slit basis must be unitary")
         bad = np.abs(effect - effect.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _MODEL_TOL
         _raise_first(bad, "effect must be Hermitian")
         eigs = np.linalg.eigvalsh(effect)
         bad = (eigs[:, 0] < -_MODEL_TOL) | (eigs[:, -1] > 1.0 + _MODEL_TOL)
         _raise_first(bad, "effect eigenvalues must lie in [0, 1]")
+
+
+def _slit_projectors(basis: np.ndarray) -> np.ndarray:
+    """(n_draws, d slits, d, d) projectors onto the columns of each (d, d) basis."""
+    return np.einsum("mik,mjk->mkij", basis, basis.conj())
 
 
 def run_slit_model(model: QuantumSlitModel) -> np.ndarray:
@@ -124,7 +127,7 @@ def run_slit_model(model: QuantumSlitModel) -> np.ndarray:
     onto [0, 1] after a range check with tolerance.
     """
     n_draws, d = model.rho.shape[:2]
-    rows = model.projectors.reshape(n_draws, d * d, d)  # rows (a, i) of every P_a
+    rows = _slit_projectors(model.basis).reshape(n_draws, d * d, d)  # rows (a, i) of every P_a
     p_rho = (rows @ model.rho).reshape(n_draws, d, d, d)
     p_effect = (rows @ model.effect).reshape(n_draws, d, d, d)
     # terms[n, a, b] = tr(P_a rho P_b M); P_S is the sum of the terms with a and b in S
@@ -153,17 +156,16 @@ def random_slit_model(rng: np.random.Generator, n_draws: int, diagonal: bool = F
     """
     n = _SURVEY_SLITS
     u = _haar_unitaries(rng, n_draws, n)
-    projectors = np.einsum("mik,mjk->mkij", u, u.conj())
     if diagonal:
         weights = rng.dirichlet(np.ones(n), size=n_draws)
-        rho = np.einsum("mk,mkij->mij", weights, projectors)
+        rho = np.einsum("mk,mkij->mij", weights, _slit_projectors(u))
     else:
         g = rng.standard_normal((n_draws, n, n)) + 1j * rng.standard_normal((n_draws, n, n))
         rho = g @ g.conj().swapaxes(1, 2)
         rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     v = _haar_unitaries(rng, n_draws, n)
     effect = (v * rng.uniform(0.0, 1.0, (n_draws, 1, n))) @ v.conj().swapaxes(1, 2)
-    return QuantumSlitModel(rho, projectors, effect)
+    return QuantumSlitModel(rho, u, effect)
 
 
 def run_interference_survey(n_draws: int, seed: int) -> dict:

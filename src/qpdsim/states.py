@@ -29,58 +29,28 @@ class SubsystemParams:
 
 
 @dataclass(frozen=True)
-class BranchState:
-    prediction: SubsystemParams
-    action: SubsystemParams
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
-    """One named scenario: per-branch prediction/action parameters.
+    """One named scenario: the uncertain prediction and the action all branches share.
 
-    Structural invariants: branch "d" predicts defection with certainty,
-    branch "c" cooperation, and the action parameters are identical across
-    all three branches.
+    Branch "u" starts from ``prediction``; branches "d" and "c" predict
+    defection and cooperation with certainty and are derived, never stored.
     """
 
     case_label: str
-    branches: Mapping[str, BranchState]
+    prediction: SubsystemParams
+    action: SubsystemParams
 
     def __post_init__(self) -> None:
-        if set(self.branches) != set(BRANCHES):
-            raise ValueError(f"scenario must define branches {BRANCHES}, got {set(self.branches)}")
-        d_pred = self.branches["d"].prediction
-        c_pred = self.branches["c"].prediction
-        if (d_pred.p, complex(d_pred.lam)) != (1.0, 0j):
-            raise ValueError("branch 'd' must predict defection with certainty (p=1, lam=0)")
-        if (c_pred.p, complex(c_pred.lam)) != (0.0, 0j):
-            raise ValueError("branch 'c' must predict cooperation with certainty (p=0, lam=0)")
-        action = self.branches["u"].action
-        for alpha in BRANCHES:
-            b = self.branches[alpha]
-            if (b.action.p, complex(b.action.lam)) != (action.p, complex(action.lam)):
-                raise ValueError("action parameters must be identical across branches")
-            qubit_state(b.prediction)
-            qubit_state(b.action)
+        qubit_state(self.prediction)
+        qubit_state(self.action)
 
-    @classmethod
-    def uncorrelated(
-        cls, case_label: str, prediction: SubsystemParams, action: SubsystemParams
-    ) -> "ScenarioSpec":
-        """Build the three branches from the uncertain-branch prediction."""
-        return cls(
-            case_label,
-            {
-                "u": BranchState(prediction, action),
-                "d": BranchState(SubsystemParams(1.0), action),
-                "c": BranchState(SubsystemParams(0.0), action),
-            },
-        )
+    # perfbench/workloads.py builds its scenarios through this older name.
+    uncorrelated = classmethod(lambda cls, *fields: cls(*fields))
 
-    @property
-    def p_b(self) -> float:
-        """Defection probability of the uncertain-branch prediction."""
-        return self.branches["u"].prediction.p
+
+def _predictions(spec: ScenarioSpec) -> dict[str, SubsystemParams]:
+    """Each branch's prediction, in BRANCHES order."""
+    return {"u": spec.prediction, "d": SubsystemParams(1.0), "c": SubsystemParams(0.0)}
 
 
 def qubit_state(params: SubsystemParams) -> np.ndarray:
@@ -102,23 +72,18 @@ def qubit_state(params: SubsystemParams) -> np.ndarray:
 
 def initial_mental_state(spec: ScenarioSpec, branch: str) -> np.ndarray:
     """Uncorrelated 4x4 joint state prediction (x) action for one branch."""
-    b = spec.branches[branch]
-    return tensor(qubit_state(b.prediction), qubit_state(b.action))
+    return tensor(qubit_state(_predictions(spec)[branch]), qubit_state(spec.action))
 
 
 def chi_initial(spec: ScenarioSpec) -> np.ndarray:
     """Correction matrix relating the uncertain branch to the certain ones.
 
-    chi(0) = rho_u(0) - p_B rho_d(0) - (1 - p_B) rho_c(0). Traceless and
-    Hermitian with an identically zero diagonal; every entry carries a
-    factor of the prediction coherence, so it vanishes when lam_B = 0.
+    chi(0) = rho_u(0) - p_B rho_d(0) - (1 - p_B) rho_c(0), which reduces to
+    [[0, lam_B], [conj(lam_B), 0]] (x) rho_A: traceless and Hermitian with an
+    identically zero diagonal, and zero when lam_B = 0.
     """
-    p_b = spec.p_b
-    return (
-        initial_mental_state(spec, "u")
-        - p_b * initial_mental_state(spec, "d")
-        - (1.0 - p_b) * initial_mental_state(spec, "c")
-    )
+    lam = complex(spec.prediction.lam)
+    return tensor(np.array([[0.0, lam], [lam.conjugate(), 0.0]]), qubit_state(spec.action))
 
 
 # Built-in scenario catalog. Labels and parameters are frozen regression
@@ -143,24 +108,21 @@ def catalog_case(label: str) -> ScenarioSpec:
         prediction, action = _CATALOG_PARAMS[label]
     except KeyError:
         raise KeyError(f"unknown case label {label!r}; known labels: {CATALOG_LABELS}") from None
-    return ScenarioSpec.uncorrelated(label, prediction, action)
+    return ScenarioSpec(label, prediction, action)
+
+
+def _subsystem_keys(params: SubsystemParams, side: str) -> dict[str, float]:
+    """The config entries p<side>, lam<side>_re, lam<side>_im of one subsystem."""
+    lam = complex(params.lam)
+    return {f"p{side}": params.p, f"lam{side}_re": lam.real, f"lam{side}_im": lam.imag}
 
 
 def scenario_to_config(spec: ScenarioSpec) -> dict:
     """Serialize a scenario to the JSON-friendly branch-parameter mapping."""
-    branches = {}
-    for alpha in BRANCHES:
-        b = spec.branches[alpha]
-        lam_b = complex(b.prediction.lam)
-        lam_a = complex(b.action.lam)
-        branches[alpha] = {
-            "pB": b.prediction.p,
-            "lamB_re": lam_b.real,
-            "lamB_im": lam_b.imag,
-            "pA": b.action.p,
-            "lamA_re": lam_a.real,
-            "lamA_im": lam_a.imag,
-        }
+    branches = {
+        alpha: {**_subsystem_keys(prediction, "B"), **_subsystem_keys(spec.action, "A")}
+        for alpha, prediction in _predictions(spec).items()
+    }
     return {"case_label": spec.case_label, "branches": branches}
 
 
@@ -196,16 +158,26 @@ def _subsystem_from_config(raw, path: str, side: str) -> SubsystemParams:
 def scenario_from_config(config: Mapping) -> ScenarioSpec:
     """Parse the mapping produced by scenario_to_config.
 
-    A missing or malformed entry raises ValueError naming its key path,
-    e.g. ``branches.u.pB``.
+    The scenario comes from branch "u"; branches "d" and "c" must hold the
+    values it derives for them. A missing, malformed or inconsistent entry
+    raises ValueError naming its key path, e.g. ``branches.d.pB``.
     """
     branches_cfg = _config_value(config, "branches")
-    branches = {}
-    for alpha in BRANCHES:
+    raw = {alpha: _config_value(branches_cfg, f"branches.{alpha}") for alpha in BRANCHES}
+    label = _config_value(config, "case_label")  # it names the output files
+    if not (isinstance(label, str) and label and label.isprintable() and "/" not in label and "\\" not in label):
+        raise ValueError(f"config: case_label must be a non-empty printable string without / or \\, got {label!r}")
+    prediction, action = (_subsystem_from_config(raw["u"], "branches.u", side) for side in "BA")
+    try:
+        spec = ScenarioSpec(label, prediction, action)
+    except ValueError as exc:
+        raise ValueError(f"config: branches.u: {exc}") from None
+    for alpha in ("d", "c"):
         path = f"branches.{alpha}"
-        raw = _config_value(branches_cfg, path)
-        branches[alpha] = BranchState(
-            _subsystem_from_config(raw, path, "B"), _subsystem_from_config(raw, path, "A")
-        )
-    return ScenarioSpec(str(_config_value(config, "case_label")), branches)
-
+        derived = (("B", _predictions(spec)[alpha], "a certain prediction"), ("A", action, "the action of branch u"))
+        for side, params, why in derived:
+            got = _subsystem_keys(_subsystem_from_config(raw[alpha], path, side), side)
+            for key, value in _subsystem_keys(params, side).items():
+                if got[key] != value:
+                    raise ValueError(f"config: {path}.{key} must be {value!r} ({why}), got {got[key]!r}")
+    return spec

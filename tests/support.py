@@ -36,7 +36,7 @@ def random_subsystem_params(rng: np.random.Generator, coherent: bool = True) -> 
 def random_scenario(rng: np.random.Generator, coherent_prediction: bool = True) -> ScenarioSpec:
     prediction = random_subsystem_params(rng, coherent=coherent_prediction)
     action = random_subsystem_params(rng)
-    return ScenarioSpec.uncorrelated("random", prediction, action)
+    return ScenarioSpec("random", prediction, action)
 
 
 def random_hamiltonian_params(rng: np.random.Generator) -> HamiltonianParams:

@@ -185,11 +185,11 @@ def test_criterion_6b_decomposition_identity():
         spec = random_scenario(rng)
         h = build_hamiltonian(random_hamiltonian_params(rng))
         trajs = {a: evolve(initial_mental_state(spec, a), h, h_grid) for a in BRANCHES}
-        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
         p_u = trajs["u"].states[:, 0, 0].real + trajs["u"].states[:, 2, 2].real
         p_d = trajs["d"].states[:, 0, 0].real + trajs["d"].states[:, 2, 2].real
         p_c = trajs["c"].states[:, 0, 0].real + trajs["c"].states[:, 2, 2].real
-        gap = p_u - (spec.p_b * p_d + (1 - spec.p_b) * p_c + chi_leak(chi)[0])
+        gap = p_u - (spec.prediction.p * p_d + (1 - spec.prediction.p) * p_c + chi_leak(chi)[0])
         worst = max(worst, np.max(np.abs(gap)))
     ok = worst <= 1e-10
     assert report("6b mixture decomposition identity to 1e-10", ok, f"worst {worst:.2e}")
@@ -203,7 +203,7 @@ def test_criterion_6c_no_deviation_without_prediction_coherence():
         spec = random_scenario(rng, coherent_prediction=False)
         h = build_hamiltonian(random_hamiltonian_params(rng))
         trajs = {a: evolve(initial_mental_state(spec, a), h, grid) for a in BRANCHES}
-        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
         worst = max(worst, np.max(np.abs(chi_leak(chi)[0])))
     ok = worst < 1e-10
     assert report("6c coherence-free prediction keeps |delta| below 1e-10", ok, f"worst {worst:.2e}")

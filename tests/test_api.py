@@ -1,4 +1,7 @@
+import dataclasses
 import inspect
+
+import pytest
 
 import qpdsim
 
@@ -25,7 +28,7 @@ PUBLIC_NAMES = {
     "CaseAnalysis", "ReproduceReport", "analyze_case", "analyze_catalog", "load_reference_table",
     "reproduce_all", "table1_rows", "table2_rows", "table3_rows",
     # states
-    "BRANCHES", "CATALOG_LABELS", "BranchState", "ScenarioSpec", "SubsystemParams", "catalog_case",
+    "BRANCHES", "CATALOG_LABELS", "ScenarioSpec", "SubsystemParams", "catalog_case",
     "chi_initial", "initial_mental_state", "qubit_state",
     "scenario_from_config", "scenario_to_config",
     # stp
@@ -36,3 +39,24 @@ PUBLIC_NAMES = {
 def test_public_names_are_pinned():
     names = {name for name, value in vars(qpdsim).items() if not name.startswith("_") and not inspect.ismodule(value)}
     assert names == PUBLIC_NAMES
+
+
+# The fields of the public input and result dataclasses, in order. A scenario
+# and a slit model store only their free parameters.
+DATACLASS_FIELDS = {
+    "ScenarioSpec": ("case_label", "prediction", "action"),
+    "SubsystemParams": ("p", "lam"),
+    "QuantumSlitModel": ("rho", "basis", "effect"),
+    "HamiltonianParams": ("mu_d", "mu_c", "gamma"),
+    "MeasureRecord": ("S_B", "S_A", "S_AB", "I_AB", "Cl1_B", "Cl1_A", "Cl1_AB", "CRE_AB", "EF_AB"),
+    "CaseAnalysis": (
+        "spec", "hamiltonian", "times", "trajectories", "probabilities", "delta", "delta_bound", "series",
+        "means", "verdict",
+    ),
+    "StpVerdict": ("violated", "max_abs_delta", "onset_time"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATACLASS_FIELDS))
+def test_dataclass_fields_are_pinned(name):
+    assert tuple(field.name for field in dataclasses.fields(getattr(qpdsim, name))) == DATACLASS_FIELDS[name]

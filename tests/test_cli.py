@@ -152,6 +152,17 @@ def test_case_and_scenario_config_conflict(tmp_path, capsys):
         pytest.param(
             lambda cfg: cfg["branches"]["u"].update(lamB_re=False), "branches.u.lamB_re", id="lamB_re-false"
         ),
+        # branches d and c must hold the values the scenario derives for them
+        pytest.param(lambda cfg: cfg["branches"]["d"].update(pB=0.9), "branches.d.pB", id="d-pB-uncertain"),
+        pytest.param(lambda cfg: cfg["branches"]["c"].update(lamB_im=0.1), "branches.c.lamB_im", id="c-lamB_im"),
+        pytest.param(lambda cfg: cfg["branches"]["c"].update(lamA_re=0.1), "branches.c.lamA_re", id="c-lamA_re"),
+        pytest.param(lambda cfg: cfg["branches"]["d"].update(pA=0.4), "branches.d.pA", id="d-pA"),
+        pytest.param(lambda cfg: cfg["branches"]["u"].update(lamB_re=0.9), "branches.u", id="u-not-positive"),
+        # the case label names the output files
+        pytest.param(lambda cfg: cfg.update(case_label="a/b"), "case_label", id="label-slash"),
+        pytest.param(lambda cfg: cfg.update(case_label="x\ny"), "case_label", id="label-newline"),
+        pytest.param(lambda cfg: cfg.update(case_label=""), "case_label", id="label-empty"),
+        pytest.param(lambda cfg: cfg.update(case_label=5), "case_label", id="label-number"),
     ],
 )
 def test_config_errors_name_the_key_path(tmp_path, capsys, edit, path):

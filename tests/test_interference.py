@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,18 +24,19 @@ from qpdsim import (
 from support import chi_leak, chi_series, slit_probabilities
 
 
-def basis_projectors(n):
-    return np.stack([np.diag(np.eye(n)[i]) for i in range(n)]).astype(complex)
-
-
 def projector_model(rho, effect):
     """A one-draw stack whose slits are the computational basis states."""
     n = rho.shape[0]
     return QuantumSlitModel(
         np.asarray(rho, dtype=complex)[None],
-        basis_projectors(n)[None],
+        np.eye(n, dtype=complex)[None],
         np.asarray(effect, dtype=complex)[None],
     )
+
+
+def column_projectors(basis):
+    """(n_draws, d, d, d) projectors |u_a><u_a| onto the columns of each basis, by outer products."""
+    return np.array([[np.outer(u[:, a], u[:, a].conj()) for a in range(u.shape[1])] for u in basis])
 
 
 def by_key(probs):
@@ -59,6 +62,20 @@ class TestSlitExperiment:
     def test_probability_range(self):
         with pytest.raises(ValueError):
             pairwise_interference(np.array([0.2, 0.3, 1.4]), 1, 2)
+
+    @pytest.mark.parametrize(
+        "probs, i, j, slits",
+        [
+            ([0.2, 0.3, 0.5], 1, 1, "1..2"),
+            ([0.2, 0.3, 0.5], 1, 4, "1..2"),
+            ([0.2, 0.3, 0.5], 0, 1, "1..2"),
+            ([0.1] * 7, 3, 4, "1..3"),
+        ],
+    )
+    def test_bad_slit_pair_names_pair_and_slits(self, probs, i, j, slits):
+        message = f"slits ({i}, {j}) are not two distinct slits of {slits}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pairwise_interference(np.array(probs), i, j)
 
     def test_out_of_range_names_draw_and_subset(self):
         probs = np.full((4, 7), 0.1)
@@ -95,8 +112,8 @@ class TestI2:
         p_u = choice_probability(trajs["u"].states[1])
         p_d = choice_probability(trajs["d"].states[1])
         p_c = choice_probability(trajs["c"].states[1])
-        probs = np.array([spec.p_b * p_d, (1 - spec.p_b) * p_c, p_u])
-        delta = chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[1])[0]
+        probs = np.array([spec.prediction.p * p_d, (1 - spec.prediction.p) * p_c, p_u])
+        delta = chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)[1])[0]
         assert pairwise_interference(probs, 1, 2) == pytest.approx(delta, abs=1e-12)
 
 
@@ -161,11 +178,14 @@ class TestRunSlitModel:
         for pair in ((1, 2), (1, 3), (2, 3)):
             assert np.max(np.abs(pairwise_interference(probs, *pair))) < 1e-12
 
-    def test_rejects_non_orthogonal_projectors(self):
-        v = np.array([1.0, 1.0]) / np.sqrt(2)
-        projectors = np.stack([np.outer(v, v), np.diag([0.0, 1.0])]).astype(complex)
-        with pytest.raises(InvalidModelError):
-            QuantumSlitModel(np.eye(2, dtype=complex)[None] / 2, projectors[None], np.eye(2, dtype=complex)[None])
+    def test_rejects_skewed_slit_basis(self):
+        # the oblique projectors outer(v[:, a], inv(v)[a]) of this basis sum to the identity and satisfy
+        # P_a P_b = delta_ab P_a, yet give P_1 = 1.5 for psi = (1, -1, 0)/sqrt(2) and the effect |1><1|
+        psi = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        skewed = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+        rho, effect = np.outer(psi, psi).astype(complex), np.diag([1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(InvalidModelError, match=r"^draw 0: slit basis must be unitary$"):
+            QuantumSlitModel(rho[None], skewed[None], effect[None])
 
     def test_rejects_oversized_effect(self):
         with pytest.raises(InvalidModelError):
@@ -175,7 +195,7 @@ class TestRunSlitModel:
     def test_matches_scalar_oracle(self, diagonal):
         rng = np.random.default_rng(64)
         model = random_slit_model(rng, 64, diagonal=diagonal)
-        want = slit_probabilities(model.rho, model.projectors, model.effect)
+        want = slit_probabilities(model.rho, column_projectors(model.basis), model.effect)
         got = run_slit_model(model)
         assert_allclose(got, want, rtol=0, atol=1e-12)
         rows = [by_key(row) for row in want]
@@ -190,9 +210,9 @@ class TestRunSlitModel:
 def valid_stack(n_draws=5, d=3):
     """Maximally mixed states, basis slits and the effect 1/2, one per draw."""
     rho = np.tile(np.eye(d, dtype=complex) / d, (n_draws, 1, 1))
-    projectors = np.tile(basis_projectors(d), (n_draws, 1, 1, 1))
+    basis = np.tile(np.eye(d, dtype=complex), (n_draws, 1, 1))
     effect = np.tile(np.eye(d, dtype=complex) / 2, (n_draws, 1, 1))
-    return rho, projectors, effect
+    return rho, basis, effect
 
 
 class TestStackChecks:
@@ -202,90 +222,86 @@ class TestStackChecks:
         probs = run_slit_model(QuantumSlitModel(*valid_stack()))
         assert_allclose(probs, np.tile([1, 1, 1, 2, 2, 2, 3], (5, 1)) / 6, rtol=0, atol=1e-15)
 
-    def test_projectors_must_sum_to_identity(self):
-        rho, projectors, effect = valid_stack()
-        projectors[3, 0] *= 0.5
-        with pytest.raises(InvalidModelError, match=r"^draw 3: projectors must sum to the identity$"):
-            QuantumSlitModel(rho, projectors, effect)
-
-    def test_projectors_must_be_orthogonal_and_idempotent(self):
-        rho, projectors, effect = valid_stack()
-        # still sums to the identity, but 2|1><1| is not idempotent
-        projectors[3, 0, 0, 0] = 2.0
-        projectors[3, 1, 0, 0] = -1.0
-        with pytest.raises(InvalidModelError, match=r"^draw 3: projectors must be orthogonal and idempotent$"):
-            QuantumSlitModel(rho, projectors, effect)
+    def test_slit_basis_must_be_unitary(self):
+        rho, basis, effect = valid_stack()
+        basis[3, :, 0] *= 1.0 + 1e-12  # a column of norm 1 + 1e-12, beyond the 5e-14 model tolerance
+        with pytest.raises(InvalidModelError, match=r"^draw 3: slit basis must be unitary$"):
+            QuantumSlitModel(rho, basis, effect)
+        basis[3] = [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # unit-norm columns, not orthogonal
+        basis[3, :, 1] /= np.sqrt(2.0)
+        with pytest.raises(InvalidModelError, match=r"^draw 3: slit basis must be unitary$"):
+            QuantumSlitModel(rho, basis, effect)
 
     def test_effect_must_be_hermitian(self):
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         effect[3, 0, 1] = 0.1
         with pytest.raises(InvalidModelError, match=r"^draw 3: effect must be Hermitian$"):
-            QuantumSlitModel(rho, projectors, effect)
+            QuantumSlitModel(rho, basis, effect)
 
     def test_effect_eigenvalues_must_lie_in_unit_interval(self):
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         effect[3] = 1.5 * np.eye(3)
         with pytest.raises(InvalidModelError, match=r"^draw 3: effect eigenvalues must lie in \[0, 1\]$"):
-            QuantumSlitModel(rho, projectors, effect)
+            QuantumSlitModel(rho, basis, effect)
 
     def test_state_must_be_hermitian(self):
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         rho[3, 0, 1] = 0.1
         with pytest.raises(InvalidModelError, match=r"^draw 3: state must be Hermitian$"):
-            QuantumSlitModel(rho, projectors, effect)
+            QuantumSlitModel(rho, basis, effect)
 
     def test_state_must_have_unit_trace(self):
         # with the identity effect this state used to give P_123 = 0.5
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         rho[3] = np.eye(3) / 6
         with pytest.raises(InvalidModelError, match=r"^draw 3: state must have unit trace$"):
-            QuantumSlitModel(rho, projectors, effect)
+            QuantumSlitModel(rho, basis, effect)
 
     def test_state_must_be_positive_semidefinite(self):
         # Hermitian with trace 1 and eigenvalues 1.4, 0, -0.4; its P_S all lay inside [0, 1]
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         rho[3] = [[0.5, 0.9, 0.0], [0.9, 0.5, 0.0], [0.0, 0.0, 0.0]]
         with pytest.raises(InvalidModelError, match=r"^draw 3: state must be positive semidefinite$"):
-            QuantumSlitModel(rho, projectors, effect)
+            QuantumSlitModel(rho, basis, effect)
 
     def test_model_checks_keep_probabilities_in_range(self):
         # trace 1 + 5e-11 would give P_13 = 1 + 5e-11, beyond the range check (1e-12)
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         effect[:] = np.eye(3)
         rho[3] = np.diag([0.5 + 5e-11, 0.0, 0.5])
         with pytest.raises(InvalidModelError, match=r"^draw 3: state must have unit trace$"):
-            QuantumSlitModel(rho, projectors, effect)
+            QuantumSlitModel(rho, basis, effect)
 
     def test_probabilities_must_lie_in_unit_interval(self):
         # a validated model whose state is then set to trace 1 + 5e-11
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         effect[:] = np.eye(3)
-        model = QuantumSlitModel(rho, projectors, effect)
+        model = QuantumSlitModel(rho, basis, effect)
         model.rho[3] = np.diag([0.5 + 5e-11, 0.0, 0.5])
         with pytest.raises(InvalidModelError, match=r"^draw 3: P_13 = 1\.00000000005 outside \[0, 1\] beyond tolerance$"):
             run_slit_model(model)
 
     def test_names_the_first_of_several_bad_draws(self):
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         effect[3, 0, 1] = 0.1
         effect[1, 1, 2] = 0.1
         with pytest.raises(InvalidModelError, match=r"^draw 1: effect must be Hermitian$"):
-            QuantumSlitModel(rho, projectors, effect)
+            QuantumSlitModel(rho, basis, effect)
 
     def test_residue_within_tolerance_is_clipped(self):
         # a validated model whose state is then given residue 1e-13, inside the range check (1e-12)
-        rho, projectors, effect = valid_stack(n_draws=1)
+        rho, basis, effect = valid_stack(n_draws=1)
         effect[:] = np.eye(3)
-        model = QuantumSlitModel(rho, projectors, effect)
+        model = QuantumSlitModel(rho, basis, effect)
         model.rho[0] = np.diag([1.0 + 1e-13, -1e-13, 0.0])
         exp = by_key(run_slit_model(model)[0])
         assert exp["1"] == 1.0
         assert exp["2"] == 0.0
 
     def test_inconsistent_dimensions(self):
-        rho, projectors, effect = valid_stack()
+        rho, basis, effect = valid_stack()
         with pytest.raises(InvalidModelError, match="dimensions"):
-            QuantumSlitModel(rho, projectors[:4], effect)
+            QuantumSlitModel(rho, basis[:4], effect)
 
 
 class TestSurvey:

@@ -82,7 +82,7 @@ class TestAnalyzeCase:
             spec = random_scenario(rng)
             a = analyze_case(spec, random_hamiltonian_params(rng), samples=513)
             p = a.probabilities
-            gap = p["u"] - (spec.p_b * p["d"] + (1 - spec.p_b) * p["c"]) - a.delta
+            gap = p["u"] - (spec.prediction.p * p["d"] + (1 - spec.prediction.p) * p["c"]) - a.delta
             assert np.max(np.abs(gap)) <= 1e-10
 
 
@@ -142,7 +142,7 @@ class TestSpectralEngine:
     def test_delta_matches_branch_subtraction(self, spectral_analyses):
         for a in spectral_analyses:
             trajs = a.trajectories
-            chi = chi_series(trajs["u"], trajs["d"], trajs["c"], a.spec.p_b)
+            chi = chi_series(trajs["u"], trajs["d"], trajs["c"], a.spec.prediction.p)
             np.testing.assert_allclose(a.delta, chi_leak(chi)[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(a.delta_bound, chi_leak(chi)[1], rtol=0, atol=1e-12)
 

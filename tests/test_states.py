@@ -100,9 +100,19 @@ class TestChiInitial:
     @pytest.mark.parametrize("label", CATALOG_LABELS)
     def test_matches_closed_form(self, label):
         spec = catalog_case(label)
-        u = spec.branches["u"]
-        want = closed_form_chi(u.action.p, u.action.lam, u.prediction.lam)
+        want = closed_form_chi(spec.action.p, spec.action.lam, spec.prediction.lam)
         np.testing.assert_allclose(chi_initial(spec), want, atol=1e-12)
+
+    def test_equals_branch_subtraction_exactly(self):
+        # the closed form takes the same products as rho_u - p_B rho_d - (1 - p_B) rho_c, minus exact zeros
+        rng = np.random.default_rng(23)
+        specs = [catalog_case(label) for label in CATALOG_LABELS]
+        specs += [random_scenario(rng, coherent_prediction=bool(k % 4)) for k in range(200)]
+        for spec in specs:
+            p_b = spec.prediction.p
+            rho = {alpha: initial_mental_state(spec, alpha) for alpha in BRANCHES}
+            subtraction = rho["u"] - p_b * rho["d"] - (1.0 - p_b) * rho["c"]
+            assert np.array_equal(chi_initial(spec), subtraction), spec
 
     @pytest.mark.parametrize("label", CATALOG_LABELS)
     def test_traceless_hermitian_zero_diagonal(self, label):
@@ -116,7 +126,7 @@ class TestChiInitial:
         specs = [catalog_case(label) for label in CATALOG_LABELS]
         specs += [random_scenario(rng) for _ in range(50)]
         for spec in specs:
-            p_b = spec.p_b
+            p_b = spec.prediction.p
             mixture = (
                 p_b * initial_mental_state(spec, "d")
                 + (1 - p_b) * initial_mental_state(spec, "c")
@@ -158,27 +168,43 @@ class TestScenarioSpec:
     def test_certain_branches_fixed(self):
         for label in CATALOG_LABELS:
             spec = catalog_case(label)
-            assert spec.branches["d"].prediction == SubsystemParams(1.0)
-            assert spec.branches["c"].prediction == SubsystemParams(0.0)
+            rho_a = qubit_state(spec.action)
+            for alpha, prediction in (("d", np.diag([1.0, 0.0])), ("c", np.diag([0.0, 1.0]))):
+                np.testing.assert_array_equal(initial_mental_state(spec, alpha), np.kron(prediction, rho_a))
+            branches = scenario_to_config(spec)["branches"]
+            assert (branches["d"]["pB"], branches["c"]["pB"]) == (1.0, 0.0)
 
     def test_rejects_wrong_certain_branch(self):
-        good = catalog_case("2")
-        branches = dict(good.branches)
-        branches["d"] = type(branches["d"])(SubsystemParams(0.9), branches["d"].action)
-        with pytest.raises(ValueError):
-            ScenarioSpec("bad", branches)
+        # a config is the one place a scenario's derived branches can disagree with it
+        config = scenario_to_config(catalog_case("2"))
+        config["branches"]["d"]["pB"] = 0.9
+        with pytest.raises(ValueError, match=r"^config: branches\.d\.pB must be 1\.0 \(a certain prediction\), got 0\.9$"):
+            scenario_from_config(config)
 
     def test_rejects_mismatched_action(self):
-        good = catalog_case("2")
-        branches = dict(good.branches)
-        branches["c"] = type(branches["c"])(branches["c"].prediction, SubsystemParams(0.4))
-        with pytest.raises(ValueError):
-            ScenarioSpec("bad", branches)
+        config = scenario_to_config(catalog_case("2"))
+        config["branches"]["c"]["pA"] = 0.4
+        with pytest.raises(ValueError, match=r"^config: branches\.c\.pA must be 0\.5 \(the action of branch u\), got 0\.4$"):
+            scenario_from_config(config)
+
+    def test_rejects_non_positive_prediction(self):
+        with pytest.raises(NotPositiveError):
+            ScenarioSpec("bad", SubsystemParams(0.5, 0.9), SubsystemParams(0.5))
+        with pytest.raises(NotPositiveError):
+            ScenarioSpec("bad", SubsystemParams(0.5), SubsystemParams(0.3, 0.5))
+
+    def test_uncorrelated_is_the_constructor(self):
+        # the older name perfbench/workloads.py still builds its scenarios with
+        prediction, action = SubsystemParams(0.3, 0.1j), SubsystemParams(0.6)
+        assert ScenarioSpec.uncorrelated("x", prediction, action) == ScenarioSpec("x", prediction, action)
 
     def test_config_roundtrip(self):
-        spec = catalog_case("4*")
-        again = scenario_from_config(scenario_to_config(spec))
-        assert again == spec
+        rng = np.random.default_rng(24)
+        specs = [catalog_case(label) for label in CATALOG_LABELS]
+        specs += [random_scenario(rng, coherent_prediction=bool(k % 2)) for k in range(50)]
+        for spec in specs:
+            config = json.loads(json.dumps(scenario_to_config(spec)))
+            assert scenario_from_config(config) == spec
 
     def test_load_scenario_file(self, tmp_path):
         # the CLI reads a scenario file written from scenario_to_config as the catalog case itself
@@ -204,11 +230,12 @@ def test_table1_custom_scenario_matches_closed_forms():
     # entropy of its eigenvalue (1 + sqrt((2p-1)^2 + 4|lam|^2)) / 2
     prediction = SubsystemParams(0.3, 0.2 + 0.1j)
     action = SubsystemParams(0.7, -0.15j)
-    spec = ScenarioSpec.uncorrelated("custom", prediction, action)
+    spec = ScenarioSpec("custom", prediction, action)
     rows = scenario_table1_rows(spec)
     assert [(r["case"], r["alpha"]) for r in rows] == [("custom", a) for a in BRANCHES]
     for row in rows:
-        for side, params in (("B", spec.branches[row["alpha"]].prediction), ("A", action)):
+        predicted = {"u": prediction, "d": SubsystemParams(1.0), "c": SubsystemParams(0.0)}[row["alpha"]]
+        for side, params in (("B", predicted), ("A", action)):
             radius = np.sqrt((2.0 * params.p - 1.0) ** 2 + 4.0 * abs(params.lam) ** 2)
             assert row[f"Cl1_{side}"] == pytest.approx(2.0 * abs(params.lam), rel=0, abs=1e-12)
             assert row[f"S_{side}"] == pytest.approx(_binary_entropy((1.0 + radius) / 2.0), rel=0, abs=1e-12)

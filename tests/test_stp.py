@@ -47,14 +47,14 @@ class TestChoiceProbability:
             p_u = choice_probability(initial_mental_state(spec, "u"))
             p_d = choice_probability(initial_mental_state(spec, "d"))
             p_c = choice_probability(initial_mental_state(spec, "c"))
-            assert p_u == pytest.approx(spec.p_b * p_d + (1 - spec.p_b) * p_c, abs=1e-14)
+            assert p_u == pytest.approx(spec.prediction.p * p_d + (1 - spec.prediction.p) * p_c, abs=1e-14)
 
 
 class TestChiSeries:
     def test_t0_matches_initial_construction(self):
         spec = catalog_case("3*")
         trajs = branch_trajectories(spec, times=time_grid(samples=8))
-        chi0 = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[0]
+        chi0 = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)[0]
         np.testing.assert_allclose(chi0, chi_initial(spec), atol=1e-13)
 
     def test_grid_mismatch_rejected(self):
@@ -63,14 +63,14 @@ class TestChiSeries:
         traj_a = evolve(initial_mental_state(spec, "u"), h, time_grid(samples=8))
         traj_b = evolve(initial_mental_state(spec, "d"), h, time_grid(samples=16))
         with pytest.raises(GridMismatchError):
-            chi_series(traj_a, traj_b, traj_b, spec.p_b)
+            chi_series(traj_a, traj_b, traj_b, spec.prediction.p)
 
     def test_two_computation_paths_agree(self):
         # subtraction of evolved branches versus direct conjugation of chi(0)
         spec = catalog_case("3*")
         times = time_grid(samples=257)
         trajs = branch_trajectories(spec, times=times)
-        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
         h = build_hamiltonian()
         chi0 = chi_initial(spec)
         for k in (1, 64, 200, 256):
@@ -80,7 +80,7 @@ class TestChiSeries:
     def test_traceless_along_evolution(self):
         spec = catalog_case("4*")
         trajs = branch_trajectories(spec, times=time_grid(samples=65))
-        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
         assert np.max(np.abs(np.trace(chi, axis1=-2, axis2=-1))) <= 1e-10
 
 
@@ -103,7 +103,7 @@ class TestDelta:
     def test_case2_never_deviates(self):
         spec = catalog_case("2")
         trajs = branch_trajectories(spec)
-        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
         assert np.max(np.abs(chi_leak(chi)[0])) < 1e-10
 
     def test_matches_probability_difference_oracle(self):
@@ -111,11 +111,11 @@ class TestDelta:
         spec = catalog_case("3*")
         times = np.array([0.0, 1.0])
         trajs = branch_trajectories(spec, times=times)
-        chi1 = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)[1]
+        chi1 = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)[1]
         p_u = choice_probability(trajs["u"].states[1])
         p_d = choice_probability(trajs["d"].states[1])
         p_c = choice_probability(trajs["c"].states[1])
-        want = p_u - (spec.p_b * p_d + (1 - spec.p_b) * p_c)
+        want = p_u - (spec.prediction.p * p_d + (1 - spec.prediction.p) * p_c)
         assert chi_leak(chi1)[0] == pytest.approx(want, abs=1e-12)
         assert abs(want) > 1e-3  # the case genuinely deviates at t = 1
 
@@ -125,15 +125,15 @@ class TestDelta:
         specs += [random_scenario(rng) for _ in range(5)]
         for spec in specs:
             trajs = branch_trajectories(spec, times=time_grid(samples=513))
-            delta = chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b))[0]
+            delta = chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p))[0]
             p = {alpha: choice_probability(trajs[alpha].states) for alpha in BRANCHES}
-            mixture = spec.p_b * p["d"] + (1 - spec.p_b) * p["c"]
+            mixture = spec.prediction.p * p["d"] + (1 - spec.prediction.p) * p["c"]
             np.testing.assert_allclose(p["u"], mixture + delta, rtol=0, atol=1e-10)
 
     def test_bound_dominates_delta(self):
         spec = catalog_case("4*")
         trajs = branch_trajectories(spec)
-        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
         delta, bound = chi_leak(chi)
         assert np.all(bound >= np.abs(delta) - 1e-12)
 
@@ -144,21 +144,21 @@ class TestDelta:
         for _ in range(100):
             spec = random_scenario(rng, coherent_prediction=False)
             trajs = branch_trajectories(spec, params=random_hamiltonian_params(rng))
-            chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+            chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
             assert np.max(np.abs(chi_leak(chi)[0])) < 1e-10
 
     @pytest.mark.parametrize("label", VIOLATING)
     def test_catalog_violations_are_visible(self, label):
         spec = catalog_case(label)
         trajs = branch_trajectories(spec)
-        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+        chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
         assert np.max(np.abs(chi_leak(chi)[0])) > 1e-3
 
 
 def sampled_delta(spec):
     times = time_grid()
     trajs = branch_trajectories(spec, times=times)
-    return times, chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b))[0]
+    return times, chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p))[0]
 
 
 class TestVerdict:
@@ -208,5 +208,5 @@ class TestVerdict:
 def test_delta_bound_nonnegative_series():
     spec = catalog_case("3")
     trajs = branch_trajectories(spec, times=time_grid(samples=129))
-    chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.p_b)
+    chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
     assert np.min(chi_leak(chi)[1]) >= 0.0
