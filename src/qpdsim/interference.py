@@ -26,14 +26,16 @@ _RANGE_TOL = 1e-12
 # then lies in [-6e, 1 + 13e] to first order, inside _RANGE_TOL. Survey draws sit below 2e-15.
 _MODEL_TOL = 5e-14
 _SURVEY_SLITS = 3  # the fewest slits with a third-order term
-# Draws per survey block: the block, not the survey, sets the memory the
-# (block, 3, 3, 3) projector stacks take.
+# Draws per survey block: it fixes the order of the RNG draws, on which every
+# sorkin.json value depends, and bounds the memory of the per-block arrays.
 _SURVEY_BLOCK = 128
 _I3_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])  # subset_keys(3) order
 
 
 def subset_keys(n_slits: int) -> tuple[str, ...]:
-    """Canonical keys for all non-empty slit subsets, e.g. "1", "13", "123"."""
+    """Canonical keys for all non-empty slit subsets, e.g. "1", "13", "123"; one digit per slit."""
+    if n_slits > 9:
+        raise ValueError(f"subset keys name slits by one digit, so at most 9 slits, got {n_slits}")
     slits = range(1, n_slits + 1)
     keys = []
     for size in slits:
@@ -115,11 +117,6 @@ class QuantumSlitModel:
         _raise_first(bad, "effect eigenvalues must lie in [0, 1]")
 
 
-def _slit_projectors(basis: np.ndarray) -> np.ndarray:
-    """(n_draws, d slits, d, d) projectors onto the columns of each (d, d) basis."""
-    return np.einsum("mik,mjk->mkij", basis, basis.conj())
-
-
 def run_slit_model(model: QuantumSlitModel) -> np.ndarray:
     """Project onto each open-slit subspace, then detect: P_S = tr(Pi_S rho Pi_S M).
 
@@ -127,12 +124,11 @@ def run_slit_model(model: QuantumSlitModel) -> np.ndarray:
     onto [0, 1] after a range check with tolerance.
     """
     n_draws, d = model.rho.shape[:2]
-    rows = _slit_projectors(model.basis).reshape(n_draws, d * d, d)  # rows (a, i) of every P_a
-    p_rho = (rows @ model.rho).reshape(n_draws, d, d, d)
-    p_effect = (rows @ model.effect).reshape(n_draws, d, d, d)
-    # terms[n, a, b] = tr(P_a rho P_b M); P_S is the sum of the terms with a and b in S
-    terms = np.einsum("naik,nbki->nab", p_rho, p_effect).real
     keys = subset_keys(d)
+    u, u_h = model.basis, model.basis.conj().swapaxes(1, 2)
+    # In the slit basis, tr(P_a rho P_b M) = rho'_ab M'_ba with rho' = U^H rho U and M' = U^H M U;
+    # P_S is the sum of these terms over a and b in S
+    terms = (u_h @ model.rho @ u * (u_h @ model.effect @ u).swapaxes(1, 2)).real
     mask = np.array([[str(k) in key for k in range(1, d + 1)] for key in keys], dtype=float)
     pair_mask = (mask[:, :, None] * mask[:, None, :]).reshape(len(keys), d * d)
     probs = terms.reshape(n_draws, d * d) @ pair_mask.T
@@ -141,24 +137,25 @@ def run_slit_model(model: QuantumSlitModel) -> np.ndarray:
 
 
 def _haar_unitaries(rng: np.random.Generator, n_draws: int, d: int) -> np.ndarray:
-    """Haar-random (n_draws, d, d) unitaries: QR with the phases of R moved into Q (Mezzadri 2007)."""
+    """(n_draws, d, d) unitaries from a complex Gaussian QR: Haar up to column phases.
+
+    A slit model sees U only through |u_a><u_a| and V diag(w) V^H, which those phases leave unchanged.
+    """
     g = rng.standard_normal((n_draws, d, d)) + 1j * rng.standard_normal((n_draws, d, d))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    return q * (diag / np.abs(diag))[:, None, :]
+    return np.linalg.qr(g)[0]
 
 
 def random_slit_model(rng: np.random.Generator, n_draws: int, diagonal: bool = False) -> QuantumSlitModel:
-    """Draw n_draws random three-slit models: Haar slit basis, full-rank state, random effect.
+    """Draw n_draws random three-slit models: Haar slit projectors, full-rank state, random effect.
 
-    With diagonal=True each state commutes with its slit projectors (the
-    classical limit), which kills every second-order interference term.
+    With diagonal=True each state is diagonal in its slit basis (the classical
+    limit), which kills every second-order interference term.
     """
     n = _SURVEY_SLITS
     u = _haar_unitaries(rng, n_draws, n)
     if diagonal:
         weights = rng.dirichlet(np.ones(n), size=n_draws)
-        rho = np.einsum("mk,mkij->mij", weights, _slit_projectors(u))
+        rho = (u * weights[:, None, :]) @ u.conj().swapaxes(1, 2)
     else:
         g = rng.standard_normal((n_draws, n, n)) + 1j * rng.standard_normal((n_draws, n, n))
         rho = g @ g.conj().swapaxes(1, 2)

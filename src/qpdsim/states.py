@@ -41,6 +41,9 @@ class ScenarioSpec:
     action: SubsystemParams
 
     def __post_init__(self) -> None:
+        label = self.case_label  # it names the output files
+        if not (isinstance(label, str) and label and label.isprintable() and "/" not in label and "\\" not in label):
+            raise ValueError(f"case_label must be a non-empty printable string without / or \\, got {label!r}")
         qubit_state(self.prediction)
         qubit_state(self.action)
 
@@ -164,14 +167,13 @@ def scenario_from_config(config: Mapping) -> ScenarioSpec:
     """
     branches_cfg = _config_value(config, "branches")
     raw = {alpha: _config_value(branches_cfg, f"branches.{alpha}") for alpha in BRANCHES}
-    label = _config_value(config, "case_label")  # it names the output files
-    if not (isinstance(label, str) and label and label.isprintable() and "/" not in label and "\\" not in label):
-        raise ValueError(f"config: case_label must be a non-empty printable string without / or \\, got {label!r}")
+    label = _config_value(config, "case_label")
     prediction, action = (_subsystem_from_config(raw["u"], "branches.u", side) for side in "BA")
     try:
         spec = ScenarioSpec(label, prediction, action)
-    except ValueError as exc:
-        raise ValueError(f"config: branches.u: {exc}") from None
+    except ValueError as exc:  # the label is checked first; a later error is branch u's
+        where = "" if str(exc).startswith("case_label") else "branches.u: "
+        raise ValueError(f"config: {where}{exc}") from None
     for alpha in ("d", "c"):
         path = f"branches.{alpha}"
         derived = (("B", _predictions(spec)[alpha], "a certain prediction"), ("A", action, "the action of branch u"))

@@ -54,6 +54,9 @@ class TestSlitExperiment:
     def test_subset_keys(self):
         assert subset_keys(2) == ("1", "2", "12")
         assert subset_keys(3) == ("1", "2", "3", "12", "13", "23", "123")
+        assert len(subset_keys(9)) == 2**9 - 1
+        with pytest.raises(ValueError, match="at most 9 slits, got 10$"):
+            subset_keys(10)
 
     def test_missing_subset(self):
         with pytest.raises(MissingSubsetError):
@@ -187,6 +190,21 @@ class TestRunSlitModel:
         with pytest.raises(InvalidModelError, match=r"^draw 0: slit basis must be unitary$"):
             QuantumSlitModel(rho[None], skewed[None], effect[None])
 
+    def test_rejects_ten_slits(self):
+        # with two-digit slit numbers, slit 1 would count as part of subset "10" and give P_10 = 1
+        rho = np.zeros((10, 10))
+        rho[0, 0] = 1.0
+        with pytest.raises(ValueError, match="at most 9 slits, got 10$"):
+            run_slit_model(projector_model(rho, np.eye(10)))
+
+    def test_invariant_under_column_phases(self):
+        # slit a is |u_a><u_a|, which a phase on column u_a leaves unchanged
+        rng = np.random.default_rng(65)
+        model = random_slit_model(rng, 64)
+        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (64, 1, 3)))
+        rephased = QuantumSlitModel(model.rho, model.basis * phases, model.effect)
+        assert_allclose(run_slit_model(rephased), run_slit_model(model), rtol=0, atol=1e-15)
+
     def test_rejects_oversized_effect(self):
         with pytest.raises(InvalidModelError):
             projector_model(np.eye(2) / 2, 2.0 * np.eye(2))
@@ -309,6 +327,10 @@ class TestSurvey:
         a = run_interference_survey(200, seed=7)
         b = run_interference_survey(200, seed=7)
         assert a == b
+
+    def test_draw_order_is_pinned(self):
+        # the 128-draw blocks fix the order of the RNG draws; this is the value sorkin.json has always had
+        assert run_interference_survey(10_000, seed=3)["frac_i2_above_0.01"] == 0.6301
 
     def test_summary_contents(self):
         out = run_interference_survey(300, seed=11)

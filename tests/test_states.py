@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ class TestScenarioSpec:
             ScenarioSpec("bad", SubsystemParams(0.5, 0.9), SubsystemParams(0.5))
         with pytest.raises(NotPositiveError):
             ScenarioSpec("bad", SubsystemParams(0.5), SubsystemParams(0.3, 0.5))
+
+    @pytest.mark.parametrize("label", ["a/b", 5])
+    def test_rejects_bad_case_label(self, label):
+        # the label names the output files, so a spec built in code is checked as a config is
+        message = f"case_label must be a non-empty printable string without / or \\, got {label!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec(label, SubsystemParams(0.5), SubsystemParams(0.5))
+        config = scenario_to_config(catalog_case("3"))
+        config["case_label"] = label
+        with pytest.raises(ValueError, match=f"^config: {re.escape(message)}$"):
+            scenario_from_config(config)
 
     def test_uncorrelated_is_the_constructor(self):
         # the older name perfbench/workloads.py still builds its scenarios with
