@@ -79,14 +79,14 @@ def propagate(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u @ rho0 @ u.conj().swapaxes(-1, -2)
 
 
-def diagonalized_orbit(states: np.ndarray, rho0: np.ndarray, u: np.ndarray) -> DiagonalizedStates:
-    """``states = propagate(rho0, u)`` with the eigensystem they keep from t=0.
+def diagonalized_orbit(states: np.ndarray, rho0: np.ndarray, u: np.ndarray, rank: int) -> DiagonalizedStates:
+    """``states = propagate(rho0, u)`` with the eigensystem they keep from t=0, on its support.
 
     Unitary evolution fixes the spectrum, so rho0 is diagonalized once: every
-    state has its eigenvalues, and the eigenvectors U(t) V0.
+    state has the ``rank`` largest eigenvalues of rho0, with the eigenvectors U(t) V0.
     """
     w0, v0 = np.linalg.eigh(np.asarray(rho0, dtype=complex))
-    return DiagonalizedStates(states, w0, u @ v0)
+    return DiagonalizedStates(states, w0[-rank:], u @ v0[:, -rank:])
 
 
 def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:

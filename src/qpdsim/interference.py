@@ -63,9 +63,12 @@ def _check_probabilities(probs: np.ndarray, keys: tuple[str, ...], tol: float, e
 def _experiment(probs) -> tuple[np.ndarray, tuple[str, ...]]:
     """Probabilities as a float array and their subset keys; one entry per subset, each in [0, 1]."""
     probs = np.asarray(probs, dtype=float)
-    keys = {(3,): subset_keys(2), (7,): subset_keys(3)}.get(probs.shape[-1:])
-    if keys is None:
-        raise MissingSubsetError(f"need one probability per slit subset (3 or 7), got shape {probs.shape}")
+    length = probs.shape[-1] if probs.ndim else 0
+    n_slits = (length + 1).bit_length() - 1  # n slits have 2^n - 1 subsets
+    if not (1 <= n_slits <= 9 and length == 2**n_slits - 1):
+        lengths = ", ".join(str(2**n - 1) for n in range(1, 10))
+        raise MissingSubsetError(f"need one probability per slit subset ({lengths}), got shape {probs.shape}")
+    keys = subset_keys(n_slits)
     _check_probabilities(probs, keys, 0.0, ValueError)
     return probs, keys
 

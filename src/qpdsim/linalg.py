@@ -41,9 +41,9 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class DiagonalizedStates(NamedTuple):
     """Stacked states (N, d, d) with their eigensystem, eigenvalues ascending.
 
-    ``eigenvalues`` is (N, d), or (d,) when all states share one spectrum,
-    as along a unitary orbit. ``eigenvectors`` (N, d, d) is as large as the
-    states themselves.
+    ``eigenvalues`` is (N, d) with ``eigenvectors`` (N, d, d). Along a unitary
+    orbit all states share one spectrum, and only its support is kept:
+    eigenvalues (r,) and eigenvectors (N, d, r), where r is the rank.
     """
 
     states: np.ndarray

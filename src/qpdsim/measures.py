@@ -59,10 +59,13 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
     """Two-qubit concurrence from the spin-flipped state.
 
     The square-rooted eigenvalues of rho rho_tilde are obtained as singular
-    values of sqrt(w) (V^dag Y V^*) sqrt(w) built from the eigensystem
+    values of n = sqrt(w) (V^dag Y V^*) sqrt(w) built from the eigensystem
     (w, V) of rho; the square-root weights enter multiplicatively, so the
     values stay accurate even for (near-)pure inputs. ``rho`` may be
-    DiagonalizedStates, whose eigensystem is used as given.
+    DiagonalizedStates, whose eigensystem is used as given; on a support of
+    rank r, n is r x r. Rank 1 gives C = |n_00|, rank 2 C = s1 - s2 with s1^2
+    the larger eigenvalue of n n^dag and s2 = |det n| / s1 (the root of the
+    smaller eigenvalue would be off by about 1e-8), a larger rank the SVD.
     """
     rho, w, v = diagonalized(rho)
     if rho.shape[-2:] != (4, 4):
@@ -70,8 +73,15 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
     root_w = np.sqrt(np.clip(w, 0.0, None))
     congruent_flip = v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()
     n = root_w[..., :, None] * congruent_flip * root_w[..., None, :]
-    s = np.linalg.svd(n, compute_uv=False)  # descending
-    c = np.clip(2.0 * s[..., 0] - np.sum(s, axis=-1), 0.0, None)
+    if n.shape[-1] == 1:
+        c = np.abs(n[..., 0, 0])
+    elif n.shape[-1] == 2:
+        s1 = np.sqrt(hermitian_eigenvalues(n @ n.conj().swapaxes(-1, -2))[..., 0])
+        det = np.abs(n[..., 0, 0] * n[..., 1, 1] - n[..., 0, 1] * n[..., 1, 0])
+        c = np.clip(s1 - np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0.0), 0.0, None)
+    else:
+        s = np.linalg.svd(n, compute_uv=False)  # descending
+        c = np.clip(2.0 * s[..., 0] - np.sum(s, axis=-1), 0.0, None)
     return _scalar_or_array(c, rho.ndim == 2)
 
 

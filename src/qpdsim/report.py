@@ -44,6 +44,7 @@ from .states import (
     catalog_case,
     chi_initial,
     initial_mental_state,
+    initial_rank,
 )
 from .stp import StpVerdict, choice_probability, stp_leak, stp_verdict
 
@@ -149,9 +150,10 @@ def analyze_case(
 
     H is diagonalized once and its propagator stack built once for all
     three branches. Each branch state is diagonalized once, at t=0, because
-    unitary evolution keeps its spectrum. Only the diagonal of chi(t) is
-    formed, from chi(0) in H's eigenbasis, so it is exactly zero when the
-    uncertain prediction has no coherence.
+    unitary evolution keeps its spectrum, and measured on the support of
+    that spectrum; the rank comes from the qubit factors. Only the diagonal
+    of chi(t) is formed, from chi(0) in H's eigenbasis, so it is exactly
+    zero when the uncertain prediction has no coherence.
     """
     spec = catalog_case(scenario) if isinstance(scenario, str) else scenario
     times = time_grid(t_max, samples)
@@ -160,11 +162,12 @@ def analyze_case(
     u = propagator.unitaries()
     rho0 = {alpha: initial_mental_state(spec, alpha) for alpha in BRANCHES}
     trajectories = {alpha: Trajectory(times, propagate(rho0[alpha], u)) for alpha in BRANCHES}
-    # Every branch is propagated before any is measured, and each eigenvector stack (as large
-    # as the states) is built to measure one branch, then dropped. Propagating each branch
-    # just before measuring it fragments the heap and raises peak RSS by 4% at 16385 samples.
+    # Every branch is propagated before any is measured, and each eigenvector stack (N, 4, rank)
+    # is built to measure one branch, then dropped. Propagating each branch just before
+    # measuring it fragments the heap and raises peak RSS by 4% at 16385 samples.
     series = {
-        alpha: measure_series(diagonalized_orbit(trajectories[alpha].states, rho0[alpha], u)) for alpha in BRANCHES
+        alpha: measure_series(diagonalized_orbit(trajectories[alpha].states, rho0[alpha], u, initial_rank(spec, alpha)))
+        for alpha in BRANCHES
     }
     return CaseAnalysis(
         spec=spec,

@@ -78,6 +78,12 @@ def initial_mental_state(spec: ScenarioSpec, branch: str) -> np.ndarray:
     return tensor(qubit_state(_predictions(spec)[branch]), qubit_state(spec.action))
 
 
+def initial_rank(spec: ScenarioSpec, branch: str) -> int:
+    """Rank of the t=0 state of one branch: rank_B x rank_A, a qubit being pure when |lam|^2 >= p(1-p)."""
+    qubits = (_predictions(spec)[branch], spec.action)
+    return int(np.prod([1 if abs(q.lam) ** 2 >= q.p * (1.0 - q.p) else 2 for q in qubits]))
+
+
 def chi_initial(spec: ScenarioSpec) -> np.ndarray:
     """Correction matrix relating the uncertain branch to the certain ones.
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -21,7 +22,7 @@ from qpdsim import (
     subset_keys,
 )
 
-from support import chi_leak, chi_series, slit_probabilities
+from support import chi_leak, chi_series, random_density, slit_probabilities
 
 
 def projector_model(rho, effect):
@@ -61,6 +62,12 @@ class TestSlitExperiment:
     def test_missing_subset(self):
         with pytest.raises(MissingSubsetError):
             pairwise_interference(np.array([0.2, 0.3]), 1, 2)
+
+    @pytest.mark.parametrize("length", [4, 8])
+    def test_rejects_lengths_that_count_no_subsets(self, length):
+        message = f"need one probability per slit subset (1, 3, 7, 15, 31, 63, 127, 255, 511), got shape ({length},)"
+        with pytest.raises(MissingSubsetError, match=f"^{re.escape(message)}$"):
+            pairwise_interference(np.full(length, 0.1), 1, 2)
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
@@ -104,6 +111,27 @@ class TestI2:
         assert exp["2"] == pytest.approx(0.25)
         assert pairwise_interference(probs, 1, 2) == pytest.approx(0.5)
         assert pairwise_interference(probs, 1, 2) > 0.0
+
+    def test_four_slit_classical_model(self):
+        # maximally mixed in the slit basis: every pair is additive
+        probs = run_slit_model(QuantumSlitModel(np.eye(4)[None] / 4 + 0j, np.eye(4)[None] + 0j, np.eye(4)[None] + 0j))
+        assert probs.shape == (1, 15)
+        for i, j in itertools.combinations(range(1, 5), 2):
+            assert pairwise_interference(probs, i, j) == 0.0
+
+    def test_random_five_slit_model_reads_pairs_by_key(self):
+        rng = np.random.default_rng(66)
+        n_draws, d = 8, 5
+        rho = np.array([random_density(rng, d) for _ in range(n_draws)])
+        basis = np.linalg.qr(rng.standard_normal((n_draws, d, d)) + 1j * rng.standard_normal((n_draws, d, d)))[0]
+        v = np.linalg.qr(rng.standard_normal((n_draws, d, d)) + 1j * rng.standard_normal((n_draws, d, d)))[0]
+        effect = (v * rng.uniform(0.0, 1.0, (n_draws, 1, d))) @ v.conj().swapaxes(1, 2)
+        probs = run_slit_model(QuantumSlitModel(rho, basis, effect))
+        rows = [dict(zip(subset_keys(d), row)) for row in probs]
+        for i, j in itertools.combinations(range(1, d + 1), 2):
+            want = [p[f"{i}{j}"] - p[str(i)] - p[str(j)] for p in rows]
+            np.testing.assert_array_equal(pairwise_interference(probs, i, j), want)
+            assert np.max(np.abs(want)) > 1e-3  # a generic quantum model interferes
 
     def test_choice_deviation_is_two_slit_interference(self):
         # the mixture deviation of the decision model is exactly a two-slit

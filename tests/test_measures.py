@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from qpdsim import (
     DimensionMismatchError,
     EmptyTrajectoryError,
     MeasureRecord,
+    ScenarioSpec,
+    SubsystemParams,
     Trajectory,
+    analyze_case,
     build_hamiltonian,
     catalog_case,
     concurrence,
@@ -25,8 +29,10 @@ from qpdsim import (
     trapezoid_mean,
     von_neumann_entropy,
 )
-from support import random_density, random_hermitian, random_pure_density
+from support import random_density, random_hamiltonian_params, random_hermitian, random_pure_density
+from qpdsim.dynamics import diagonalized_orbit, propagate
 from qpdsim.linalg import SpectralPropagator
+from qpdsim.states import initial_rank
 
 BELL = np.zeros((4, 4))
 BELL[np.ix_([0, 3], [0, 3])] = 0.5
@@ -116,6 +122,42 @@ class TestEntanglementOfFormation:
 
     def test_concurrence_bell(self):
         assert concurrence(BELL) == pytest.approx(1.0, abs=1e-12)
+
+
+def random_qubit(rng, pure):
+    """A qubit whose coherence fills the positivity disk (pure, up to rounding) or lies inside it."""
+    p = rng.uniform(0.0, 1.0)
+    magnitude = np.sqrt(p * (1.0 - p)) * (1.0 if pure else rng.uniform(0.0, 0.999))
+    return SubsystemParams(p, magnitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+
+
+class TestOrbitSupport:
+    def test_thin_orbit_matches_bare_states(self):
+        # the concurrence on the orbit's support (closed forms for rank 1 and 2, the SVD for rank 4)
+        # against one eigh and the 4x4 SVD per sample
+        rng = np.random.default_rng(46)
+        ranks = set()
+        for k in range(16):
+            spec = ScenarioSpec("random", random_qubit(rng, k % 2 == 0), random_qubit(rng, k % 4 < 2))
+            h = build_hamiltonian(random_hamiltonian_params(rng))
+            u = SpectralPropagator(h, time_grid(samples=257)).unitaries()
+            for alpha in ("u", "d", "c"):
+                rho0, rank = initial_mental_state(spec, alpha), initial_rank(spec, alpha)
+                states = propagate(rho0, u)
+                thin = diagonalized_orbit(states, rho0, u, rank)
+                assert thin.eigenvalues.shape == (rank,) and thin.eigenvectors.shape == (257, 4, rank)
+                got, bare = measure_series(thin), measure_series(states)
+                for name in ("S_AB", "I_AB", "CRE_AB", "EF_AB"):
+                    np.testing.assert_allclose(getattr(got, name), getattr(bare, name), rtol=0, atol=1e-12)
+                ranks.add(rank)
+        assert ranks == {1, 2, 4}
+
+    def test_zero_rank_two_concurrence_is_exact(self):
+        # branch d of case 1 starts as |d><d| (x) 1/2, for which n = 0 exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ef = analyze_case("1", samples=257).series["d"].EF_AB
+        assert np.all(ef == 0.0)
 
 
 class TestMutualInformation:

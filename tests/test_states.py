@@ -12,10 +12,12 @@ from qpdsim import (
     NotPositiveError,
     ScenarioSpec,
     SubsystemParams,
+    analyze_case,
     catalog_case,
     chi_initial,
     eig_hermitian,
     initial_mental_state,
+    measure_series,
     partial_trace,
     qubit_state,
     scenario_from_config,
@@ -24,6 +26,7 @@ from qpdsim import (
 from qpdsim.cli import main as cli_main
 from qpdsim.linalg import TRACE_TOL
 from qpdsim.report import TABLE1_COLUMNS, check_table, scenario_table1_rows, table1_rows
+from qpdsim.states import initial_rank
 from support import random_scenario
 
 
@@ -73,6 +76,29 @@ class TestInitialMentalState:
                 assert np.max(np.abs(rho - rho.conj().T)) <= HERM_TOL, (label, alpha)
                 assert abs(np.trace(rho) - 1.0) <= TRACE_TOL, (label, alpha)
                 assert np.linalg.eigvalsh(rho)[0] >= -PSD_TOL, (label, alpha)
+
+
+class TestInitialRank:
+    CATALOG_RANKS = {
+        "1": (4, 2, 2), "1*": (4, 2, 2), "2": (2, 1, 1), "3": (2, 2, 2), "3*": (4, 2, 2), "4": (1, 1, 1), "4*": (2, 1, 1),
+    }
+
+    def test_catalog_ranks(self):
+        for label in CATALOG_LABELS:
+            spec = catalog_case(label)
+            assert tuple(initial_rank(spec, alpha) for alpha in BRANCHES) == self.CATALOG_RANKS[label]
+            for alpha in BRANCHES:
+                eigenvalues = np.linalg.eigvalsh(initial_mental_state(spec, alpha))
+                assert np.count_nonzero(eigenvalues > 1e-12) == initial_rank(spec, alpha), (label, alpha)
+
+    def test_barely_mixed_prediction_has_rank_two(self):
+        lam = np.nextafter(0.5, 0.0)  # |lam|^2 falls just below p(1 - p) = 1/4
+        assert lam**2 < 0.25
+        spec = ScenarioSpec("barely mixed", SubsystemParams(0.5, lam), SubsystemParams(0.5, 0.5))
+        assert [initial_rank(spec, alpha) for alpha in BRANCHES] == [2, 1, 1]
+        a = analyze_case(spec, samples=257)
+        bare = measure_series(a.trajectories["u"].states)
+        np.testing.assert_allclose(a.series["u"].EF_AB, bare.EF_AB, rtol=0, atol=1e-10)
 
 
 def closed_form_chi(p_a, lam_a, lam_b):
