@@ -29,8 +29,7 @@ from .errors import (
 )
 from .interference import (
     QuantumSlitModel,
-    interference_i3,
-    pairwise_interference,
+    interference_term,
     random_slit_model,
     run_interference_survey,
     run_slit_model,
@@ -52,10 +51,7 @@ from .measures import (
     l1_coherence,
     measure_series,
     measure_state,
-    mutual_information,
-    relative_entropy_coherence,
     trapezoid_mean,
-    von_neumann_entropy,
 )
 from .report import (
     CaseAnalysis,

@@ -1,8 +1,8 @@
-"""Interference-hierarchy functionals over multi-slit probability assignments.
+"""Sorkin's interference hierarchy I_k over multi-slit probability assignments.
 
 Classical probability makes two-slit detection additive (I2 = 0); quantum
-assignments generally do not, yet both theories cancel the third-order
-combination exactly (I3 = 0). A nonzero I3 therefore certifies statistics
+assignments generally do not, yet both theories cancel every higher term
+exactly (I3 = I4 = ... = 0). A nonzero I3 therefore certifies statistics
 beyond quantum probability, which is what a three-choice game extension
 would be tested against.
 
@@ -29,13 +29,12 @@ _SURVEY_SLITS = 3  # the fewest slits with a third-order term
 # Draws per survey block: it fixes the order of the RNG draws, on which every
 # sorkin.json value depends, and bounds the memory of the per-block arrays.
 _SURVEY_BLOCK = 128
-_I3_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])  # subset_keys(3) order
 
 
 def subset_keys(n_slits: int) -> tuple[str, ...]:
     """Canonical keys for all non-empty slit subsets, e.g. "1", "13", "123"; one digit per slit."""
-    if n_slits > 9:
-        raise ValueError(f"subset keys name slits by one digit, so at most 9 slits, got {n_slits}")
+    if not 1 <= n_slits <= 9:
+        raise ValueError(f"subset keys need at least 1 slit and one digit per slit, so at most 9 slits, got {n_slits}")
     slits = range(1, n_slits + 1)
     keys = []
     for size in slits:
@@ -73,22 +72,22 @@ def _experiment(probs) -> tuple[np.ndarray, tuple[str, ...]]:
     return probs, keys
 
 
-def pairwise_interference(probs, i: int, j: int) -> np.ndarray:
-    """Sorkin's second-order term I2 = P_ij - P_i - P_j for one slit pair, per draw."""
+def interference_term(probs, slits: tuple[int, ...]) -> np.ndarray:
+    """Sorkin's I_k of k >= 2 distinct slits, per draw: the sum of (-1)^(k-|T|) P_T over their subsets T.
+
+    Largest subsets first, each size in subset_keys order, so a pair gives exactly P_ij - P_i - P_j.
+    """
     probs, keys = _experiment(probs)
     n_slits = len(keys[-1])
-    if i == j or not {str(i), str(j)} <= set(keys[:n_slits]):
-        raise ValueError(f"slits ({i}, {j}) are not two distinct slits of 1..{n_slits}")
-    pair = "".join(map(str, sorted((i, j))))
-    return probs[..., keys.index(pair)] - probs[..., keys.index(str(i))] - probs[..., keys.index(str(j))]
-
-
-def interference_i3(probs) -> np.ndarray:
-    """I3 = P_123 - P_12 - P_13 - P_23 + P_1 + P_2 + P_3 of three-slit experiments, per draw."""
-    probs, keys = _experiment(probs)
-    if len(keys) != len(_I3_SIGNS):
-        raise ValueError("I3 is defined on three-slit experiments")
-    return probs @ _I3_SIGNS
+    chosen = set(map(str, slits))
+    if len(slits) < 2 or len(chosen) != len(slits) or not chosen <= set(keys[:n_slits]):
+        raise ValueError(f"slits ({', '.join(map(str, slits))}) are not two or more distinct slits of 1..{n_slits}")
+    term = np.zeros(probs.shape[:-1])
+    for size in range(len(slits), 0, -1):
+        for s, key in enumerate(keys):
+            if len(key) == size and set(key) <= chosen:
+                term = term + (-1) ** (len(slits) - size) * probs[..., s]
+    return term
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def run_interference_survey(n_draws: int, seed: int) -> dict:
         "n_draws": n_draws,
         "seed": seed,
         "n_slits": _SURVEY_SLITS,
-        "max_abs_i3": float(np.abs(interference_i3(probs)).max()),
-        "frac_i2_above_0.01": int(np.count_nonzero(np.abs(pairwise_interference(probs, 1, 2)) > 0.01)) / n_draws,
-        "diagonal_max_abs_i2": float(np.abs(pairwise_interference(diag_probs, 1, 2)).max()),
+        "max_abs_i3": float(np.abs(interference_term(probs, (1, 2, 3))).max()),
+        "frac_i2_above_0.01": int(np.count_nonzero(np.abs(interference_term(probs, (1, 2))) > 0.01)) / n_draws,
+        "diagonal_max_abs_i2": float(np.abs(interference_term(diag_probs, (1, 2))).max()),
     }

@@ -105,13 +105,18 @@ class SpectralPropagator:
     """exp(-i h t) at the times t from one diagonalization h = W diag(E) W^dagger.
 
     ``phases`` holds exp(-i E t): (d,) for a scalar t, (N, d) for N times.
-    A phase E t that overflows raises ValueError naming the largest |E| and |t|.
+    A NaN or infinite time raises ValueError naming the first one; a phase E t
+    that overflows raises it naming the largest |E| and |t|.
     """
 
     def __init__(self, h: np.ndarray, t) -> None:
+        t = np.asarray(t, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(t))
+        if bad.size:
+            raise ValueError(f"time sample {bad[0]} is {t.flat[bad[0]]}, not finite")
         self.energies, self.basis = eig_hermitian(h)
         with np.errstate(over="ignore", invalid="ignore"):
-            angles = np.multiply.outer(np.asarray(t, dtype=float), self.energies)
+            angles = np.multiply.outer(t, self.energies)
         if not np.isfinite(angles).all():
             largest_e, largest_t = np.max(np.abs(self.energies)), np.max(np.abs(t))
             raise ValueError(f"phase E*t overflows: largest |E| = {largest_e:.6g}, largest |t| = {largest_t:.6g}")

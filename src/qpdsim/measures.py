@@ -32,27 +32,12 @@ def _scalar_or_array(x: np.ndarray, was_single: bool):
     return float(x) if was_single else x
 
 
-def von_neumann_entropy(rho: np.ndarray):
-    """S = -tr(rho log2 rho), in bits."""
-    rho = np.asarray(rho)
-    s = _entropy_from_probs(hermitian_eigenvalues(rho))
-    return _scalar_or_array(s, rho.ndim == 2)
-
-
 def l1_coherence(rho: np.ndarray):
     """Sum of the moduli of all off-diagonal entries."""
     rho = np.asarray(rho)
     total = np.sum(np.abs(rho), axis=(-2, -1))
     diag = np.sum(np.abs(np.diagonal(rho, axis1=-2, axis2=-1)), axis=-1)
     return _scalar_or_array(total - diag, rho.ndim == 2)
-
-
-def relative_entropy_coherence(rho: np.ndarray):
-    """Entropy gained by dephasing: S(diag(rho)) - S(rho), in bits."""
-    rho = np.asarray(rho)
-    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
-    c = _entropy_from_probs(diag) - _entropy_from_probs(hermitian_eigenvalues(rho))
-    return _scalar_or_array(c, rho.ndim == 2)
 
 
 def concurrence(rho: np.ndarray | DiagonalizedStates):
@@ -97,21 +82,14 @@ def entanglement_of_formation(rho: np.ndarray | DiagonalizedStates):
     return _scalar_or_array(ef, c.ndim == 0)
 
 
-def mutual_information(rho: np.ndarray):
-    """I(A:B) = S(A) + S(B) - S(AB) for a 4x4 joint state, in bits."""
-    rho = np.asarray(rho)
-    s_a = _entropy_from_probs(hermitian_eigenvalues(partial_trace(rho, "A", (2, 2))))
-    s_b = _entropy_from_probs(hermitian_eigenvalues(partial_trace(rho, "B", (2, 2))))
-    s_ab = _entropy_from_probs(hermitian_eigenvalues(rho))
-    return _scalar_or_array(s_a + s_b - s_ab, rho.ndim == 2)
-
-
 def trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
     """Composite-trapezoid time average (1/T) integral of f dt over [0, T]."""
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise EmptyTrajectoryError("need at least two samples to average")
     span = times[-1] - times[0]
+    if span == 0.0:
+        raise ValueError(f"cannot average over a zero time span, t = {times[0]:g} to {times[-1]:g}")
     return float(_trapezoid(np.asarray(values, dtype=float), times, axis=0) / span)
 
 

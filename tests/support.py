@@ -71,6 +71,38 @@ def chi_series(traj_u, traj_d, traj_c, p_b: float) -> np.ndarray:
     return traj_u.states - p_b * traj_d.states - (1.0 - p_b) * traj_c.states
 
 
+def _entropy_bits(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the last axis, with 0 log 0 := 0 and rounding below zero clamped."""
+    w = np.clip(w, 0.0, None)
+    return -np.sum(w * np.log2(np.where(w > 0.0, w, 1.0)), axis=-1)
+
+
+def _float_if_single(x: np.ndarray, rho: np.ndarray):
+    return float(x) if rho.ndim == 2 else x
+
+
+def von_neumann_entropy(rho):
+    """Oracle of S_AB: S = -tr(rho log2 rho) from one eigvalsh per state, (d, d) or (..., d, d)."""
+    rho = np.asarray(rho)
+    return _float_if_single(_entropy_bits(np.linalg.eigvalsh(rho)), rho)
+
+
+def relative_entropy_coherence(rho):
+    """Oracle of CRE_AB: S(diag(rho)) - S(rho), in bits."""
+    rho = np.asarray(rho)
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
+    return _float_if_single(_entropy_bits(diag) - _entropy_bits(np.linalg.eigvalsh(rho)), rho)
+
+
+def mutual_information(rho):
+    """Oracle of I_AB: S(A) + S(B) - S(AB) of 4x4 joint states, with B the leading qubit."""
+    rho = np.asarray(rho)
+    blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    rho_b, rho_a = np.einsum("...ikjk->...ij", blocks), np.einsum("...ikil->...kl", blocks)
+    s_a, s_b = (_entropy_bits(np.linalg.eigvalsh(m)) for m in (rho_a, rho_b))
+    return _float_if_single(s_a + s_b - _entropy_bits(np.linalg.eigvalsh(rho)), rho)
+
+
 def chi_leak(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """delta and its bound Delta of chi (..., 4, 4), by stp_leak on the diagonal."""
     return stp_leak(np.diagonal(chi, axis1=-2, axis2=-1))

@@ -22,7 +22,6 @@ from qpdsim import (
     partial_trace,
     run_interference_survey,
     time_grid,
-    von_neumann_entropy,
 )
 from qpdsim.cli import main as cli_main
 from qpdsim.linalg import SpectralPropagator
@@ -46,6 +45,7 @@ from support import (
     random_pure_density,
     random_scenario,
     rk4_propagator,
+    von_neumann_entropy,
 )
 
 N_TRIALS = 100

@@ -16,14 +16,13 @@ PUBLIC_NAMES = {
     "DimensionMismatchError", "EmptyInputError", "EmptyTrajectoryError", "GridMismatchError",
     "InvalidModelError", "MissingSubsetError", "NonHermitianError", "NotPositiveError",
     # interference
-    "QuantumSlitModel", "interference_i3", "pairwise_interference", "random_slit_model",
-    "run_interference_survey", "run_slit_model", "subset_keys",
+    "QuantumSlitModel", "interference_term", "random_slit_model", "run_interference_survey",
+    "run_slit_model", "subset_keys",
     # linalg
     "HERM_TOL", "PSD_TOL", "eig_hermitian", "hermitian_eigenvalues", "partial_trace", "tensor",
     # measures
     "MeasureRecord", "average_measures", "concurrence", "entanglement_of_formation",
-    "l1_coherence", "measure_series", "measure_state", "mutual_information", "relative_entropy_coherence",
-    "trapezoid_mean", "von_neumann_entropy",
+    "l1_coherence", "measure_series", "measure_state", "trapezoid_mean",
     # report
     "CaseAnalysis", "ReproduceReport", "analyze_case", "analyze_catalog", "load_reference_table",
     "reproduce_all", "table1_rows", "table2_rows", "table3_rows",

@@ -13,9 +13,8 @@ from qpdsim import (
     evolve,
     initial_mental_state,
     time_grid,
-    von_neumann_entropy,
 )
-from support import random_density
+from support import random_density, von_neumann_entropy
 
 
 def hand_expanded_hamiltonian(mu_d, mu_c, gamma):
@@ -114,6 +113,11 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             evolve(np.eye(2) / 2, build_hamiltonian(), time_grid(samples=4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_is_named(self, bad):
+        with pytest.raises(ValueError, match=rf"^time sample 1 is {bad}, not finite$"):
+            evolve(np.eye(4) / 4, build_hamiltonian(), [0.0, bad, 1.0])
 
     def test_states_are_write_protected(self):
         traj = evolve(np.eye(4) / 4, build_hamiltonian(), time_grid(samples=4))

@@ -14,8 +14,7 @@ from qpdsim import (
     choice_probability,
     evolve,
     initial_mental_state,
-    interference_i3,
-    pairwise_interference,
+    interference_term,
     random_slit_model,
     run_interference_survey,
     run_slit_model,
@@ -58,20 +57,24 @@ class TestSlitExperiment:
         assert len(subset_keys(9)) == 2**9 - 1
         with pytest.raises(ValueError, match="at most 9 slits, got 10$"):
             subset_keys(10)
+        for n_slits in (0, -2):
+            message = f"subset keys need at least 1 slit and one digit per slit, so at most 9 slits, got {n_slits}"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                subset_keys(n_slits)
 
     def test_missing_subset(self):
         with pytest.raises(MissingSubsetError):
-            pairwise_interference(np.array([0.2, 0.3]), 1, 2)
+            interference_term(np.array([0.2, 0.3]), (1, 2))
 
     @pytest.mark.parametrize("length", [4, 8])
     def test_rejects_lengths_that_count_no_subsets(self, length):
         message = f"need one probability per slit subset (1, 3, 7, 15, 31, 63, 127, 255, 511), got shape ({length},)"
         with pytest.raises(MissingSubsetError, match=f"^{re.escape(message)}$"):
-            pairwise_interference(np.full(length, 0.1), 1, 2)
+            interference_term(np.full(length, 0.1), (1, 2))
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
-            pairwise_interference(np.array([0.2, 0.3, 1.4]), 1, 2)
+            interference_term(np.array([0.2, 0.3, 1.4]), (1, 2))
 
     @pytest.mark.parametrize(
         "probs, i, j, slits",
@@ -83,20 +86,26 @@ class TestSlitExperiment:
         ],
     )
     def test_bad_slit_pair_names_pair_and_slits(self, probs, i, j, slits):
-        message = f"slits ({i}, {j}) are not two distinct slits of {slits}"
+        message = f"slits ({i}, {j}) are not two or more distinct slits of {slits}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            pairwise_interference(np.array(probs), i, j)
+            interference_term(np.array(probs), (i, j))
+
+    @pytest.mark.parametrize("slits", [(1,), (1, 2, 2), (2, 3, 4), (0, 1, 2), ()])
+    def test_bad_slit_set_names_slits(self, slits):
+        message = f"slits ({', '.join(map(str, slits))}) are not two or more distinct slits of 1..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interference_term(np.full(7, 0.1), slits)
 
     def test_out_of_range_names_draw_and_subset(self):
         probs = np.full((4, 7), 0.1)
         probs[2, 4] = -0.5
         with pytest.raises(ValueError, match=r"^draw 2: P_13 = -0\.5 outside \[0, 1\]$"):
-            interference_i3(probs)
+            interference_term(probs, (1, 2, 3))
 
 
 class TestI2:
     def test_classical_additive_assignment(self):
-        assert pairwise_interference(np.array([0.2, 0.3, 0.5]), 1, 2) == 0.0
+        assert interference_term(np.array([0.2, 0.3, 0.5]), (1, 2)) == 0.0
 
     def test_positive_for_equal_superposition(self):
         # state and detector both aligned with (|1> + |2>)/sqrt(2): opening
@@ -109,15 +118,15 @@ class TestI2:
         assert exp["12"] == pytest.approx(1.0)
         assert exp["1"] == pytest.approx(0.25)
         assert exp["2"] == pytest.approx(0.25)
-        assert pairwise_interference(probs, 1, 2) == pytest.approx(0.5)
-        assert pairwise_interference(probs, 1, 2) > 0.0
+        assert interference_term(probs, (1, 2)) == pytest.approx(0.5)
+        assert interference_term(probs, (1, 2)) > 0.0
 
     def test_four_slit_classical_model(self):
         # maximally mixed in the slit basis: every pair is additive
         probs = run_slit_model(QuantumSlitModel(np.eye(4)[None] / 4 + 0j, np.eye(4)[None] + 0j, np.eye(4)[None] + 0j))
         assert probs.shape == (1, 15)
         for i, j in itertools.combinations(range(1, 5), 2):
-            assert pairwise_interference(probs, i, j) == 0.0
+            assert interference_term(probs, (i, j)) == 0.0
 
     def test_random_five_slit_model_reads_pairs_by_key(self):
         rng = np.random.default_rng(66)
@@ -130,7 +139,7 @@ class TestI2:
         rows = [dict(zip(subset_keys(d), row)) for row in probs]
         for i, j in itertools.combinations(range(1, d + 1), 2):
             want = [p[f"{i}{j}"] - p[str(i)] - p[str(j)] for p in rows]
-            np.testing.assert_array_equal(pairwise_interference(probs, i, j), want)
+            np.testing.assert_array_equal(interference_term(probs, (i, j)), want)
             assert np.max(np.abs(want)) > 1e-3  # a generic quantum model interferes
 
     def test_choice_deviation_is_two_slit_interference(self):
@@ -145,7 +154,7 @@ class TestI2:
         p_c = choice_probability(trajs["c"].states[1])
         probs = np.array([spec.prediction.p * p_d, (1 - spec.prediction.p) * p_c, p_u])
         delta = chi_leak(chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)[1])[0]
-        assert pairwise_interference(probs, 1, 2) == pytest.approx(delta, abs=1e-12)
+        assert interference_term(probs, (1, 2)) == pytest.approx(delta, abs=1e-12)
 
 
 class TestI3:
@@ -153,35 +162,72 @@ class TestI3:
         singles = {"1": 0.1, "2": 0.2, "3": 0.3}
         probs = dict(singles)
         probs.update({"12": 0.3, "13": 0.4, "23": 0.5, "123": 0.6})
-        assert interference_i3(table(probs)) == pytest.approx(0.0)
+        assert interference_term(table(probs), (1, 2, 3)) == pytest.approx(0.0)
 
     def test_supra_quantum_perturbation(self):
         probs = {k: 0.1 for k in subset_keys(3)}
-        base = interference_i3(table(probs))
+        base = interference_term(table(probs), (1, 2, 3))
         probs["123"] = 0.1 + 0.1
-        assert interference_i3(table(probs)) - base == pytest.approx(0.1)
+        assert interference_term(table(probs), (1, 2, 3)) - base == pytest.approx(0.1)
 
     def test_sign_pattern(self):
         # linear in each subset probability with signs +1 for singles and the
         # triple, -1 for pairs
         signs = {"1": 1, "2": 1, "3": 1, "12": -1, "13": -1, "23": -1, "123": 1}
         base_probs = {k: 0.2 for k in subset_keys(3)}
-        base = interference_i3(table(base_probs))
+        base = interference_term(table(base_probs), (1, 2, 3))
         for key, sign in signs.items():
             probs = dict(base_probs)
             probs[key] += 0.05
-            shifted = interference_i3(table(probs))
+            shifted = interference_term(table(probs), (1, 2, 3))
             assert shifted - base == pytest.approx(sign * 0.05, abs=1e-12)
 
     def test_zero_for_random_quantum_models(self):
         rng = np.random.default_rng(61)
-        i3 = interference_i3(run_slit_model(random_slit_model(rng, 500)))
+        i3 = interference_term(run_slit_model(random_slit_model(rng, 500)), (1, 2, 3))
         assert i3.shape == (500,)
         assert np.max(np.abs(i3)) < 1e-10
 
     def test_rejects_two_slit_experiments(self):
-        with pytest.raises(ValueError, match="three-slit"):
-            interference_i3(np.array([0.2, 0.3, 0.5]))
+        message = "slits (1, 2, 3) are not two or more distinct slits of 1..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interference_term(np.array([0.2, 0.3, 0.5]), (1, 2, 3))
+
+
+def random_model(rng, n_draws, d):
+    """A hand-built stack of random d-slit models: full-rank states, Haar slit bases, random effects."""
+    rho = np.array([random_density(rng, d) for _ in range(n_draws)])
+    basis = np.linalg.qr(rng.standard_normal((n_draws, d, d)) + 1j * rng.standard_normal((n_draws, d, d)))[0]
+    v = np.linalg.qr(rng.standard_normal((n_draws, d, d)) + 1j * rng.standard_normal((n_draws, d, d)))[0]
+    effect = (v * rng.uniform(0.0, 1.0, (n_draws, 1, d))) @ v.conj().swapaxes(1, 2)
+    return QuantumSlitModel(rho, basis, effect)
+
+
+def additive_table(singles):
+    """The classical experiment of independent slits: P_T is the sum of the singles in T."""
+    return {key: sum(singles[int(ch) - 1] for ch in key) for key in subset_keys(len(singles))}
+
+
+class TestHierarchy:
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_only_pairs_interfere_in_random_quantum_models(self, d):
+        probs = run_slit_model(random_model(np.random.default_rng(67 + d), 16, d))
+        for pair in itertools.combinations(range(1, d + 1), 2):
+            assert np.max(np.abs(interference_term(probs, pair))) > 1e-3
+        for k in range(3, d + 1):
+            for slits in itertools.combinations(range(1, d + 1), k):
+                assert np.max(np.abs(interference_term(probs, slits))) < 1e-12
+
+    def test_supra_quantum_table_has_fourth_order_term(self):
+        # a classical four-slit table whose P_123 alone carries a third-order excess of 0.1:
+        # I3 of slits 1-3 reads it, every other triple stays at 0, and I4 = -I3
+        probs = additive_table([0.1, 0.2, 0.3, 0.15])
+        probs["123"] += 0.1
+        four = np.array([probs[key] for key in subset_keys(4)])
+        assert interference_term(four, (1, 2, 3)) == pytest.approx(0.1, abs=1e-12)
+        for triple in ((1, 2, 4), (1, 3, 4), (2, 3, 4)):
+            assert interference_term(four, triple) == pytest.approx(0.0, abs=1e-12)
+        assert interference_term(four, (1, 2, 3, 4)) == pytest.approx(-0.1, abs=1e-12)
 
 
 class TestRunSlitModel:
@@ -207,7 +253,7 @@ class TestRunSlitModel:
         rng = np.random.default_rng(63)
         probs = run_slit_model(random_slit_model(rng, 200, diagonal=True))
         for pair in ((1, 2), (1, 3), (2, 3)):
-            assert np.max(np.abs(pairwise_interference(probs, *pair))) < 1e-12
+            assert np.max(np.abs(interference_term(probs, pair))) < 1e-12
 
     def test_rejects_skewed_slit_basis(self):
         # the oblique projectors outer(v[:, a], inv(v)[a]) of this basis sum to the identity and satisfy
@@ -248,9 +294,9 @@ class TestRunSlitModel:
         for i, j in ((1, 2), (1, 3), (2, 3)):
             pair = f"{i}{j}"
             i2 = [p[pair] - p[str(i)] - p[str(j)] for p in rows]
-            assert_allclose(pairwise_interference(got, i, j), i2, rtol=0, atol=1e-12)
+            assert_allclose(interference_term(got, (i, j)), i2, rtol=0, atol=1e-12)
         i3 = [p["123"] - p["12"] - p["13"] - p["23"] + p["1"] + p["2"] + p["3"] for p in rows]
-        assert_allclose(interference_i3(got), i3, rtol=0, atol=1e-12)
+        assert_allclose(interference_term(got, (1, 2, 3)), i3, rtol=0, atol=1e-12)
 
 
 def valid_stack(n_draws=5, d=3):

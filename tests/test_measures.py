@@ -21,15 +21,20 @@ from qpdsim import (
     l1_coherence,
     measure_series,
     measure_state,
-    mutual_information,
     partial_trace,
-    relative_entropy_coherence,
     tensor,
     time_grid,
     trapezoid_mean,
+)
+from support import (
+    mutual_information,
+    random_density,
+    random_hamiltonian_params,
+    random_hermitian,
+    random_pure_density,
+    relative_entropy_coherence,
     von_neumann_entropy,
 )
-from support import random_density, random_hamiltonian_params, random_hermitian, random_pure_density
 from qpdsim.dynamics import diagonalized_orbit, propagate
 from qpdsim.linalg import SpectralPropagator
 from qpdsim.states import initial_rank
@@ -211,6 +216,10 @@ class TestTimeAverage:
         traj = Trajectory(np.zeros(0), np.zeros((0, 4, 4), dtype=complex))
         with pytest.raises(EmptyTrajectoryError):
             trapezoid_mean(von_neumann_entropy(traj.states), traj.times)
+
+    def test_zero_time_span(self):
+        with pytest.raises(ValueError, match=r"^cannot average over a zero time span, t = 1 to 1$"):
+            trapezoid_mean([1.0, 2.0], [1.0, 1.0])
 
 
 class TestMeasureRecord:
