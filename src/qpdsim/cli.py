@@ -33,7 +33,7 @@ from .report import (
     table2_rows,
     table3_rows,
 )
-from .states import BRANCHES, ScenarioSpec, _config_float, catalog_case, scenario_from_config
+from .states import BRANCHES, ScenarioSpec, _config_float, _config_mapping, catalog_case, scenario_from_config
 
 OUTPUT_KINDS = ("table1", "table2", "table3", "trajectory", "sorkin")
 DEFAULT_OUTPUTS = ("table1", "table2", "table3", "trajectory")
@@ -55,6 +55,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
         for kind in self.outputs:
@@ -176,8 +178,7 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-            if not isinstance(file_cfg, dict):
-                raise ValueError(f"config: top level must be a mapping, got {file_cfg!r}")
+            _config_mapping(file_cfg)
         if args.reproduce_all:
             flags = {"--case": args.case, "--outputs": args.outputs, "--out-dir": args.out_dir, "--seed": args.seed}
             stray = [flag for flag, value in flags.items() if value is not None]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import DiagonalizedStates, SpectralPropagator, tensor
+from .linalg import DiagonalizedStates, SpectralPropagator, eig_hermitian, tensor
 
 DEFAULT_MU = 0.59
 DEFAULT_GAMMA = 1.74
@@ -74,30 +74,24 @@ class Trajectory:
         self.states.setflags(write=False)
 
 
-def propagate(rho0: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U rho0 U^dagger for every propagator U in the stack u (..., d, d)."""
-    return u @ rho0 @ u.conj().swapaxes(-1, -2)
+def orbit(rho0: np.ndarray, propagator: SpectralPropagator, rank: int) -> DiagonalizedStates:
+    """U(t) rho0 U(t)^dagger at the propagator's times, on the support of rho0's ``rank`` largest eigenvalues.
 
-
-def diagonalized_orbit(states: np.ndarray, rho0: np.ndarray, u: np.ndarray, rank: int) -> DiagonalizedStates:
-    """``states = propagate(rho0, u)`` with the eigensystem they keep from t=0, on its support.
-
-    Unitary evolution fixes the spectrum, so rho0 is diagonalized once: every
-    state has the ``rank`` largest eigenvalues of rho0, with the eigenvectors U(t) V0.
+    Unitary evolution keeps the spectrum, so rho0 is diagonalized once: its eigenvectors
+    are propagated, X = U(t) V0, and the states rebuilt as X diag(w) X^dagger.
     """
-    w0, v0 = np.linalg.eigh(np.asarray(rho0, dtype=complex))
-    return DiagonalizedStates(states, w0[-rank:], u @ v0[:, -rank:])
+    w0, v0 = eig_hermitian(rho0)
+    w, x = w0[:rank], propagator.apply(v0[:, :rank])
+    return DiagonalizedStates((x * w) @ x.conj().swapaxes(-1, -2), w, x)
 
 
 def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     """Propagate rho0 along U(t) rho0 U(t)^dagger for every grid time.
 
-    Each propagator is built from the spectral decomposition of h, so there
-    is no step-to-step error accumulation.
+    Each propagator comes from the spectral decomposition of h, so errors do not
+    accumulate step to step. A non-Hermitian rho0 raises NonHermitianError.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    h = np.asarray(h)
-    if rho0.shape != h.shape:
-        raise DimensionMismatchError(f"state shape {rho0.shape} != Hamiltonian shape {h.shape}")
+    if np.shape(rho0) != np.shape(h):
+        raise DimensionMismatchError(f"state shape {np.shape(rho0)} != Hamiltonian shape {np.shape(h)}")
     times = np.asarray(times, dtype=float)
-    return Trajectory(times, propagate(rho0, SpectralPropagator(h, times).unitaries()))
+    return Trajectory(times, orbit(rho0, SpectralPropagator(h, times), len(rho0)).states)

@@ -39,11 +39,11 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DiagonalizedStates(NamedTuple):
-    """Stacked states (N, d, d) with their eigensystem, eigenvalues ascending.
+    """Stacked states (N, d, d) with their eigensystem.
 
-    ``eigenvalues`` is (N, d) with ``eigenvectors`` (N, d, d). Along a unitary
-    orbit all states share one spectrum, and only its support is kept:
-    eigenvalues (r,) and eigenvectors (N, d, r), where r is the rank.
+    A bare stack has ``eigenvalues`` (N, d), ascending, and ``eigenvectors`` (N, d, d). A unitary orbit
+    keeps one spectrum and only its support: eigenvalues (r,), descending as eig_hermitian gives them,
+    and eigenvectors (N, d, r), where r is the rank. No measure depends on the order.
     """
 
     states: np.ndarray
@@ -122,9 +122,9 @@ class SpectralPropagator:
             raise ValueError(f"phase E*t overflows: largest |E| = {largest_e:.6g}, largest |t| = {largest_t:.6g}")
         self.phases = np.exp(-1j * angles)
 
-    def unitaries(self) -> np.ndarray:
-        """U(t) = W diag(exp(-i E t)) W^dagger: (d, d) or (N, d, d)."""
-        return (self.basis * self.phases[..., None, :]) @ self.basis.conj().T
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """U(t) v = W (exp(-i E t) * (W^dagger v)) for columns v (d, k): (d, k) or (N, d, k)."""
+        return self.basis @ (self.phases[..., :, None] * (self.basis.conj().T @ v))
 
     def conjugated_diagonal(self, m0: np.ndarray) -> np.ndarray:
         """Diagonal of U(t) m0 U(t)^dagger, (d,) or (N, d), without forming the matrices.

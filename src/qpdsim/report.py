@@ -24,9 +24,8 @@ from .dynamics import (
     HamiltonianParams,
     Trajectory,
     build_hamiltonian,
-    diagonalized_orbit,
     evolve,  # noqa: F401  (unused here; perfbench/selftest.py reads report.evolve)
-    propagate,
+    orbit,
     time_grid,
 )
 from .linalg import SpectralPropagator
@@ -148,27 +147,23 @@ def analyze_case(
 ) -> CaseAnalysis:
     """Run one scenario end to end on the default or a custom grid.
 
-    H is diagonalized once and its propagator stack built once for all
-    three branches. Each branch state is diagonalized once, at t=0, because
-    unitary evolution keeps its spectrum, and measured on the support of
-    that spectrum; the rank comes from the qubit factors. Only the diagonal
-    of chi(t) is formed, from chi(0) in H's eigenbasis, so it is exactly
-    zero when the uncertain prediction has no coherence.
+    H is diagonalized once for all three branches, and each branch state once,
+    at t=0: unitary evolution keeps its spectrum, so only the eigenvectors of
+    its support (its rank comes from the qubit factors) are propagated, and its
+    states are rebuilt and measured on them. Only the diagonal of chi(t) is
+    formed, from chi(0) in H's eigenbasis, so it is exactly zero when the
+    uncertain prediction has no coherence.
     """
     spec = catalog_case(scenario) if isinstance(scenario, str) else scenario
     times = time_grid(t_max, samples)
     propagator = SpectralPropagator(build_hamiltonian(params), times)
     delta, delta_bound = stp_leak(propagator.conjugated_diagonal(chi_initial(spec)))
-    u = propagator.unitaries()
-    rho0 = {alpha: initial_mental_state(spec, alpha) for alpha in BRANCHES}
-    trajectories = {alpha: Trajectory(times, propagate(rho0[alpha], u)) for alpha in BRANCHES}
-    # Every branch is propagated before any is measured, and each eigenvector stack (N, 4, rank)
-    # is built to measure one branch, then dropped. Propagating each branch just before
-    # measuring it fragments the heap and raises peak RSS by 4% at 16385 samples.
-    series = {
-        alpha: measure_series(diagonalized_orbit(trajectories[alpha].states, rho0[alpha], u, initial_rank(spec, alpha)))
-        for alpha in BRANCHES
-    }
+    trajectories, series = {}, {}
+    for alpha in BRANCHES:
+        branch = orbit(initial_mental_state(spec, alpha), propagator, initial_rank(spec, alpha))
+        trajectories[alpha] = Trajectory(times, branch.states)
+        series[alpha] = measure_series(branch)
+        del branch  # its eigenvector stack (N, 4, rank) goes before the next branch's is built
     return CaseAnalysis(
         spec=spec,
         hamiltonian=params,

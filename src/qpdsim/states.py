@@ -18,6 +18,8 @@ from .errors import NotPositiveError
 from .linalg import PSD_TOL, tensor
 
 BRANCHES = ("u", "d", "c")
+_CONFIG_KEYS = ("case_label", "branches", "mu_d", "mu_c", "gamma", "t_max", "samples")
+_BRANCH_KEYS = ("pB", "lamB_re", "lamB_im", "pA", "lamA_re", "lamA_im")
 
 
 @dataclass(frozen=True)
@@ -136,16 +138,22 @@ def scenario_to_config(spec: ScenarioSpec) -> dict:
 
 
 def _config_value(mapping, path: str, default=None):
-    """Entry at the dotted key ``path`` whose parent is ``mapping``."""
-    parent, _, key = path.rpartition(".")
-    try:
-        return mapping[key]
-    except KeyError:
-        if default is not None:
-            return default
-        raise ValueError(f"config: missing key {path}") from None
-    except TypeError:
-        raise ValueError(f"config: {parent or 'top level'} must be a mapping, got {mapping!r}") from None
+    """Entry at the dotted key ``path`` whose parent is ``mapping``, a mapping checked by _config_mapping."""
+    key = path.rpartition(".")[2]
+    if key not in mapping and default is None:
+        raise ValueError(f"config: missing key {path}")
+    return mapping.get(key, default)
+
+
+def _config_mapping(parent, path: str = "", known: tuple[str, ...] = _CONFIG_KEYS) -> Mapping:
+    """The mapping at ``path`` (``parent`` itself, the top level, for the empty path), with no key outside ``known``."""
+    mapping = _config_value(parent, path) if path else parent
+    if not isinstance(mapping, Mapping):
+        raise ValueError(f"config: {path or 'top level'} must be a mapping, got {mapping!r}")
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise ValueError(f"config: unknown key {path}{'.' if path else ''}{unknown[0]}; known keys: {', '.join(known)}")
+    return mapping
 
 
 def _config_float(mapping, path: str, default=None) -> float:
@@ -168,11 +176,12 @@ def scenario_from_config(config: Mapping) -> ScenarioSpec:
     """Parse the mapping produced by scenario_to_config.
 
     The scenario comes from branch "u"; branches "d" and "c" must hold the
-    values it derives for them. A missing, malformed or inconsistent entry
-    raises ValueError naming its key path, e.g. ``branches.d.pB``.
+    values it derives for them. A missing, unknown, malformed or inconsistent
+    entry raises ValueError naming its key path, e.g. ``branches.d.pB``.
     """
-    branches_cfg = _config_value(config, "branches")
-    raw = {alpha: _config_value(branches_cfg, f"branches.{alpha}") for alpha in BRANCHES}
+    config = _config_mapping(config)
+    branches_cfg = _config_mapping(config, "branches", BRANCHES)
+    raw = {alpha: _config_mapping(branches_cfg, f"branches.{alpha}", _BRANCH_KEYS) for alpha in BRANCHES}
     label = _config_value(config, "case_label")
     prediction, action = (_subsystem_from_config(raw["u"], "branches.u", side) for side in "BA")
     try:

@@ -47,7 +47,7 @@ def stp_leak(chi_diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whole diagonal, so Delta >= |delta|.
     """
     chi_diagonal = np.asarray(chi_diagonal)
-    if np.max(np.abs(_defection_weight(chi_diagonal.imag)), initial=0.0) > _IMAG_TOL:
+    if np.max(np.abs(chi_diagonal.imag), initial=0.0) > _IMAG_TOL:
         raise ValueError("chi diagonal has a non-negligible imaginary part")
     return _defection_weight(chi_diagonal), np.sum(np.abs(chi_diagonal), axis=-1)
 

@@ -109,6 +109,10 @@ def test_error_paths(tmp_path, capsys):
     assert main(["--case", "1", "--samples", "1", "--out-dir", str(tmp_path)]) == 1
     assert "at least 2" in capsys.readouterr().err
 
+    # checked even when the survey, the seed's only reader, is not requested
+    assert main(["--case", "1", "--seed", "-1", "--outputs", "table1", "--out-dir", str(tmp_path)]) == 1
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     assert main(["--case", "1", "--outputs", "bogus", "--out-dir", str(tmp_path)]) == 1
     assert "unknown output" in capsys.readouterr().err
 
@@ -163,6 +167,14 @@ def test_case_and_scenario_config_conflict(tmp_path, capsys):
         pytest.param(lambda cfg: cfg.update(case_label="x\ny"), "case_label", id="label-newline"),
         pytest.param(lambda cfg: cfg.update(case_label=""), "case_label", id="label-empty"),
         pytest.param(lambda cfg: cfg.update(case_label=5), "case_label", id="label-number"),
+        # a misspelt key would otherwise fall back to its default silently
+        pytest.param(lambda cfg: cfg.update(gama=0.2), "unknown key gama", id="top-level-typo"),
+        pytest.param(
+            lambda cfg: cfg["branches"]["u"].update(lamB_Re=0.25),
+            "unknown key branches.u.lamB_Re",
+            id="branch-field-typo",
+        ),
+        pytest.param(lambda cfg: cfg["branches"].update(x={}), "unknown key branches.x", id="unknown-branch"),
     ],
 )
 def test_config_errors_name_the_key_path(tmp_path, capsys, edit, path):
@@ -174,6 +186,15 @@ def test_config_errors_name_the_key_path(tmp_path, capsys, edit, path):
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and path in err
     assert not (tmp_path / "table1.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["gama", "sample"])
+def test_reproduce_all_rejects_unknown_config_keys(tmp_path, capsys, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"samples": 129, key: 1}))
+    assert main(["--reproduce-all", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config: unknown key {key}; ") and captured.out == ""
 
 
 def test_render_failure_writes_nothing(tmp_path, monkeypatch, capsys):

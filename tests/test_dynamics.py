@@ -6,6 +6,7 @@ import pytest
 from qpdsim import (
     DimensionMismatchError,
     HamiltonianParams,
+    NonHermitianError,
     build_hamiltonian,
     catalog_case,
     choice_probability,
@@ -113,6 +114,12 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             evolve(np.eye(2) / 2, build_hamiltonian(), time_grid(samples=4))
+
+    def test_non_hermitian_state_rejected(self):
+        rho0 = np.eye(4) / 4
+        rho0[0, 1] = 0.1
+        with pytest.raises(NonHermitianError):
+            evolve(rho0, build_hamiltonian(), time_grid(samples=4))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_time_is_named(self, bad):

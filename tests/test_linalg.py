@@ -7,6 +7,7 @@ from qpdsim import (
     NonHermitianError,
     build_hamiltonian,
     eig_hermitian,
+    hermitian_eigenvalues,
     partial_trace,
     tensor,
 )
@@ -49,6 +50,37 @@ class TestEigHermitian:
             assert np.all(np.diff(w) <= 1e-12)
             np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
             assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-10
+
+
+def random_hermitian_stack(rng, n, dim):
+    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
+class TestHermitianEigenvalues:
+    """The 2x2 closed form and the eigvalsh path against np.linalg.eigvalsh."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_stacks_match_eigvalsh(self, dim):
+        rng = np.random.default_rng(15)
+        m = random_hermitian_stack(rng, 200, dim).reshape(10, 20, dim, dim)
+        got = hermitian_eigenvalues(m)
+        assert got.shape == (10, 20, dim)
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(m)[..., ::-1], rtol=0, atol=1e-14)
+        assert np.all(np.diff(got, axis=-1) <= 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_degenerate_matrices(self, dim):
+        rng = np.random.default_rng(16)
+        m = random_hermitian_stack(rng, 50, dim)
+        equal_diagonal = m.copy()
+        equal_diagonal[:, 1, 1] = equal_diagonal[:, 0, 0]
+        zero_off_diagonal = m * np.eye(dim)
+        identities = np.broadcast_to(np.eye(dim), m.shape)
+        for stack in (equal_diagonal, zero_off_diagonal, zero_off_diagonal * 0.0, identities):
+            got = hermitian_eigenvalues(stack)
+            np.testing.assert_allclose(got, np.linalg.eigvalsh(stack)[..., ::-1], rtol=0, atol=1e-14)
+            assert np.all(np.diff(got, axis=-1) <= 0.0)
 
 
 class TestTensor:
@@ -120,21 +152,21 @@ class TestPartialTrace:
 
 
 class TestUnitaryFromHamiltonian:
-    """exp(-i h t) as SpectralPropagator(h, t).unitaries() builds it."""
+    """exp(-i h t) as SpectralPropagator(h, t).apply(np.eye(4)) builds it."""
 
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(10)
         h = random_hermitian(rng, 4)
-        np.testing.assert_allclose(SpectralPropagator(h, 0.0).unitaries(), np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(SpectralPropagator(h, 0.0).apply(np.eye(4)), np.eye(4), atol=1e-14)
 
     def test_involutory_hamiltonian_at_pi(self):
         # H^2 = I gives U(t) = cos(t) I - i sin(t) H, hence U(pi) = -I
         h = build_hamiltonian(HamiltonianParams(mu_d=0.59, mu_c=0.59, gamma=0.0))
-        np.testing.assert_allclose(SpectralPropagator(h, np.pi).unitaries(), -np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(SpectralPropagator(h, np.pi).apply(np.eye(4)), -np.eye(4), atol=1e-12)
 
     def test_matches_rk4_oracle(self):
         h = build_hamiltonian(HamiltonianParams(0.59, 0.59, 1.74))
-        u = SpectralPropagator(h, 1.0).unitaries()
+        u = SpectralPropagator(h, 1.0).apply(np.eye(4))
         assert np.max(np.abs(u - rk4_propagator(h, 1.0))) <= 1e-8
 
     def test_group_law(self):
@@ -142,14 +174,14 @@ class TestUnitaryFromHamiltonian:
         for _ in range(25):
             h = random_hermitian(rng, 4)
             t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-            lhs = SpectralPropagator(h, t1).unitaries() @ SpectralPropagator(h, t2).unitaries()
-            rhs = SpectralPropagator(h, t1 + t2).unitaries()
+            lhs = SpectralPropagator(h, t1).apply(np.eye(4)) @ SpectralPropagator(h, t2).apply(np.eye(4))
+            rhs = SpectralPropagator(h, t1 + t2).apply(np.eye(4))
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_unitarity(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
-            u = SpectralPropagator(random_hermitian(rng, 4), rng.uniform(0.0, 10.0)).unitaries()
+            u = SpectralPropagator(random_hermitian(rng, 4), rng.uniform(0.0, 10.0)).apply(np.eye(4))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
 
     def test_rejects_non_hermitian(self):
@@ -160,8 +192,8 @@ class TestUnitaryFromHamiltonian:
         rng = np.random.default_rng(14)
         h = random_hermitian(rng, 4)
         times = np.linspace(-3.0, 3.0, 7)
-        stack = SpectralPropagator(h, times).unitaries()
+        stack = SpectralPropagator(h, times).apply(np.eye(4))
         assert stack.shape == (7, 4, 4)
         for t, u in zip(times, stack):
-            np.testing.assert_allclose(u, SpectralPropagator(h, t).unitaries(), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(u, SpectralPropagator(h, t).apply(np.eye(4)), rtol=0, atol=1e-14)
 

@@ -35,7 +35,7 @@ from support import (
     relative_entropy_coherence,
     von_neumann_entropy,
 )
-from qpdsim.dynamics import diagonalized_orbit, propagate
+from qpdsim.dynamics import orbit
 from qpdsim.linalg import SpectralPropagator
 from qpdsim.states import initial_rank
 
@@ -61,7 +61,7 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(41)
         for _ in range(100):
             rho = random_density(rng, 4)
-            u = SpectralPropagator(random_hermitian(rng, 4), rng.uniform(0, 5)).unitaries()
+            u = SpectralPropagator(random_hermitian(rng, 4), rng.uniform(0, 5)).apply(np.eye(4))
             rotated = u @ rho @ u.conj().T
             assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-10
 
@@ -145,12 +145,14 @@ class TestOrbitSupport:
         for k in range(16):
             spec = ScenarioSpec("random", random_qubit(rng, k % 2 == 0), random_qubit(rng, k % 4 < 2))
             h = build_hamiltonian(random_hamiltonian_params(rng))
-            u = SpectralPropagator(h, time_grid(samples=257)).unitaries()
+            propagator = SpectralPropagator(h, time_grid(samples=257))
+            u = propagator.apply(np.eye(4))
             for alpha in ("u", "d", "c"):
                 rho0, rank = initial_mental_state(spec, alpha), initial_rank(spec, alpha)
-                states = propagate(rho0, u)
-                thin = diagonalized_orbit(states, rho0, u, rank)
+                states = u @ rho0 @ u.conj().swapaxes(-1, -2)
+                thin = orbit(rho0, propagator, rank)
                 assert thin.eigenvalues.shape == (rank,) and thin.eigenvectors.shape == (257, 4, rank)
+                np.testing.assert_allclose(thin.states, states, rtol=0, atol=1e-14)
                 got, bare = measure_series(thin), measure_series(states)
                 for name in ("S_AB", "I_AB", "CRE_AB", "EF_AB"):
                     np.testing.assert_allclose(getattr(got, name), getattr(bare, name), rtol=0, atol=1e-12)

@@ -17,6 +17,7 @@ from qpdsim import (
     time_grid,
 )
 from qpdsim.linalg import SpectralPropagator
+from qpdsim.stp import stp_leak
 from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario
 
 SATISFYING = ("1", "1*", "2")
@@ -74,7 +75,7 @@ class TestChiSeries:
         h = build_hamiltonian()
         chi0 = chi_initial(spec)
         for k in (1, 64, 200, 256):
-            u = SpectralPropagator(h, times[k]).unitaries()
+            u = SpectralPropagator(h, times[k]).apply(np.eye(4))
             np.testing.assert_allclose(chi[k], u @ chi0 @ u.conj().T, atol=1e-10)
 
     def test_traceless_along_evolution(self):
@@ -89,8 +90,7 @@ class TestDelta:
         assert chi_leak(np.zeros((4, 4), dtype=complex))[0] == 0.0
 
     def test_rejects_imaginary_diagonal(self):
-        # off-diagonal imaginary parts are legitimate; only the dd + cd
-        # diagonal sum must be real
+        # off-diagonal imaginary parts are legitimate; every diagonal entry must be real
         chi = np.zeros((3, 4, 4), dtype=complex)
         chi[:, 0, 1] = 0.3j
         assert np.array_equal(chi_leak(chi)[0], np.zeros(3))
@@ -99,6 +99,13 @@ class TestDelta:
             chi_leak(chi)
         with pytest.raises(ValueError, match="imaginary part"):
             chi_leak(chi[1])
+
+    def test_rejects_imaginary_parts_that_cancel_in_delta(self):
+        # dd and cd carry opposite imaginary parts, so delta alone would look real
+        with pytest.raises(ValueError, match="imaginary part"):
+            stp_leak(np.array([1j, 0.0, -1j, 0.0]))
+        with pytest.raises(ValueError, match="imaginary part"):
+            stp_leak(np.array([0.0, 1j, 0.0, 0.0]))
 
     def test_case2_never_deviates(self):
         spec = catalog_case("2")
