@@ -119,7 +119,7 @@ def _config_from_args(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
     else:
         raise ValueError("no scenario: pass --case LABEL or --config with case_label/branches")
     hamiltonian, t_max, samples = _run_params(args, file_cfg)
-    outputs = tuple(s.strip() for s in args.outputs.split(",")) if args.outputs else DEFAULT_OUTPUTS
+    outputs = tuple(s.strip() for s in args.outputs.split(",")) if args.outputs is not None else DEFAULT_OUTPUTS
     given = {key: value for key, value in (("out_dir", args.out_dir), ("seed", args.seed)) if value is not None}
     return RunConfig(scenario, hamiltonian, t_max, samples, outputs, **given)
 

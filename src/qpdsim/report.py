@@ -83,6 +83,7 @@ TRAJECTORY_COLUMNS = (
 )
 
 _SIG_FMT = "%.12g"
+_RENDER_BLOCK_ROWS = 1024
 
 # Valid ranges for emitted columns. Values within _RANGE_CLIP_TOL of a bound
 # are rounding residue and get clipped onto it; anything beyond is an
@@ -409,8 +410,15 @@ def render_trajectory_csv(analysis: CaseAnalysis, branch: str) -> str:
     for name in MEASURE_FIELDS:
         column_data[name] = getattr(series, name)
     m = np.column_stack([_checked_column(name, column_data[name]) for name in TRAJECTORY_COLUMNS])
+    # One % per block of rows, written into one buffer: the text np.savetxt
+    # gives, without its per-row loop, and with only one block's text alive
+    # besides the buffer (a single % over all rows raises the CLI's peak RSS).
+    row = ",".join([_SIG_FMT] * len(TRAJECTORY_COLUMNS)) + "\n"
     buf = io.StringIO()
-    np.savetxt(buf, m, fmt=_SIG_FMT, delimiter=",", header=",".join(TRAJECTORY_COLUMNS), comments="")
+    buf.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+    for start in range(0, len(m), _RENDER_BLOCK_ROWS):
+        block = m[start : start + _RENDER_BLOCK_ROWS]
+        buf.write((row * len(block)) % tuple(block.ravel().tolist()))
     return buf.getvalue()
 
 

@@ -1,8 +1,12 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import io
+
 import numpy as np
 
 from qpdsim import GridMismatchError, HamiltonianParams, ScenarioSpec, SubsystemParams, subset_keys
+from qpdsim.measures import MEASURE_FIELDS
+from qpdsim.report import TRAJECTORY_COLUMNS, _checked_column
 from qpdsim.stp import stp_leak
 
 
@@ -106,6 +110,17 @@ def mutual_information(rho):
 def chi_leak(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """delta and its bound Delta of chi (..., 4, 4), by stp_leak on the diagonal."""
     return stp_leak(np.diagonal(chi, axis1=-2, axis2=-1))
+
+
+def savetxt_trajectory_csv(analysis, branch: str) -> str:
+    """A trajectory file as np.savetxt writes it, one row at a time, from the checked columns."""
+    columns = {"t": analysis.times, "delta": analysis.delta, "Delta": analysis.delta_bound}
+    columns.update((f"p_{alpha}", p) for alpha, p in analysis.probabilities.items())
+    columns.update((name, getattr(analysis.series[branch], name)) for name in MEASURE_FIELDS)
+    m = np.column_stack([_checked_column(name, columns[name]) for name in TRAJECTORY_COLUMNS])
+    buf = io.StringIO()
+    np.savetxt(buf, m, fmt="%.12g", delimiter=",", header=",".join(TRAJECTORY_COLUMNS), comments="")
+    return buf.getvalue()
 
 
 def slit_probabilities(rho: np.ndarray, projectors: np.ndarray, effect: np.ndarray) -> np.ndarray:

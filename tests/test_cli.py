@@ -116,6 +116,12 @@ def test_error_paths(tmp_path, capsys):
     assert main(["--case", "1", "--outputs", "bogus", "--out-dir", str(tmp_path)]) == 1
     assert "unknown output" in capsys.readouterr().err
 
+    # an empty list is rejected like any unknown kind, not replaced by the defaults
+    empty = tmp_path / "empty"
+    assert main(["--case", "1", "--outputs", "", "--out-dir", str(empty)]) == 1
+    assert "unknown output ''; choose from" in capsys.readouterr().err
+    assert not empty.exists()
+
     for name, text, shown in (("list.json", "[1]", "[1]"), ("number.json", "5", "5"), ("null.json", "null", "None")):
         not_a_mapping = tmp_path / name
         not_a_mapping.write_text(text)

@@ -10,14 +10,16 @@ from qpdsim import (
     CATALOG_LABELS,
     HamiltonianParams,
     analyze_case,
+    build_hamiltonian,
     catalog_case,
     initial_mental_state,
     load_reference_table,
     measure_series,
 )
-from qpdsim import linalg
+from qpdsim import dynamics, linalg
 from qpdsim.measures import MEASURE_FIELDS, MeasureRecord
 from qpdsim.report import (
+    _RENDER_BLOCK_ROWS,
     TABLE1_COLUMNS,
     TABLE2_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -29,7 +31,7 @@ from qpdsim.report import (
     reproduce_all,
     table2_rows,
 )
-from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario
+from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario, savetxt_trajectory_csv
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +101,12 @@ def spectral_analyses():
 
 class TestSpectralEngine:
     def test_one_diagonalization_of_h_and_none_per_sample(self, monkeypatch):
-        h_diagonalizations = []
+        diagonalized = []
         stacked = []
         real_eig = linalg.eig_hermitian
 
         def counting_eig(m):
-            h_diagonalizations.append(m)
+            diagonalized.append(np.array(m))
             return real_eig(m)
 
         def recording(fn):
@@ -114,11 +116,19 @@ class TestSpectralEngine:
 
             return wrapped
 
+        # Every module-level binding of eig_hermitian: linalg's own (H, in
+        # SpectralPropagator) and dynamics' imported one (the t=0 states, in orbit).
         monkeypatch.setattr(linalg, "eig_hermitian", counting_eig)
+        monkeypatch.setattr(dynamics, "eig_hermitian", counting_eig)
         monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
         analyze_case("3*", samples=65)
-        assert len(h_diagonalizations) == 1
+        h = build_hamiltonian()
+        assert [m.shape for m in diagonalized] == [(4, 4)] * 4
+        assert sum(np.array_equal(m, h) for m in diagonalized) == 1
+        states = [m for m in diagonalized if not np.array_equal(m, h)]
+        initial = [initial_mental_state(catalog_case("3*"), alpha) for alpha in BRANCHES]
+        assert all(any(np.array_equal(m, rho) for m in states) for rho in initial)
         assert [shape for shape in stacked if len(shape) > 2] == []
 
     def test_branch_series_match_bare_states(self, spectral_analyses):
@@ -254,6 +264,14 @@ class TestRendering:
             "0,0.333333333333,1,0,0,0,2,1e-05,0,0,123456.789,1e-300,0.25,0.125,1\n"
             "3.14159265359,0.5,0.5,0.5,-0.25,0.75,1,0.1,1.5,0.666666666667,0,1,3,1,0.5\n"
         )
+
+    @pytest.mark.parametrize(
+        "samples", [2, _RENDER_BLOCK_ROWS - 1, _RENDER_BLOCK_ROWS, _RENDER_BLOCK_ROWS + 1, 2 * _RENDER_BLOCK_ROWS + 1]
+    )
+    def test_blocks_match_savetxt(self, samples):
+        analysis = analyze_case("4", samples=samples)
+        for alpha in BRANCHES:
+            assert render_trajectory_csv(analysis, alpha) == savetxt_trajectory_csv(analysis, alpha)
 
     def test_table_format_pin(self):
         # 2.675 is stored just below 2.675, so it rounds down like the decimal value
