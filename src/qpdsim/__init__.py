@@ -41,7 +41,6 @@ from .linalg import (
     eig_hermitian,
     hermitian_eigenvalues,
     partial_trace,
-    tensor,
 )
 from .measures import (
     MeasureRecord,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import DiagonalizedStates, SpectralPropagator, eig_hermitian, tensor
+from .linalg import DiagonalizedStates, SpectralPropagator, eig_hermitian
 
 DEFAULT_MU = 0.59
 DEFAULT_GAMMA = 1.74
@@ -30,8 +30,11 @@ class HamiltonianParams:
 
     def __post_init__(self) -> None:
         for name in ("mu_d", "mu_c", "gamma"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            if name != "gamma" and math.isinf(value * value):  # build_hamiltonian divides by sqrt(1 + mu^2)
+                raise ValueError(f"{name} = {value:g} is too large: its square overflows")
 
 
 def build_hamiltonian(params: HamiltonianParams = HamiltonianParams()) -> np.ndarray:
@@ -44,10 +47,10 @@ def build_hamiltonian(params: HamiltonianParams = HamiltonianParams()) -> np.nda
     h = np.zeros((4, 4))
     for i, mu in enumerate((params.mu_d, params.mu_c)):
         h_a = np.array([[mu, 1.0], [1.0, -mu]]) / math.sqrt(1.0 + mu * mu)
-        h += tensor(_PROJ[i], h_a)
+        h += np.kron(_PROJ[i], h_a)
     for j, nu in enumerate((1.0, -1.0)):
         h_b = -(params.gamma / math.sqrt(2.0)) * np.array([[nu, 1.0], [1.0, -nu]])
-        h += tensor(h_b, _PROJ[j])
+        h += np.kron(h_b, _PROJ[j])
     return h
 
 
@@ -75,14 +78,14 @@ class Trajectory:
 
 
 def orbit(rho0: np.ndarray, propagator: SpectralPropagator, rank: int) -> DiagonalizedStates:
-    """U(t) rho0 U(t)^dagger at the propagator's times, on the support of rho0's ``rank`` largest eigenvalues.
+    """U(t) rho0 U(t)^dagger at the propagator's times, with the spectrum and n of its ``rank`` largest eigenvalues.
 
-    Unitary evolution keeps the spectrum, so rho0 is diagonalized once: its eigenvectors
-    are propagated, X = U(t) V0, and the states rebuilt as X diag(w) X^dagger.
+    Unitary evolution keeps the spectrum, so rho0 is diagonalized once; the states and n
+    are both Bohr sums over H's eigenbasis, formed from rho0 and its support at t=0.
     """
     w0, v0 = eig_hermitian(rho0)
-    w, x = w0[:rank], propagator.apply(v0[:, :rank])
-    return DiagonalizedStates((x * w) @ x.conj().swapaxes(-1, -2), w, x)
+    w = w0[:rank]
+    return DiagonalizedStates(propagator.conjugated(rho0), w, propagator.spin_flipped(w, v0[:, :rank]))
 
 
 def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:

@@ -19,6 +19,8 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
 
+_SPIN_FLIP = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]]).real  # Y (x) Y, a real +-1 antidiagonal
+
 
 def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERM_TOL)
@@ -39,24 +41,29 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DiagonalizedStates(NamedTuple):
-    """Stacked states (N, d, d) with their eigensystem.
+    """Stacked two-qubit states (N, 4, 4) with their spectrum and n = sqrt(w) V^dagger (Y (x) Y) V^* sqrt(w).
 
-    A bare stack has ``eigenvalues`` (N, d), ascending, and ``eigenvectors`` (N, d, d). A unitary orbit
-    keeps one spectrum and only its support: eigenvalues (r,), descending as eig_hermitian gives them,
-    and eigenvectors (N, d, r), where r is the rank. No measure depends on the order.
+    A bare stack has ``eigenvalues`` (N, 4), ascending, and n (N, 4, 4). A unitary orbit keeps one
+    spectrum and only its support: eigenvalues (r,), descending as eig_hermitian gives them, and
+    n (N, r, r), where r is the rank. No measure depends on the order.
     """
 
     states: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    n: np.ndarray
 
 
 def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
-    """``states`` with its eigensystem: the one it carries, else one eigh per state."""
+    """``states`` with its spectrum and n: the ones it carries, else from one eigh per state."""
     if isinstance(states, DiagonalizedStates):
         return states
     states = np.asarray(states, dtype=complex)
-    return DiagonalizedStates(states, *np.linalg.eigh(states))
+    if states.shape[-2:] != (4, 4):
+        raise DimensionMismatchError(f"concurrence needs 4x4 states, got {states.shape[-2:]}")
+    w, v = np.linalg.eigh(states)
+    root_w = np.sqrt(np.clip(w, 0.0, None))
+    n = root_w[..., :, None] * (v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()) * root_w[..., None, :]
+    return DiagonalizedStates(states, w, n)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -73,11 +80,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         radius = np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
         return np.stack([mean + radius, mean - radius], axis=-1)
     return np.linalg.eigvalsh(m)[..., ::-1]
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first argument as the leading factor."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray:
@@ -122,18 +124,26 @@ class SpectralPropagator:
             raise ValueError(f"phase E*t overflows: largest |E| = {largest_e:.6g}, largest |t| = {largest_t:.6g}")
         self.phases = np.exp(-1j * angles)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """U(t) v = W (exp(-i E t) * (W^dagger v)) for columns v (d, k): (d, k) or (N, d, k)."""
-        return self.basis @ (self.phases[..., :, None] * (self.basis.conj().T @ v))
-
-    def conjugated_diagonal(self, m0: np.ndarray) -> np.ndarray:
-        """Diagonal of U(t) m0 U(t)^dagger, (d,) or (N, d), without forming the matrices.
-
-        With C = W^dagger m0 W in H's eigenbasis, entry a is the sum over j, k of
-        W_aj C_jk conj(W_ak) exp(-i (E_j - E_k) t). A zero m0 gives exact zeros.
+    def conjugated(self, m0: np.ndarray) -> np.ndarray:
+        """U(t) m0 U(t)^dagger, (d, d) or (N, d, d): with C = W^dagger m0 W, entry ab sums
+        W_aj C_jk conj(W_bk) exp(-i (E_j - E_k) t) over j, k, so a zero m0 gives exact zeros.
         """
         w = self.basis
-        coefficients = np.einsum("aj,jk,ak->jka", w, w.conj().T @ m0 @ w, w.conj())
-        bohr = self.phases[..., :, None] * self.phases.conj()[..., None, :]
-        return np.einsum("...jk,jka->...a", bohr, coefficients)
+        return _bohr_sum(self.phases, self.phases.conj(), w.T, w.conj().T @ m0 @ w, w.conj().T)
 
+    def spin_flipped(self, w0: np.ndarray, v0: np.ndarray) -> np.ndarray:
+        """n(t) = sqrt(w0) X^dagger (Y (x) Y) X^* sqrt(w0) for X = U(t) v0: (r, r) or (N, r, r).
+
+        With A = W^dagger v0 sqrt(w0) and B = W^dagger (Y (x) Y) W^*, entry rs sums
+        conj(A_jr) B_jk conj(A_ks) exp(+i (E_j + E_k) t) over j, k.
+        """
+        w = self.basis
+        a = (w.conj().T @ v0 * np.sqrt(np.clip(w0, 0.0, None))).conj()
+        return _bohr_sum(self.phases.conj(), self.phases.conj(), a, w.conj().T @ _SPIN_FLIP @ w.conj(), a)
+
+
+def _bohr_sum(p: np.ndarray, q: np.ndarray, left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_jk left_ja p_j m_jk q_k right_kb, (a, b) or (N, a, b), for phases p, q (d,) or (N, d): one BLAS product."""
+    coefficients = np.einsum("ja,jk,kb->jkab", left, m, right).reshape(len(m) ** 2, -1)
+    pairs = (p[..., :, None] * q[..., None, :]).reshape(*p.shape[:-1], len(m) ** 2)
+    return (pairs @ coefficients).reshape(*p.shape[:-1], left.shape[1], right.shape[1])

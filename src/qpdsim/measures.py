@@ -11,11 +11,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyTrajectoryError
+from .errors import EmptyTrajectoryError
 from .linalg import DiagonalizedStates, diagonalized, hermitian_eigenvalues, partial_trace
-
-_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real  # real +-1 antidiagonal
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -41,23 +38,14 @@ def l1_coherence(rho: np.ndarray):
 
 
 def concurrence(rho: np.ndarray | DiagonalizedStates):
-    """Two-qubit concurrence from the spin-flipped state.
+    """Two-qubit concurrence from the singular values of n = sqrt(w) V^dag (Y (x) Y) V^* sqrt(w).
 
-    The square-rooted eigenvalues of rho rho_tilde are obtained as singular
-    values of n = sqrt(w) (V^dag Y V^*) sqrt(w) built from the eigensystem
-    (w, V) of rho; the square-root weights enter multiplicatively, so the
-    values stay accurate even for (near-)pure inputs. ``rho`` may be
-    DiagonalizedStates, whose eigensystem is used as given; on a support of
-    rank r, n is r x r. Rank 1 gives C = |n_00|, rank 2 C = s1 - s2 with s1^2
-    the larger eigenvalue of n n^dag and s2 = |det n| / s1 (the root of the
+    n comes from DiagonalizedStates (r x r on a support of rank r), else from one eigh per state;
+    the square-root weights keep it accurate on (near-)pure states. Rank 1 gives C = |n_00|, rank 2
+    C = s1 - s2 with s1^2 the larger eigenvalue of n n^dag and s2 = |det n| / s1 (the root of the
     smaller eigenvalue would be off by about 1e-8), a larger rank the SVD.
     """
-    rho, w, v = diagonalized(rho)
-    if rho.shape[-2:] != (4, 4):
-        raise DimensionMismatchError(f"concurrence needs 4x4 states, got {rho.shape[-2:]}")
-    root_w = np.sqrt(np.clip(w, 0.0, None))
-    congruent_flip = v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()
-    n = root_w[..., :, None] * congruent_flip * root_w[..., None, :]
+    rho, _, n = diagonalized(rho)
     if n.shape[-1] == 1:
         c = np.abs(n[..., 0, 0])
     elif n.shape[-1] == 2:
@@ -115,7 +103,7 @@ def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
     """All measures along stacked states (N, 4, 4), fully vectorized.
 
     A bare stack is diagonalized by eigh; DiagonalizedStates, such as an
-    orbit, bring their eigensystem. Both then run the same formulas.
+    orbit, bring their spectrum and n. Both then run the same formulas.
     """
     diagonal_form = diagonalized(states)
     states = diagonal_form.states

@@ -149,22 +149,21 @@ def analyze_case(
     """Run one scenario end to end on the default or a custom grid.
 
     H is diagonalized once for all three branches, and each branch state once,
-    at t=0: unitary evolution keeps its spectrum, so only the eigenvectors of
-    its support (its rank comes from the qubit factors) are propagated, and its
-    states are rebuilt and measured on them. Only the diagonal of chi(t) is
-    formed, from chi(0) in H's eigenbasis, so it is exactly zero when the
-    uncertain prediction has no coherence.
+    at t=0: unitary evolution keeps its spectrum, so each branch's states and the
+    spin-flip matrix n of its support (its rank comes from the qubit factors) are
+    Bohr sums over H's eigenbasis. chi(t) is one too, formed from chi(0), so it
+    is exactly zero when the uncertain prediction has no coherence.
     """
     spec = catalog_case(scenario) if isinstance(scenario, str) else scenario
     times = time_grid(t_max, samples)
     propagator = SpectralPropagator(build_hamiltonian(params), times)
-    delta, delta_bound = stp_leak(propagator.conjugated_diagonal(chi_initial(spec)))
+    delta, delta_bound = stp_leak(np.diagonal(propagator.conjugated(chi_initial(spec)), axis1=-2, axis2=-1))
     trajectories, series = {}, {}
     for alpha in BRANCHES:
         branch = orbit(initial_mental_state(spec, alpha), propagator, initial_rank(spec, alpha))
         trajectories[alpha] = Trajectory(times, branch.states)
         series[alpha] = measure_series(branch)
-        del branch  # its eigenvector stack (N, 4, rank) goes before the next branch's is built
+        del branch  # its n (N, rank, rank) goes before the next branch's is built
     return CaseAnalysis(
         spec=spec,
         hamiltonian=params,

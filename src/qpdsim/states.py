@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NotPositiveError
-from .linalg import PSD_TOL, tensor
+from .linalg import PSD_TOL
 
 BRANCHES = ("u", "d", "c")
 _CONFIG_KEYS = ("case_label", "branches", "mu_d", "mu_c", "gamma", "t_max", "samples")
@@ -77,7 +77,7 @@ def qubit_state(params: SubsystemParams) -> np.ndarray:
 
 def initial_mental_state(spec: ScenarioSpec, branch: str) -> np.ndarray:
     """Uncorrelated 4x4 joint state prediction (x) action for one branch."""
-    return tensor(qubit_state(_predictions(spec)[branch]), qubit_state(spec.action))
+    return np.kron(qubit_state(_predictions(spec)[branch]), qubit_state(spec.action))
 
 
 def initial_rank(spec: ScenarioSpec, branch: str) -> int:
@@ -94,7 +94,7 @@ def chi_initial(spec: ScenarioSpec) -> np.ndarray:
     identically zero diagonal, and zero when lam_B = 0.
     """
     lam = complex(spec.prediction.lam)
-    return tensor(np.array([[0.0, lam], [lam.conjugate(), 0.0]]), qubit_state(spec.action))
+    return np.kron(np.array([[0.0, lam], [lam.conjugate(), 0.0]]), qubit_state(spec.action))
 
 
 # Built-in scenario catalog. Labels and parameters are frozen regression

@@ -64,6 +64,12 @@ def rk4_propagator(h: np.ndarray, t: float, steps: int = 2000) -> np.ndarray:
     return u
 
 
+def unitary(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) from numpy's eigh of h: (d, d) for a scalar t, (N, d, d) for N times."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * np.multiply.outer(t, w))[..., None, :]) @ v.conj().T
+
+
 def chi_series(traj_u, traj_d, traj_c, p_b: float) -> np.ndarray:
     """Branch-subtraction oracle: chi(t) = rho_u(t) - p_B rho_d(t) - (1 - p_B) rho_c(t) on a shared grid."""
     if not (

@@ -166,8 +166,8 @@ def test_criterion_6a_unitarity_trace_spectrum():
             else random_hermitian(rng, 4)
         )
         t = rng.uniform(0.0, 8.0)
-        u = SpectralPropagator(h, t).apply(np.eye(4))
-        worst = max(worst, np.max(np.abs(u.conj().T @ u - np.eye(4))))
+        # U U^dagger = I: the propagator conjugates the identity to itself
+        worst = max(worst, np.max(np.abs(SpectralPropagator(h, t).conjugated(np.eye(4)) - np.eye(4))))
         rho0 = random_density(rng, 4)
         traj = evolve(rho0, h, np.linspace(0.0, t, 8))
         worst = max(worst, np.max(np.abs(np.trace(traj.states, axis1=-2, axis2=-1) - 1.0)))
@@ -222,6 +222,7 @@ def test_criterion_6d_entanglement_paths_agree():
 
 def test_criterion_6e_propagator_matches_rk4():
     rng = np.random.default_rng(604)
+    rho0 = random_density(np.random.default_rng(605), 4)
     worst = 0.0
     for trial in range(N_TRIALS):
         h = (
@@ -230,7 +231,8 @@ def test_criterion_6e_propagator_matches_rk4():
             else random_hermitian(rng, 4)
         )
         t = rng.uniform(0.25, 2.0)
-        diff = np.max(np.abs(SpectralPropagator(h, t).apply(np.eye(4)) - rk4_propagator(h, t)))
+        u = rk4_propagator(h, t)
+        diff = np.max(np.abs(SpectralPropagator(h, t).conjugated(rho0) - u @ rho0 @ u.conj().T))
         worst = max(worst, diff)
     ok = worst <= 1e-8
     assert report("6e spectral propagator matches RK4 oracle to 1e-8", ok, f"worst {worst:.2e}")

@@ -133,6 +133,11 @@ def test_error_paths(tmp_path, capsys):
     assert "t_max must be positive and finite" in capsys.readouterr().err
     assert not fresh.exists()
 
+    huge = tmp_path / "huge"
+    assert main(["--case", "3", "--mu", "1e200", "--out-dir", str(huge)]) == 1
+    assert "mu_d = 1e+200 is too large: its square overflows" in capsys.readouterr().err
+    assert not huge.exists()
+
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     assert main(["--case", "1", "--outputs", "table1", "--out-dir", str(blocker)]) == 1

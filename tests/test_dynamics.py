@@ -69,6 +69,18 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             HamiltonianParams(gamma=float("nan"))
 
+    @pytest.mark.parametrize("name", ["mu_d", "mu_c"])
+    def test_rejects_payoff_constant_whose_square_overflows(self, name):
+        # 1 + mu^2 = inf would make build_hamiltonian's H_A silently zero
+        with pytest.raises(ValueError, match=rf"^{name} = 1e\+200 is too large: its square overflows$"):
+            HamiltonianParams(**{name: 1e200})
+        with pytest.raises(ValueError, match=rf"^{name} = -1e\+155 is too large"):
+            HamiltonianParams(**{name: -1e155})
+
+    def test_largest_payoff_constants_keep_the_payoff_rotation(self):
+        h = build_hamiltonian(HamiltonianParams(1e150, -1e150, 0.0))
+        np.testing.assert_array_equal(np.diag(h), [1.0, -1.0, -1.0, 1.0])
+
 
 class TestEvolve:
     def test_maximally_mixed_is_stationary(self):

@@ -5,14 +5,16 @@ from qpdsim import (
     DimensionMismatchError,
     HamiltonianParams,
     NonHermitianError,
+    ScenarioSpec,
+    SubsystemParams,
     build_hamiltonian,
     eig_hermitian,
     hermitian_eigenvalues,
+    initial_mental_state,
     partial_trace,
-    tensor,
 )
 from qpdsim.linalg import SpectralPropagator
-from support import random_density, random_hermitian, rk4_propagator
+from support import random_density, random_hermitian, rk4_propagator, unitary
 
 
 class TestEigHermitian:
@@ -84,20 +86,20 @@ class TestHermitianEigenvalues:
 
 
 class TestTensor:
+    """Joint states put the prediction B first: the basis {dd, dc, cd, cc}."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_block_structure(self):
         p_a = 0.3
-        out = tensor(np.diag([1.0, 0.0]), np.diag([p_a, 1.0 - p_a]))
+        out = initial_mental_state(ScenarioSpec("block", SubsystemParams(0.5), SubsystemParams(p_a)), "d")
         np.testing.assert_allclose(out, np.diag([p_a, 1.0 - p_a, 0.0, 0.0]))
 
     def test_cross_block_entry(self):
         # coherent prediction times diagonal action: the (1,3) entry of the
         # product is lam_B * p_A, matching the correction-matrix closed form
-        rho_b = np.array([[0.5, 0.5], [0.5, 0.5]])
-        rho_a = np.diag([0.5, 0.5])
-        out = tensor(rho_b, rho_a)
+        out = initial_mental_state(ScenarioSpec("cross", SubsystemParams(0.5, 0.5), SubsystemParams(0.5)), "u")
         hand = np.array(
             [
                 [0.25, 0.0, 0.25, 0.0],
@@ -108,11 +110,6 @@ class TestTensor:
         )
         np.testing.assert_array_equal(out, hand)
         assert out[0, 2] == 0.25
-
-    def test_associative_for_integer_entries(self):
-        rng = np.random.default_rng(7)
-        a, b, c = (rng.integers(-4, 5, size=(2, 2)) for _ in range(3))
-        np.testing.assert_array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
 
 
 class TestPartialTrace:
@@ -130,15 +127,15 @@ class TestPartialTrace:
         rng = np.random.default_rng(8)
         rho_b = random_density(rng, 2)
         rho_a = random_density(rng, 2)
-        np.testing.assert_allclose(partial_trace(tensor(rho_b, rho_a), "B", (2, 2)), rho_b, atol=1e-14)
-        np.testing.assert_allclose(partial_trace(tensor(rho_b, rho_a), "A", (2, 2)), rho_a, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(np.kron(rho_b, rho_a), "B", (2, 2)), rho_b, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(np.kron(rho_b, rho_a), "A", (2, 2)), rho_a, atol=1e-14)
 
     def test_scales_with_trace_of_discarded_factor(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            out = partial_trace(tensor(a, b), "B", (2, 3))
+            out = partial_trace(np.kron(a, b), "B", (2, 3))
             assert np.max(np.abs(out - a * np.trace(b))) <= 1e-12
 
     def test_bell_state_marginal_is_maximally_mixed(self):
@@ -152,21 +149,21 @@ class TestPartialTrace:
 
 
 class TestUnitaryFromHamiltonian:
-    """exp(-i h t) as SpectralPropagator(h, t).apply(np.eye(4)) builds it."""
+    """exp(-i h t) as support.unitary builds it, the oracle for SpectralPropagator."""
 
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(10)
         h = random_hermitian(rng, 4)
-        np.testing.assert_allclose(SpectralPropagator(h, 0.0).apply(np.eye(4)), np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(unitary(h, 0.0), np.eye(4), atol=1e-14)
 
     def test_involutory_hamiltonian_at_pi(self):
         # H^2 = I gives U(t) = cos(t) I - i sin(t) H, hence U(pi) = -I
         h = build_hamiltonian(HamiltonianParams(mu_d=0.59, mu_c=0.59, gamma=0.0))
-        np.testing.assert_allclose(SpectralPropagator(h, np.pi).apply(np.eye(4)), -np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(unitary(h, np.pi), -np.eye(4), atol=1e-12)
 
     def test_matches_rk4_oracle(self):
         h = build_hamiltonian(HamiltonianParams(0.59, 0.59, 1.74))
-        u = SpectralPropagator(h, 1.0).apply(np.eye(4))
+        u = unitary(h, 1.0)
         assert np.max(np.abs(u - rk4_propagator(h, 1.0))) <= 1e-8
 
     def test_group_law(self):
@@ -174,26 +171,62 @@ class TestUnitaryFromHamiltonian:
         for _ in range(25):
             h = random_hermitian(rng, 4)
             t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-            lhs = SpectralPropagator(h, t1).apply(np.eye(4)) @ SpectralPropagator(h, t2).apply(np.eye(4))
-            rhs = SpectralPropagator(h, t1 + t2).apply(np.eye(4))
+            lhs = unitary(h, t1) @ unitary(h, t2)
+            rhs = unitary(h, t1 + t2)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_unitarity(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
-            u = SpectralPropagator(random_hermitian(rng, 4), rng.uniform(0.0, 10.0)).apply(np.eye(4))
+            u = unitary(random_hermitian(rng, 4), rng.uniform(0.0, 10.0))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
-            SpectralPropagator(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
 
     def test_time_array_stacks_scalar_propagators(self):
         rng = np.random.default_rng(14)
         h = random_hermitian(rng, 4)
         times = np.linspace(-3.0, 3.0, 7)
-        stack = SpectralPropagator(h, times).apply(np.eye(4))
+        stack = unitary(h, times)
         assert stack.shape == (7, 4, 4)
         for t, u in zip(times, stack):
-            np.testing.assert_allclose(u, SpectralPropagator(h, t).apply(np.eye(4)), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(u, unitary(h, t), rtol=0, atol=1e-14)
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NonHermitianError):
+            SpectralPropagator(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+
+
+class TestSpectralPropagator:
+    def test_conjugated_matches_oracle_at_a_scalar_time(self):
+        rng = np.random.default_rng(15)
+        for _ in range(25):
+            h, m0, t = random_hermitian(rng, 4), random_density(rng, 4), rng.uniform(-5.0, 5.0)
+            u = unitary(h, t)
+            got = SpectralPropagator(h, t).conjugated(m0)
+            assert got.shape == (4, 4)
+            np.testing.assert_allclose(got, u @ m0 @ u.conj().T, rtol=0, atol=1e-14)
+
+    def test_conjugated_matches_oracle_on_a_grid(self):
+        rng = np.random.default_rng(16)
+        h, m0 = build_hamiltonian(), random_density(rng, 4)
+        times = np.linspace(-3.0, 3.0, 65)
+        u = unitary(h, times)
+        got = SpectralPropagator(h, times).conjugated(m0)
+        assert got.shape == (65, 4, 4)
+        np.testing.assert_allclose(got, u @ m0 @ u.conj().swapaxes(-1, -2), rtol=0, atol=1e-14)
+
+    def test_zero_matrix_conjugates_to_exact_zeros(self):
+        got = SpectralPropagator(build_hamiltonian(), np.linspace(0.0, 10.0, 33)).conjugated(np.zeros((4, 4)))
+        assert got.shape == (33, 4, 4) and np.all(got == 0.0)
+
+    def test_spin_flipped_matches_propagated_support(self):
+        # n(t) = sqrt(w) X^dagger (Y (x) Y) X^* sqrt(w) with X = U(t) v0, formed here from the oracle's U
+        rng = np.random.default_rng(17)
+        flip = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+        h, times = random_hermitian(rng, 4), np.linspace(0.0, 4.0, 17)
+        for rank in (1, 2, 4):
+            w, v0 = eig_hermitian(random_density(rng, 4))
+            x = unitary(h, times) @ v0[:, :rank]
+            root = np.sqrt(w[:rank])
+            want = root[:, None] * (x.conj().swapaxes(-1, -2) @ flip @ x.conj()) * root[None, :]
+            got = SpectralPropagator(h, times).spin_flipped(w[:rank], v0[:, :rank])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -22,7 +22,6 @@ from qpdsim import (
     measure_series,
     measure_state,
     partial_trace,
-    tensor,
     time_grid,
     trapezoid_mean,
 )
@@ -33,6 +32,7 @@ from support import (
     random_hermitian,
     random_pure_density,
     relative_entropy_coherence,
+    unitary,
     von_neumann_entropy,
 )
 from qpdsim.dynamics import orbit
@@ -61,7 +61,7 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(41)
         for _ in range(100):
             rho = random_density(rng, 4)
-            u = SpectralPropagator(random_hermitian(rng, 4), rng.uniform(0, 5)).apply(np.eye(4))
+            u = unitary(random_hermitian(rng, 4), rng.uniform(0, 5))
             rotated = u @ rho @ u.conj().T
             assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-10
 
@@ -106,7 +106,7 @@ class TestEntanglementOfFormation:
     def test_product_states_zero(self):
         rng = np.random.default_rng(44)
         for _ in range(100):
-            rho = tensor(random_density(rng, 2), random_density(rng, 2))
+            rho = np.kron(random_density(rng, 2), random_density(rng, 2))
             assert entanglement_of_formation(rho) <= 1e-10
 
     def test_bell_state_one(self):
@@ -145,13 +145,13 @@ class TestOrbitSupport:
         for k in range(16):
             spec = ScenarioSpec("random", random_qubit(rng, k % 2 == 0), random_qubit(rng, k % 4 < 2))
             h = build_hamiltonian(random_hamiltonian_params(rng))
-            propagator = SpectralPropagator(h, time_grid(samples=257))
-            u = propagator.apply(np.eye(4))
+            times = time_grid(samples=257)
+            propagator, u = SpectralPropagator(h, times), unitary(h, times)
             for alpha in ("u", "d", "c"):
                 rho0, rank = initial_mental_state(spec, alpha), initial_rank(spec, alpha)
                 states = u @ rho0 @ u.conj().swapaxes(-1, -2)
                 thin = orbit(rho0, propagator, rank)
-                assert thin.eigenvalues.shape == (rank,) and thin.eigenvectors.shape == (257, 4, rank)
+                assert thin.eigenvalues.shape == (rank,) and thin.n.shape == (257, rank, rank)
                 np.testing.assert_allclose(thin.states, states, rtol=0, atol=1e-14)
                 got, bare = measure_series(thin), measure_series(states)
                 for name in ("S_AB", "I_AB", "CRE_AB", "EF_AB"):
@@ -170,7 +170,7 @@ class TestOrbitSupport:
 class TestMutualInformation:
     def test_product_state_zero(self):
         rng = np.random.default_rng(46)
-        rho = tensor(random_density(rng, 2), random_density(rng, 2))
+        rho = np.kron(random_density(rng, 2), random_density(rng, 2))
         assert abs(mutual_information(rho)) <= 1e-10
 
     def test_bell_state_two(self):

@@ -9,6 +9,8 @@ from qpdsim import (
     BRANCHES,
     CATALOG_LABELS,
     HamiltonianParams,
+    ScenarioSpec,
+    SubsystemParams,
     analyze_case,
     build_hamiltonian,
     catalog_case,
@@ -17,6 +19,7 @@ from qpdsim import (
     measure_series,
 )
 from qpdsim import dynamics, linalg
+from qpdsim.linalg import TRACE_TOL
 from qpdsim.measures import MEASURE_FIELDS, MeasureRecord
 from qpdsim.report import (
     _RENDER_BLOCK_ROWS,
@@ -148,6 +151,15 @@ class TestSpectralEngine:
                 initial = np.linalg.eigvalsh(initial_mental_state(a.spec, alpha))
                 spectra = np.linalg.eigvalsh(a.trajectories[alpha].states)
                 np.testing.assert_allclose(spectra, np.broadcast_to(initial, spectra.shape), rtol=0, atol=1e-12)
+
+    def test_trace_at_the_positivity_edge(self):
+        # |lam|^2 = p(1-p) + 5e-11 passes qubit_state's PSD_TOL and initial_rank calls both
+        # qubits pure, but the states keep the full t=0 trace, not that of its largest eigenvalue
+        edge = SubsystemParams(0.5, np.sqrt(0.25 + 5e-11))
+        a = analyze_case(ScenarioSpec("edge", edge, edge), samples=257)
+        for alpha in BRANCHES:
+            trace = np.trace(a.trajectories[alpha].states, axis1=-2, axis2=-1)
+            assert np.max(np.abs(trace - 1.0)) <= TRACE_TOL, alpha
 
     def test_delta_matches_branch_subtraction(self, spectral_analyses):
         for a in spectral_analyses:

@@ -16,9 +16,8 @@ from qpdsim import (
     stp_verdict,
     time_grid,
 )
-from qpdsim.linalg import SpectralPropagator
 from qpdsim.stp import stp_leak
-from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario
+from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario, unitary
 
 SATISFYING = ("1", "1*", "2")
 VIOLATING = ("3", "3*", "4", "4*")
@@ -75,7 +74,7 @@ class TestChiSeries:
         h = build_hamiltonian()
         chi0 = chi_initial(spec)
         for k in (1, 64, 200, 256):
-            u = SpectralPropagator(h, times[k]).apply(np.eye(4))
+            u = unitary(h, times[k])
             np.testing.assert_allclose(chi[k], u @ chi0 @ u.conj().T, atol=1e-10)
 
     def test_traceless_along_evolution(self):
