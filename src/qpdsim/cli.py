@@ -38,6 +38,7 @@ from .states import BRANCHES, ScenarioSpec, _config_float, _config_mapping, cata
 OUTPUT_KINDS = ("table1", "table2", "table3", "trajectory", "sorkin")
 DEFAULT_OUTPUTS = ("table1", "table2", "table3", "trajectory")
 SURVEY_DRAWS = 10_000
+_SCENARIO_KEYS = {"case_label", "branches"}  # a config with either one describes a scenario
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,11 @@ def _run_params(args: argparse.Namespace, file_cfg: dict) -> tuple[HamiltonianPa
 
 
 def _config_from_args(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
-    if args.case and "branches" in file_cfg:
+    if args.case and _SCENARIO_KEYS & file_cfg.keys():
         raise ValueError("give either --case or a config with a scenario, not both")
     if args.case:
         scenario = catalog_case(args.case)
-    elif "branches" in file_cfg:
+    elif _SCENARIO_KEYS & file_cfg.keys():
         scenario = scenario_from_config(file_cfg)
     else:
         raise ValueError("no scenario: pass --case LABEL or --config with case_label/branches")
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
         if args.reproduce_all:
             flags = {"--case": args.case, "--outputs": args.outputs, "--out-dir": args.out_dir, "--seed": args.seed}
             stray = [flag for flag, value in flags.items() if value is not None]
-            stray += ["branches"] if "branches" in file_cfg else []
+            stray += sorted(_SCENARIO_KEYS & file_cfg.keys())
             if stray:
                 raise ValueError(f"--reproduce-all only sweeps the whole catalog; it takes no {', '.join(stray)}")
             result = reproduce_all(*_run_params(args, file_cfg))

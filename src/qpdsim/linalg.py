@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianError
 
-# Validation tolerances. PSD_TOL also bounds how far below zero an eigenvalue
-# may sit before entropy-style functions refuse to clamp it silently.
+# Validation tolerances. PSD_TOL is qubit_state's positivity slack, |lam|^2 <= p(1-p) + PSD_TOL, so states
+# built at that edge have eigenvalues down to about -PSD_TOL; the entropies clamp every negative one to 0.
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
@@ -22,30 +22,29 @@ TRACE_TOL = 1e-12
 _SPIN_FLIP = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]]).real  # Y (x) Y, a real +-1 antidiagonal
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERM_TOL)
-
-
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a Hermitian matrix: eigenvalues descending, unitary eigenvector columns.
+    """Eigendecompose a Hermitian matrix (d, d) or stack (..., d, d): eigenvalues descending on
+    the last axis, unitary eigenvector columns.
 
-    Raises NonHermitianError if the symmetry tolerance is exceeded.
+    Raises NonHermitianError if the symmetry tolerance is exceeded, naming the first bad matrix of a stack.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise NonHermitianError(f"matrix is not Hermitian within {HERM_TOL:g}")
+    bad = np.argwhere(~(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) <= HERM_TOL))
+    if len(bad):
+        name = " ".join(["matrix", *map(str, bad[0])])
+        raise NonHermitianError(f"{name} is not Hermitian within {HERM_TOL:g}")
     w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 class DiagonalizedStates(NamedTuple):
     """Stacked two-qubit states (N, 4, 4) with their spectrum and n = sqrt(w) V^dagger (Y (x) Y) V^* sqrt(w).
 
-    A bare stack has ``eigenvalues`` (N, 4), ascending, and n (N, 4, 4). A unitary orbit keeps one
-    spectrum and only its support: eigenvalues (r,), descending as eig_hermitian gives them, and
-    n (N, r, r), where r is the rank. No measure depends on the order.
+    A bare stack has ``eigenvalues`` (N, 4) and n (N, 4, 4). A unitary orbit keeps one spectrum
+    and only its support: eigenvalues (r,) and n (N, r, r), where r is the rank. Eigenvalues are
+    descending, as eig_hermitian gives them.
     """
 
     states: np.ndarray
@@ -54,13 +53,13 @@ class DiagonalizedStates(NamedTuple):
 
 
 def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
-    """``states`` with its spectrum and n: the ones it carries, else from one eigh per state."""
+    """``states`` with its spectrum and n: the ones it carries, else from eig_hermitian of the stack."""
     if isinstance(states, DiagonalizedStates):
         return states
     states = np.asarray(states, dtype=complex)
     if states.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"concurrence needs 4x4 states, got {states.shape[-2:]}")
-    w, v = np.linalg.eigh(states)
+    w, v = eig_hermitian(states)
     root_w = np.sqrt(np.clip(w, 0.0, None))
     n = root_w[..., :, None] * (v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()) * root_w[..., None, :]
     return DiagonalizedStates(states, w, n)
@@ -69,8 +68,8 @@ def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of stacked Hermitian matrices (..., d, d), descending.
 
-    No symmetry validation; callers guarantee the input. The 2x2 case uses
-    the closed form so it vectorizes without a LAPACK loop.
+    The 2x2 case uses the unvalidated closed form, so it vectorizes without a
+    LAPACK loop; other sizes go through eig_hermitian, which validates them.
     """
     m = np.asarray(m)
     if m.shape[-1] == 2:
@@ -79,7 +78,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         mean = 0.5 * (a + d)
         radius = np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
         return np.stack([mean + radius, mean - radius], axis=-1)
-    return np.linalg.eigvalsh(m)[..., ::-1]
+    return eig_hermitian(m)[0]
 
 
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray:

@@ -18,11 +18,11 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
 
 def _entropy_from_probs(w: np.ndarray) -> np.ndarray:
-    # 0 log 0 := 0; eigenvalues that dip within tolerance below zero are
-    # clamped before the log.
+    # 0 log 0 := 0; negative eigenvalues are clamped to zero before the log.
+    # 0.0 - sum, not -sum: a pure state gives +0.0, not -0.0.
     w = np.clip(np.asarray(w).real, 0.0, None)
     safe = np.where(w > 0.0, w, 1.0)
-    return -np.sum(w * np.log2(safe), axis=-1)
+    return 0.0 - np.sum(w * np.log2(safe), axis=-1)
 
 
 def _scalar_or_array(x: np.ndarray, was_single: bool):
@@ -40,7 +40,7 @@ def l1_coherence(rho: np.ndarray):
 def concurrence(rho: np.ndarray | DiagonalizedStates):
     """Two-qubit concurrence from the singular values of n = sqrt(w) V^dag (Y (x) Y) V^* sqrt(w).
 
-    n comes from DiagonalizedStates (r x r on a support of rank r), else from one eigh per state;
+    n comes from DiagonalizedStates (r x r on a support of rank r), else from eig_hermitian of the stack;
     the square-root weights keep it accurate on (near-)pure states. Rank 1 gives C = |n_00|, rank 2
     C = s1 - s2 with s1^2 the larger eigenvalue of n n^dag and s2 = |det n| / s1 (the root of the
     smaller eigenvalue would be off by about 1e-8), a larger rank the SVD.
@@ -100,9 +100,9 @@ MEASURE_FIELDS = tuple(f.name for f in fields(MeasureRecord))
 
 
 def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
-    """All measures along stacked states (N, 4, 4), fully vectorized.
+    """All measures along stacked states (N, 4, 4), or of one state (4, 4), fully vectorized.
 
-    A bare stack is diagonalized by eigh; DiagonalizedStates, such as an
+    A bare stack is diagonalized by eig_hermitian; DiagonalizedStates, such as an
     orbit, bring their spectrum and n. Both then run the same formulas.
     """
     diagonal_form = diagonalized(states)
@@ -127,8 +127,8 @@ def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
 
 def measure_state(rho: np.ndarray) -> MeasureRecord:
     """All measures of a single 4x4 state."""
-    series = measure_series(np.asarray(rho, dtype=complex)[None, :, :])
-    return MeasureRecord(**{name: float(getattr(series, name)[0]) for name in MEASURE_FIELDS})
+    series = measure_series(np.asarray(rho, dtype=complex))
+    return MeasureRecord(**{name: float(getattr(series, name)) for name in MEASURE_FIELDS})
 
 
 def average_measures(series: MeasureRecord, times: np.ndarray) -> MeasureRecord:

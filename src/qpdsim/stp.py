@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import EmptyInputError, GridMismatchError
 
-# Threshold separating rounding noise (<= 1e-10 when chi is formed by
-# subtracting branches) from genuine violations (>= 1e-3 at catalog
-# parameters).
+# Threshold separating rounding noise from genuine violations (>= 1e-3 at
+# catalog parameters). chi evolves from chi(0), so delta is exactly 0 when
+# the prediction has no coherence.
 DELTA_EPS = 1e-6
 
 _IMAG_TOL = 1e-12

@@ -150,6 +150,22 @@ def test_case_and_scenario_config_conflict(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+def test_case_label_config_names_a_scenario(tmp_path, capsys):
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({"case_label": "3*", "samples": 65}))
+    out = tmp_path / "out"
+    assert main(["--case", "1", "--config", str(path), "--outputs", "table1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: give either --case or a config with a scenario, not both\n"
+    # a label alone is not a scenario: its branches are named as missing
+    assert main(["--config", str(path), "--outputs", "table1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config: missing key branches\n"
+    assert main(["--reproduce-all", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --reproduce-all only sweeps the whole catalog; it takes no case_label\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edit, path",
     [

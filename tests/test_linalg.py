@@ -13,7 +13,8 @@ from qpdsim import (
     initial_mental_state,
     partial_trace,
 )
-from qpdsim.linalg import SpectralPropagator
+from qpdsim.dynamics import orbit
+from qpdsim.linalg import SpectralPropagator, diagonalized
 from support import random_density, random_hermitian, rk4_propagator, unitary
 
 
@@ -42,6 +43,38 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(NonHermitianError):
+            eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(3,\)$"):
+            eig_hermitian(np.zeros(3))
+        with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(5, 2, 3\)$"):
+            eig_hermitian(np.zeros((5, 2, 3)))
+
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(17)
+        stack = random_hermitian_stack(rng, 12, 4).reshape(3, 4, 4, 4)
+        w, v = eig_hermitian(stack)
+        assert w.shape == (3, 4, 4) and v.shape == (3, 4, 4, 4)
+        assert np.all(np.diff(w, axis=-1) <= 0.0)
+        for index in np.ndindex(3, 4):
+            single_w, _ = eig_hermitian(stack[index])
+            np.testing.assert_allclose(w[index], single_w, rtol=0, atol=1e-13)
+        np.testing.assert_allclose((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), stack, rtol=0, atol=1e-12)
+
+    def test_stack_names_the_first_non_hermitian_matrix(self):
+        stack = random_hermitian_stack(np.random.default_rng(18), 12, 4)
+        stack[7, 0, 3] += 1e-9
+        stack[9, 1, 2] += 1.0
+        with pytest.raises(NonHermitianError, match=r"^matrix 7 is not Hermitian within 1e-12$"):
+            eig_hermitian(stack)
+        with pytest.raises(NonHermitianError, match=r"^matrix 1 3 is not Hermitian within 1e-12$"):
+            eig_hermitian(stack.reshape(3, 4, 4, 4))
+        with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian within 1e-12$"):
+            eig_hermitian(stack[7])
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_reconstruction_random(self, dim):
@@ -83,6 +116,27 @@ class TestHermitianEigenvalues:
             got = hermitian_eigenvalues(stack)
             np.testing.assert_allclose(got, np.linalg.eigvalsh(stack)[..., ::-1], rtol=0, atol=1e-14)
             assert np.all(np.diff(got, axis=-1) <= 0.0)
+
+    def test_rejects_non_hermitian_beyond_the_closed_form(self):
+        m = np.zeros((3, 3))
+        m[0, 2] = 0.5
+        with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian within 1e-12$"):
+            hermitian_eigenvalues(m)
+
+
+class TestDiagonalized:
+    """One eigenvalue order: descending for a bare stack and for an orbit."""
+
+    def test_bare_stack_and_orbit_are_descending(self):
+        rng = np.random.default_rng(19)
+        rho0 = random_density(rng, 4)
+        propagator = SpectralPropagator(random_hermitian(rng, 4), np.linspace(0.0, 3.0, 9))
+        thin = orbit(rho0, propagator, 4)
+        bare = diagonalized(thin.states)
+        assert bare.eigenvalues.shape == (9, 4) and thin.eigenvalues.shape == (4,)
+        assert np.all(np.diff(bare.eigenvalues, axis=-1) <= 0.0)
+        assert np.all(np.diff(thin.eigenvalues) <= 0.0)
+        np.testing.assert_allclose(bare.eigenvalues, np.broadcast_to(thin.eigenvalues, (9, 4)), rtol=0, atol=1e-13)
 
 
 class TestTensor:

@@ -8,6 +8,7 @@ from qpdsim import (
     DimensionMismatchError,
     EmptyTrajectoryError,
     MeasureRecord,
+    NonHermitianError,
     ScenarioSpec,
     SubsystemParams,
     Trajectory,
@@ -243,3 +244,33 @@ class TestMeasureRecord:
             assert series.CRE_AB[k] == pytest.approx(relative_entropy_coherence(states[k]), abs=1e-12)
             assert series.EF_AB[k] == pytest.approx(entanglement_of_formation(states[k]), abs=1e-12)
             assert series.I_AB[k] == pytest.approx(mutual_information(states[k]), abs=1e-12)
+
+    def test_pure_states_give_positive_zero_entropies(self):
+        # 0.0 - sum, so a zero entropy is +0.0 and tables never print -0.000000
+        pure = np.zeros((4, 4))
+        pure[0, 0] = 1.0
+        record = measure_state(pure)
+        for name in ("S_B", "S_A", "S_AB", "I_AB", "CRE_AB", "EF_AB"):
+            assert getattr(record, name) == 0.0 and math.copysign(1.0, getattr(record, name)) == 1.0, name
+        # the series of a pure branch (S_AB) and of an unentangled one (EF_AB)
+        for series in (analyze_case("2", samples=65).series["d"].S_AB, analyze_case("1", samples=65).series["d"].EF_AB):
+            assert np.all(series == 0.0) and not np.any(np.signbit(series))
+
+
+class TestNonHermitianInput:
+    """Every bare state goes through eig_hermitian, which names the first non-Hermitian one."""
+
+    def test_single_state(self):
+        m = np.zeros((4, 4))
+        m[0, 0], m[0, 3] = 1.0, 0.9
+        for measure in (measure_state, concurrence, entanglement_of_formation, measure_series):
+            with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian within 1e-12$"):
+                measure(m)
+
+    def test_stack_names_the_sample(self):
+        rng = np.random.default_rng(50)
+        states = np.stack([random_density(rng, 4) for _ in range(10)])
+        states[7, 0, 3] += 0.9
+        for measure in (measure_series, concurrence, entanglement_of_formation):
+            with pytest.raises(NonHermitianError, match=r"^matrix 7 is not Hermitian within 1e-12$"):
+                measure(states)

@@ -12,6 +12,7 @@ from qpdsim import (
     ScenarioSpec,
     SubsystemParams,
     analyze_case,
+    analyze_catalog,
     build_hamiltonian,
     catalog_case,
     initial_mental_state,
@@ -25,6 +26,7 @@ from qpdsim.report import (
     _RENDER_BLOCK_ROWS,
     TABLE1_COLUMNS,
     TABLE2_COLUMNS,
+    TABLE3_COLUMNS,
     TRAJECTORY_COLUMNS,
     atomic_write_text,
     case_file_tag,
@@ -32,7 +34,9 @@ from qpdsim.report import (
     render_table_csv,
     render_trajectory_csv,
     reproduce_all,
+    scenario_table1_rows,
     table2_rows,
+    table3_rows,
 )
 from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario, savetxt_trajectory_csv
 
@@ -321,6 +325,112 @@ class TestRendering:
     def test_case_file_tag(self):
         assert case_file_tag("3*") == "3star"
         assert case_file_tag("1") == "1"
+
+
+# table1.csv of each catalog case, and the header, violated and *_rounded columns of
+# table2.csv and table3.csv at the default grid. No averaged value lies within 1.5e-5 of
+# a rounding boundary of its 2-decimal column (the closest is 1* u Cl1_B = 0.14498).
+TABLE1_PIN = """\
+case,alpha,Cl1_B,S_B,Cl1_A,S_A,Cl1_B_rounded,S_B_rounded,Cl1_A_rounded,S_A_rounded
+1,u,0,1,0,1,0.00,1.00,0.00,1.00
+1,d,0,0,0,1,0.00,0.00,0.00,1.00
+1,c,0,0,0,1,0.00,0.00,0.00,1.00
+1*,u,0,0.918295834054,0,0.970950594455,0.00,0.92,0.00,0.97
+1*,d,0,0,0,0.970950594455,0.00,0.00,0.00,0.97
+1*,c,0,0,0,0.970950594455,0.00,0.00,0.00,0.97
+2,u,0,1,1,0,0.00,1.00,1.00,0.00
+2,d,0,0,1,0,0.00,0.00,1.00,0.00
+2,c,0,0,1,0,0.00,0.00,1.00,0.00
+3,u,1,0,0,1,1.00,0.00,0.00,1.00
+3,d,0,0,0,1,0.00,0.00,0.00,1.00
+3,c,0,0,0,1,0.00,0.00,0.00,1.00
+3*,u,0.5,0.811278124459,0,1,0.50,0.81,0.00,1.00
+3*,d,0,0,0,1,0.00,0.00,0.00,1.00
+3*,c,0,0,0,1,0.00,0.00,0.00,1.00
+4,u,1,0,1,0,1.00,0.00,1.00,0.00
+4,d,0,0,1,0,0.00,0.00,1.00,0.00
+4,c,0,0,1,0,0.00,0.00,1.00,0.00
+4*,u,0.5,0.811278124459,1,0,0.50,0.81,1.00,0.00
+4*,d,0,0,1,0,0.00,0.00,1.00,0.00
+4*,c,0,0,1,0,0.00,0.00,1.00,0.00
+"""
+TABLE2_PIN = """\
+case,alpha,violated,S_B_rounded,S_A_rounded,S_AB_rounded,I_AB_rounded
+1,u,0,1.00,1.00,2.00,0.00
+1,d,0,0.67,1.00,1.00,0.67
+1,c,0,0.67,1.00,1.00,0.67
+1*,u,0,0.96,0.98,1.89,0.06
+1*,d,0,0.66,0.99,0.97,0.68
+1*,c,0,0.66,0.98,0.97,0.66
+2,u,0,0.88,0.70,1.00,0.58
+2,d,0,0.40,0.40,0.00,0.81
+2,c,0,0.50,0.50,0.00,1.00
+3,u,1,0.81,0.80,1.00,0.61
+3,d,1,0.67,1.00,1.00,0.67
+3,c,1,0.67,1.00,1.00,0.67
+3*,u,1,0.96,0.95,1.81,0.10
+3*,d,1,0.67,1.00,1.00,0.67
+3*,c,1,0.67,1.00,1.00,0.67
+4,u,1,0.53,0.53,0.00,1.05
+4,d,1,0.40,0.40,0.00,0.81
+4,c,1,0.50,0.50,0.00,1.00
+4*,u,1,0.76,0.61,0.81,0.56
+4*,d,1,0.40,0.40,0.00,0.81
+4*,c,1,0.50,0.50,0.00,1.00
+"""
+TABLE3_PIN = """\
+case,alpha,Cl1_B_rounded,Cl1_A_rounded,Cl1_AB_rounded,CRE_AB_rounded,EF_AB_rounded
+1,u,0.00,0.00,0.00,0.00,0.00
+1,d,0.38,0.00,1.17,0.83,0.00
+1,c,0.38,0.00,1.17,0.83,0.00
+1*,u,0.14,0.10,0.52,0.09,0.00
+1*,d,0.39,0.09,1.30,0.84,0.04
+1*,c,0.40,0.12,1.32,0.85,0.03
+2,u,0.31,0.43,1.40,0.86,0.08
+2,d,0.66,0.64,2.39,1.59,0.40
+2,c,0.58,0.59,2.34,1.57,0.50
+3,u,0.42,0.39,1.36,0.84,0.11
+3,d,0.38,0.00,1.17,0.83,0.00
+3,c,0.38,0.00,1.17,0.83,0.00
+3*,u,0.21,0.19,0.68,0.15,0.00
+3*,d,0.38,0.00,1.17,0.83,0.00
+3*,c,0.38,0.00,1.17,0.83,0.00
+4,u,0.54,0.64,2.59,1.72,0.53
+4,d,0.66,0.64,2.39,1.59,0.40
+4,c,0.58,0.59,2.34,1.57,0.50
+4*,u,0.48,0.54,1.72,1.00,0.14
+4*,d,0.66,0.64,2.39,1.59,0.40
+4*,c,0.58,0.59,2.34,1.57,0.50
+"""
+
+
+def pinned_rows(pin, label):
+    """The header and the rows of one case from a pinned table."""
+    header, *rows = pin.splitlines(keepends=True)
+    return header + "".join(row for row in rows if row.startswith(label + ","))
+
+
+def rounded_columns(text):
+    """The case, alpha, violated and *_rounded columns of a table CSV, header included."""
+    rows = [line.split(",") for line in text.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name in ("case", "alpha", "violated") or name.endswith("_rounded")]
+    return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+
+
+class TestOutputPins:
+    """The table CSVs the CLI writes for the catalog, byte for byte where they are exact."""
+
+    def test_table1_text(self):
+        for label in CATALOG_LABELS:
+            got = render_table_csv(scenario_table1_rows(catalog_case(label)), TABLE1_COLUMNS)
+            assert got == pinned_rows(TABLE1_PIN, label), label
+
+    def test_table2_and_table3_rounded_columns(self):
+        for label, analysis in analyze_catalog().items():
+            table2 = render_table_csv(table2_rows({label: analysis}), TABLE2_COLUMNS)
+            table3 = render_table_csv(table3_rows({label: analysis}), TABLE3_COLUMNS)
+            assert rounded_columns(table2) == pinned_rows(TABLE2_PIN, label), label
+            assert rounded_columns(table3) == pinned_rows(TABLE3_PIN, label), label
 
 
 class TestAtomicWrite:
