@@ -39,7 +39,6 @@ from .linalg import (
     HERM_TOL,
     PSD_TOL,
     eig_hermitian,
-    hermitian_eigenvalues,
     partial_trace,
 )
 from .measures import (

@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import pathlib
 import sys
 from dataclasses import dataclass
 
@@ -129,8 +130,8 @@ def run(config: RunConfig) -> list[str]:
     """Execute one batch run; returns the paths written.
 
     Every requested output is rendered before any file is written, and a
-    failed write removes the files written before it, so a failed run leaves
-    no file of its own and no directory it created.
+    failed write removes the files written before it and every directory the
+    run created, so a failed run leaves no file or directory of its own.
     """
     label = config.scenario.case_label
     needs_dynamics = any(k in config.outputs for k in ("table2", "table3", "trajectory"))
@@ -153,10 +154,11 @@ def run(config: RunConfig) -> list[str]:
         survey = run_interference_survey(SURVEY_DRAWS, config.seed)
         rendered.append(("sorkin.json", json.dumps(survey, indent=2) + "\n"))
 
-    created = not os.path.isdir(config.out_dir)
-    os.makedirs(config.out_dir, exist_ok=True)
+    out_dir = pathlib.Path(config.out_dir).absolute()
+    missing = [d for d in (out_dir, *out_dir.parents) if not d.is_dir()]  # what makedirs creates, leaf first
     written = []
     try:
+        os.makedirs(config.out_dir, exist_ok=True)
         for name, text in rendered:
             path = os.path.join(config.out_dir, name)
             atomic_write_text(path, text)
@@ -165,9 +167,9 @@ def run(config: RunConfig) -> list[str]:
         for path in written:
             with contextlib.suppress(OSError):
                 os.unlink(path)
-        if created:
+        for directory in missing:
             with contextlib.suppress(OSError):
-                os.rmdir(config.out_dir)
+                os.rmdir(directory)
         raise
     return written
 

@@ -96,5 +96,6 @@ def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     """
     if np.shape(rho0) != np.shape(h):
         raise DimensionMismatchError(f"state shape {np.shape(rho0)} != Hamiltonian shape {np.shape(h)}")
+    eig_hermitian(rho0)  # validates rho0 only: the states need no spectrum and no n
     times = np.asarray(times, dtype=float)
-    return Trajectory(times, orbit(rho0, SpectralPropagator(h, times), len(rho0)).states)
+    return Trajectory(times, SpectralPropagator(h, times).conjugated(rho0))

@@ -39,6 +39,15 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
+def _finite_times(t) -> np.ndarray:
+    """t as a float array; a NaN or infinite sample raises ValueError naming the first one."""
+    t = np.asarray(t, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ValueError(f"time sample {bad[0]} is {t.flat[bad[0]]}, not finite")
+    return t
+
+
 class DiagonalizedStates(NamedTuple):
     """Stacked two-qubit states (N, 4, 4) with their spectrum and n = sqrt(w) V^dagger (Y (x) Y) V^* sqrt(w).
 
@@ -63,22 +72,6 @@ def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
     root_w = np.sqrt(np.clip(w, 0.0, None))
     n = root_w[..., :, None] * (v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()) * root_w[..., None, :]
     return DiagonalizedStates(states, w, n)
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of stacked Hermitian matrices (..., d, d), descending.
-
-    The 2x2 case uses the unvalidated closed form, so it vectorizes without a
-    LAPACK loop; other sizes go through eig_hermitian, which validates them.
-    """
-    m = np.asarray(m)
-    if m.shape[-1] == 2:
-        a = m[..., 0, 0].real
-        d = m[..., 1, 1].real
-        mean = 0.5 * (a + d)
-        radius = np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
-        return np.stack([mean + radius, mean - radius], axis=-1)
-    return eig_hermitian(m)[0]
 
 
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray:
@@ -111,10 +104,7 @@ class SpectralPropagator:
     """
 
     def __init__(self, h: np.ndarray, t) -> None:
-        t = np.asarray(t, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(t))
-        if bad.size:
-            raise ValueError(f"time sample {bad[0]} is {t.flat[bad[0]]}, not finite")
+        t = _finite_times(t)
         self.energies, self.basis = eig_hermitian(h)
         with np.errstate(over="ignore", invalid="ignore"):
             angles = np.multiply.outer(t, self.energies)

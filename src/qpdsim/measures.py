@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptyTrajectoryError
-from .linalg import DiagonalizedStates, diagonalized, hermitian_eigenvalues, partial_trace
+from .linalg import DiagonalizedStates, _finite_times, diagonalized, partial_trace
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -23,6 +23,14 @@ def _entropy_from_probs(w: np.ndarray) -> np.ndarray:
     w = np.clip(np.asarray(w).real, 0.0, None)
     safe = np.where(w > 0.0, w, 1.0)
     return 0.0 - np.sum(w * np.log2(safe), axis=-1)
+
+
+def _eigenvalues_2x2(m: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of 2x2 stacks (..., 2, 2), unvalidated: reduced states and n n^dagger are Hermitian."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    mean = 0.5 * (a + d)
+    radius = np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
+    return np.stack([mean + radius, mean - radius], axis=-1)
 
 
 def _scalar_or_array(x: np.ndarray, was_single: bool):
@@ -49,7 +57,7 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
     if n.shape[-1] == 1:
         c = np.abs(n[..., 0, 0])
     elif n.shape[-1] == 2:
-        s1 = np.sqrt(hermitian_eigenvalues(n @ n.conj().swapaxes(-1, -2))[..., 0])
+        s1 = np.sqrt(_eigenvalues_2x2(n @ n.conj().swapaxes(-1, -2))[..., 0])
         det = np.abs(n[..., 0, 0] * n[..., 1, 1] - n[..., 0, 1] * n[..., 1, 0])
         c = np.clip(s1 - np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0.0), 0.0, None)
     else:
@@ -71,8 +79,8 @@ def entanglement_of_formation(rho: np.ndarray | DiagonalizedStates):
 
 
 def trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
-    """Composite-trapezoid time average (1/T) integral of f dt over [0, T]."""
-    times = np.asarray(times, dtype=float)
+    """Composite-trapezoid time average (1/T) integral of f dt over [0, T]; a non-finite time raises ValueError."""
+    times = _finite_times(times)
     if len(times) < 2:
         raise EmptyTrajectoryError("need at least two samples to average")
     span = times[-1] - times[0]
@@ -110,8 +118,8 @@ def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
     rho_b = partial_trace(states, "B", (2, 2))
     rho_a = partial_trace(states, "A", (2, 2))
     s_ab = np.full(states.shape[:-2], _entropy_from_probs(diagonal_form.eigenvalues))
-    s_b = _entropy_from_probs(hermitian_eigenvalues(rho_b))
-    s_a = _entropy_from_probs(hermitian_eigenvalues(rho_a))
+    s_b = _entropy_from_probs(_eigenvalues_2x2(rho_b))
+    s_a = _entropy_from_probs(_eigenvalues_2x2(rho_a))
     return MeasureRecord(
         S_B=s_b,
         S_A=s_a,

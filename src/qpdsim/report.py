@@ -229,15 +229,8 @@ def load_reference_table(name: str) -> list[dict]:
     """Read one of the packaged reference tables (comment lines skipped)."""
     text = resources.files("qpdsim.data").joinpath(f"{name}_reference.csv").read_text()
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    rows = []
-    for raw in csv.DictReader(lines):
-        row: dict = {"case": raw["case"], "alpha": raw["alpha"]}
-        for key, val in raw.items():
-            if key in ("case", "alpha"):
-                continue
-            row[key] = int(val) if key == "violated" else float(val)
-        rows.append(row)
-    return rows
+    parse = {"case": str, "alpha": str, "violated": int}  # every other column is a float
+    return [{key: parse.get(key, float)(val) for key, val in raw.items()} for raw in csv.DictReader(lines)]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyInputError, GridMismatchError
+from .linalg import _finite_times
 
 # Threshold separating rounding noise from genuine violations (>= 1e-3 at
 # catalog parameters). chi evolves from chi(0), so delta is exactly 0 when
@@ -44,11 +45,15 @@ def stp_leak(chi_diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """delta and its bound Delta from diagonals of chi (..., 4).
 
     delta is the defection weight of chi; Delta sums the moduli of the
-    whole diagonal, so Delta >= |delta|.
+    whole diagonal, so Delta >= |delta|. An imaginary part beyond 1e-12 raises
+    ValueError naming the first sample and entry; a single diagonal is sample 0.
     """
     chi_diagonal = np.asarray(chi_diagonal)
     if np.max(np.abs(chi_diagonal.imag), initial=0.0) > _IMAG_TOL:
-        raise ValueError("chi diagonal has a non-negligible imaginary part")
+        imag = np.abs(chi_diagonal.imag).reshape(-1, chi_diagonal.shape[-1])
+        sample, entry = np.argwhere(imag > _IMAG_TOL)[0]
+        part = imag[sample, entry]
+        raise ValueError(f"chi diagonal sample {sample}, entry {entry}: imaginary part {part:.3g} beyond {_IMAG_TOL:g}")
     return _defection_weight(chi_diagonal), np.sum(np.abs(chi_diagonal), axis=-1)
 
 
@@ -63,10 +68,10 @@ def stp_verdict(times: np.ndarray, delta: np.ndarray) -> StpVerdict:
     """Classify a scenario from its delta samples on the grid ``times``.
 
     Violated iff max |delta| exceeds DELTA_EPS; onset_time is the first grid time
-    where that happens, None when the principle holds. A NaN or infinite sample
-    raises ValueError naming the first one.
+    where that happens, None when the principle holds. A NaN or infinite time or
+    delta sample raises ValueError naming the first one.
     """
-    times = np.asarray(times, dtype=float)
+    times = _finite_times(times)
     delta = np.asarray(delta, dtype=float)
     abs_delta = np.abs(delta)
     if times.shape != abs_delta.shape:

@@ -19,7 +19,7 @@ PUBLIC_NAMES = {
     "QuantumSlitModel", "interference_term", "random_slit_model", "run_interference_survey",
     "run_slit_model", "subset_keys",
     # linalg
-    "HERM_TOL", "PSD_TOL", "eig_hermitian", "hermitian_eigenvalues", "partial_trace",
+    "HERM_TOL", "PSD_TOL", "eig_hermitian", "partial_trace",
     # measures
     "MeasureRecord", "average_measures", "concurrence", "entanglement_of_formation",
     "l1_coherence", "measure_series", "measure_state", "trapezoid_mean",

@@ -272,6 +272,13 @@ def test_write_failure_removes_the_files_written(tmp_path, monkeypatch, capsys):
     assert main(["--case", "1", "--outputs", "table1,table2,table3", "--out-dir", str(kept)]) == 1
     assert sorted(p.name for p in kept.iterdir()) == ["notes.txt"]
 
+    nest = tmp_path / "nest"
+    nest.mkdir()
+    calls.clear()
+    assert main(["--case", "1", "--outputs", "table1,table2,table3", "--out-dir", str(nest / "a" / "b" / "c")]) == 1
+    assert len(calls) == 2
+    assert nest.is_dir() and not any(nest.iterdir())
+
 
 def test_reproduce_all_passes(capsys):
     assert main(["--reproduce-all"]) == 0

@@ -15,6 +15,8 @@ from qpdsim import (
     initial_mental_state,
     time_grid,
 )
+from qpdsim.dynamics import orbit
+from qpdsim.linalg import SpectralPropagator
 from support import random_density, von_neumann_entropy
 
 
@@ -137,6 +139,17 @@ class TestEvolve:
     def test_non_finite_time_is_named(self, bad):
         with pytest.raises(ValueError, match=rf"^time sample 1 is {bad}, not finite$"):
             evolve(np.eye(4) / 4, build_hamiltonian(), [0.0, bad, 1.0])
+
+    def test_forms_no_spin_flipped_matrix(self, monkeypatch):
+        rho0 = initial_mental_state(catalog_case("3*"), "u")
+        h, times = build_hamiltonian(), time_grid(samples=33)
+        expected = orbit(rho0, SpectralPropagator(h, times), 4).states
+
+        def refuse(*args):
+            raise AssertionError("evolve formed the spin-flipped n(t)")
+
+        monkeypatch.setattr(SpectralPropagator, "spin_flipped", refuse)
+        np.testing.assert_array_equal(evolve(rho0, h, times).states, expected)
 
     def test_states_are_write_protected(self):
         traj = evolve(np.eye(4) / 4, build_hamiltonian(), time_grid(samples=4))

@@ -9,12 +9,12 @@ from qpdsim import (
     SubsystemParams,
     build_hamiltonian,
     eig_hermitian,
-    hermitian_eigenvalues,
     initial_mental_state,
     partial_trace,
 )
 from qpdsim.dynamics import orbit
 from qpdsim.linalg import SpectralPropagator, diagonalized
+from qpdsim.measures import _eigenvalues_2x2
 from support import random_density, random_hermitian, rk4_propagator, unitary
 
 
@@ -92,14 +92,19 @@ def random_hermitian_stack(rng, n, dim):
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
+def descending_eigenvalues(m):
+    """measures' private 2x2 closed form for dim 2, eig_hermitian for any other size."""
+    return _eigenvalues_2x2(m) if m.shape[-1] == 2 else eig_hermitian(m)[0]
+
+
 class TestHermitianEigenvalues:
-    """The 2x2 closed form and the eigvalsh path against np.linalg.eigvalsh."""
+    """The 2x2 closed form of measures and eig_hermitian's eigenvalues against np.linalg.eigvalsh."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_stacks_match_eigvalsh(self, dim):
         rng = np.random.default_rng(15)
         m = random_hermitian_stack(rng, 200, dim).reshape(10, 20, dim, dim)
-        got = hermitian_eigenvalues(m)
+        got = descending_eigenvalues(m)
         assert got.shape == (10, 20, dim)
         np.testing.assert_allclose(got, np.linalg.eigvalsh(m)[..., ::-1], rtol=0, atol=1e-14)
         assert np.all(np.diff(got, axis=-1) <= 0.0)
@@ -113,7 +118,7 @@ class TestHermitianEigenvalues:
         zero_off_diagonal = m * np.eye(dim)
         identities = np.broadcast_to(np.eye(dim), m.shape)
         for stack in (equal_diagonal, zero_off_diagonal, zero_off_diagonal * 0.0, identities):
-            got = hermitian_eigenvalues(stack)
+            got = descending_eigenvalues(stack)
             np.testing.assert_allclose(got, np.linalg.eigvalsh(stack)[..., ::-1], rtol=0, atol=1e-14)
             assert np.all(np.diff(got, axis=-1) <= 0.0)
 
@@ -121,7 +126,7 @@ class TestHermitianEigenvalues:
         m = np.zeros((3, 3))
         m[0, 2] = 0.5
         with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian within 1e-12$"):
-            hermitian_eigenvalues(m)
+            eig_hermitian(m)
 
 
 class TestDiagonalized:

@@ -224,6 +224,10 @@ class TestTimeAverage:
         with pytest.raises(ValueError, match=r"^cannot average over a zero time span, t = 1 to 1$"):
             trapezoid_mean([1.0, 2.0], [1.0, 1.0])
 
+    def test_non_finite_time_is_named(self):
+        with pytest.raises(ValueError, match=r"^time sample 1 is inf, not finite$"):
+            trapezoid_mean([1.0, 2.0], [0.0, np.inf])
+
 
 class TestMeasureRecord:
     def test_record_identities_on_random_states(self):

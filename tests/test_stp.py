@@ -106,6 +106,15 @@ class TestDelta:
         with pytest.raises(ValueError, match="imaginary part"):
             stp_leak(np.array([0.0, 1j, 0.0, 0.0]))
 
+    def test_imaginary_entry_names_its_sample(self):
+        chi = np.zeros((5, 4), dtype=complex)
+        chi[3, 1] = 1e-9j
+        chi[4, 0] = 1j
+        with pytest.raises(ValueError, match=r"^chi diagonal sample 3, entry 1: imaginary part 1e-09 beyond 1e-12$"):
+            stp_leak(chi)
+        with pytest.raises(ValueError, match=r"^chi diagonal sample 0, entry 1: imaginary part 1e-09 beyond 1e-12$"):
+            stp_leak(chi[3])
+
     def test_case2_never_deviates(self):
         spec = catalog_case("2")
         trajs = branch_trajectories(spec)
@@ -205,6 +214,10 @@ class TestVerdict:
     def test_non_finite_delta_rejected(self):
         with pytest.raises(ValueError, match=r"^delta sample 2 \(t = 2\) is nan, not finite$"):
             stp_verdict(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 5e-3, np.nan, np.inf]))
+
+    def test_non_finite_time_rejected(self):
+        with pytest.raises(ValueError, match=r"^time sample 1 is nan, not finite$"):
+            stp_verdict(np.array([0.0, np.nan, 2.0]), np.array([0.0, 0.5, 0.1]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(GridMismatchError):
