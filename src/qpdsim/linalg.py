@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError
+from .errors import DimensionMismatchError, NonHermitianError, NotPositiveError
 
 # Validation tolerances. PSD_TOL is qubit_state's positivity slack, |lam|^2 <= p(1-p) + PSD_TOL, so states
 # built at that edge have eigenvalues down to about -PSD_TOL; the entropies clamp every negative one to 0.
@@ -62,13 +62,21 @@ class DiagonalizedStates(NamedTuple):
 
 
 def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
-    """``states`` with its spectrum and n: the ones it carries, else from eig_hermitian of the stack."""
+    """``states`` with its spectrum and n: the ones it carries, else from eig_hermitian of the stack.
+
+    A bare state with an eigenvalue below -(PSD_TOL + HERM_TOL) raises NotPositiveError naming the
+    first one; an orbit carries the spectrum of its validated t=0 state.
+    """
     if isinstance(states, DiagonalizedStates):
         return states
     states = np.asarray(states, dtype=complex)
     if states.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"concurrence needs 4x4 states, got {states.shape[-2:]}")
     w, v = eig_hermitian(states)
+    bad = np.argwhere(w[..., -1] < -(PSD_TOL + HERM_TOL))
+    if len(bad):
+        name = " ".join(["matrix", *map(str, bad[0])])
+        raise NotPositiveError(f"{name} has eigenvalue {w[(*bad[0], -1)]:.3g} below {-(PSD_TOL + HERM_TOL):g}")
     root_w = np.sqrt(np.clip(w, 0.0, None))
     n = root_w[..., :, None] * (v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()) * root_w[..., None, :]
     return DiagonalizedStates(states, w, n)

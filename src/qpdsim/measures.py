@@ -51,9 +51,12 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
     n comes from DiagonalizedStates (r x r on a support of rank r), else from eig_hermitian of the stack;
     the square-root weights keep it accurate on (near-)pure states. Rank 1 gives C = |n_00|, rank 2
     C = s1 - s2 with s1^2 the larger eigenvalue of n n^dag and s2 = |det n| / s1 (the root of the
-    smaller eigenvalue would be off by about 1e-8), a larger rank the SVD.
+    smaller eigenvalue would be off by about 1e-8), a larger rank the SVD. Unitary evolution keeps
+    the spectrum w1 >= ... >= w4, and no unitary lifts C above max(0, w1 - w3 - 2 sqrt(w2 w4))
+    (Verstraete, Audenaert and De Moor, PRA 64, 012316, 2001): rank 4 runs the SVD only where
+    that margin is positive, so an orbit's whole branch is settled by its one spectrum.
     """
-    rho, _, n = diagonalized(rho)
+    rho, w, n = diagonalized(rho)
     if n.shape[-1] == 1:
         c = np.abs(n[..., 0, 0])
     elif n.shape[-1] == 2:
@@ -61,8 +64,12 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
         det = np.abs(n[..., 0, 0] * n[..., 1, 1] - n[..., 0, 1] * n[..., 1, 0])
         c = np.clip(s1 - np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0.0), 0.0, None)
     else:
-        s = np.linalg.svd(n, compute_uv=False)  # descending
-        c = np.clip(2.0 * s[..., 0] - np.sum(s, axis=-1), 0.0, None)
+        w = np.clip(w, 0.0, None)
+        entangling = np.broadcast_to(w[..., 0] - w[..., 2] - 2.0 * np.sqrt(w[..., 1] * w[..., 3]) > 0.0, n.shape[:-2])
+        c = np.zeros(n.shape[:-2])
+        if entangling.any():
+            s = np.linalg.svd(n if entangling.all() else n[entangling], compute_uv=False)  # descending
+            c[entangling] = np.clip(2.0 * s[..., 0] - np.sum(s, axis=-1), 0.0, None)
     return _scalar_or_array(c, rho.ndim == 2)
 
 

@@ -45,13 +45,13 @@ def stp_leak(chi_diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """delta and its bound Delta from diagonals of chi (..., 4).
 
     delta is the defection weight of chi; Delta sums the moduli of the
-    whole diagonal, so Delta >= |delta|. An imaginary part beyond 1e-12 raises
+    whole diagonal, so Delta >= |delta|. An imaginary part beyond 1e-12, or NaN, raises
     ValueError naming the first sample and entry; a single diagonal is sample 0.
     """
     chi_diagonal = np.asarray(chi_diagonal)
-    if np.max(np.abs(chi_diagonal.imag), initial=0.0) > _IMAG_TOL:
+    if not np.max(np.abs(chi_diagonal.imag), initial=0.0) <= _IMAG_TOL:  # a NaN fails too
         imag = np.abs(chi_diagonal.imag).reshape(-1, chi_diagonal.shape[-1])
-        sample, entry = np.argwhere(imag > _IMAG_TOL)[0]
+        sample, entry = np.argwhere(~(imag <= _IMAG_TOL))[0]
         part = imag[sample, entry]
         raise ValueError(f"chi diagonal sample {sample}, entry {entry}: imaginary part {part:.3g} beyond {_IMAG_TOL:g}")
     return _defection_weight(chi_diagonal), np.sum(np.abs(chi_diagonal), axis=-1)

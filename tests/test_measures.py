@@ -9,10 +9,12 @@ from qpdsim import (
     EmptyTrajectoryError,
     MeasureRecord,
     NonHermitianError,
+    NotPositiveError,
     ScenarioSpec,
     SubsystemParams,
     Trajectory,
     analyze_case,
+    analyze_catalog,
     build_hamiltonian,
     catalog_case,
     concurrence,
@@ -23,6 +25,7 @@ from qpdsim import (
     measure_series,
     measure_state,
     partial_trace,
+    qubit_state,
     time_grid,
     trapezoid_mean,
 )
@@ -168,6 +171,70 @@ class TestOrbitSupport:
         assert np.all(ef == 0.0)
 
 
+def spectral_margin(w):
+    """w1 - w3 - 2 sqrt(w2 w4) of a descending spectrum: the largest concurrence on its unitary orbit, if positive."""
+    w = np.clip(w, 0.0, None)
+    return w[..., 0] - w[..., 2] - 2.0 * np.sqrt(w[..., 1] * w[..., 3])
+
+
+def haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def svd_concurrence(rho):
+    """Oracle: s1 - s2 - s3 - s4 from numpy's eigh of rho and the full 4x4 SVD, with no spectral shortcut."""
+    w, v = np.linalg.eigh(rho)
+    root_w = np.sqrt(np.clip(w, 0.0, None))
+    yy = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]])
+    s = np.linalg.svd(root_w[:, None] * (v.conj().T @ yy @ v.conj()) * root_w[None, :], compute_uv=False)
+    return max(0.0, 2.0 * s[0] - np.sum(s))
+
+
+class TestSpectralCertificate:
+    """Rank 4 runs the SVD only where the spectrum's margin w1 - w3 - 2 sqrt(w2 w4) is positive."""
+
+    def test_catalog_rank_four_branches_need_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        analyses = analyze_catalog(samples=257)
+        for label in ("1", "1*", "3*"):
+            ef = analyses[label].series["u"].EF_AB
+            assert ef.shape == (257,) and np.all(ef == 0.0), label
+
+    def test_no_unitary_exceeds_the_margin(self):
+        rng = np.random.default_rng(51)
+        certified = entangled = 0
+        for k in range(400):
+            w = np.sort(rng.dirichlet(np.full(4, (0.2, 1.0, 5.0)[k % 3])))[::-1]
+            u = haar_unitary(rng, 4)
+            rho = (u * w) @ u.conj().T
+            c, margin = concurrence(rho), spectral_margin(w)
+            assert c <= max(0.0, margin) + 1e-15
+            assert c == pytest.approx(svd_concurrence(rho), abs=1e-14)
+            certified += margin <= 0.0
+            entangled += c > 0.0
+        assert certified > 50 and entangled > 50
+
+    @pytest.mark.parametrize("shift", [-1e-12, 0.0, 1e-12])
+    def test_werner_states_at_the_threshold_match_the_svd(self, shift):
+        # the Werner state p |psi-><psi-| + (1 - p) I/4 has margin (3p - 1)/2, zero at p = 1/3
+        p = 1.0 / 3.0 + shift
+        singlet = np.zeros((4, 4))
+        singlet[np.ix_([1, 2], [1, 2])] = [[0.5, -0.5], [-0.5, 0.5]]
+        werner = p * singlet + (1.0 - p) * np.eye(4) / 4.0
+        # local unitaries keep C = max(0, margin), global ones mostly give 0
+        rng = np.random.default_rng(52)
+        unitaries = [np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(25)]
+        unitaries += [haar_unitary(rng, 4) for _ in range(25)]
+        states = [u @ werner @ u.conj().T for u in unitaries]
+        want = [svd_concurrence(rho) for rho in states]
+        np.testing.assert_allclose([concurrence(rho) for rho in states], want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(concurrence(np.stack(states)), want, rtol=0, atol=1e-15)
+
+
 class TestMutualInformation:
     def test_product_state_zero(self):
         rng = np.random.default_rng(46)
@@ -259,6 +326,32 @@ class TestMeasureRecord:
         # the series of a pure branch (S_AB) and of an unentangled one (EF_AB)
         for series in (analyze_case("2", samples=65).series["d"].S_AB, analyze_case("1", samples=65).series["d"].EF_AB):
             assert np.all(series == 0.0) and not np.any(np.signbit(series))
+
+
+class TestNotPositiveInput:
+    """A bare state whose smallest eigenvalue is below -(PSD_TOL + HERM_TOL) is named, not measured."""
+
+    def test_single_state(self):
+        for measure in (measure_state, concurrence, entanglement_of_formation, measure_series):
+            with pytest.raises(NotPositiveError, match=r"^matrix has eigenvalue -0.5 below -1.01e-10$"):
+                measure(np.diag([1.5, -0.5, 0.0, 0.0]))
+
+    def test_stack_names_the_sample(self):
+        rng = np.random.default_rng(53)
+        states = np.stack([random_density(rng, 4) for _ in range(10)])
+        states[6] = np.diag([0.5, 0.5, 0.2, -0.2])
+        states[8] = np.diag([1.5, -0.5, 0.0, 0.0])
+        for measure in (measure_series, concurrence, entanglement_of_formation):
+            with pytest.raises(NotPositiveError, match=r"^matrix 6 has eigenvalue -0.2 below -1.01e-10$"):
+                measure(states)
+
+    def test_states_at_the_qubit_state_edge_pass(self):
+        # qubit_state admits |lam|^2 up to p(1-p) + PSD_TOL, so its states reach eigenvalues near -1e-10
+        edge = qubit_state(SubsystemParams(0.5, math.sqrt(0.25 + 0.99e-10)))
+        for rho in (np.kron(edge, edge), np.kron(np.diag([0.0, 1.0]), edge)):
+            assert np.linalg.eigvalsh(rho)[0] < -9.8e-11
+            record = measure_state(rho)
+            assert all(math.isfinite(getattr(record, name)) for name in MeasureRecord.__dataclass_fields__)
 
 
 class TestNonHermitianInput:

@@ -115,6 +115,13 @@ class TestDelta:
         with pytest.raises(ValueError, match=r"^chi diagonal sample 0, entry 1: imaginary part 1e-09 beyond 1e-12$"):
             stp_leak(chi[3])
 
+    def test_nan_imaginary_part_is_named(self):
+        # NaN > tolerance is False, so the check must be written as not (|imag| <= tolerance)
+        chi = np.zeros((3, 4), dtype=complex)
+        chi[1, 0] = complex(0.1, np.nan)
+        with pytest.raises(ValueError, match=r"^chi diagonal sample 1, entry 0: imaginary part nan beyond 1e-12$"):
+            stp_leak(chi)
+
     def test_case2_never_deviates(self):
         spec = catalog_case("2")
         trajs = branch_trajectories(spec)
