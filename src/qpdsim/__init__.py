@@ -58,9 +58,7 @@ from .report import (
     analyze_catalog,
     load_reference_table,
     reproduce_all,
-    table1_rows,
-    table2_rows,
-    table3_rows,
+    table_rows,
 )
 from .states import (
     BRANCHES,

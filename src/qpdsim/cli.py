@@ -21,18 +21,14 @@ from dataclasses import dataclass
 from .dynamics import DEFAULT_GAMMA, DEFAULT_MU, DEFAULT_SAMPLES, DEFAULT_T_MAX, HamiltonianParams
 from .interference import run_interference_survey
 from .report import (
-    TABLE1_COLUMNS,
-    TABLE2_COLUMNS,
-    TABLE3_COLUMNS,
+    TABLE_COLUMNS,
     analyze_case,
     atomic_write_text,
     case_file_tag,
     render_table_csv,
     render_trajectory_csv,
     reproduce_all,
-    scenario_table1_rows,
-    table2_rows,
-    table3_rows,
+    table_rows,
 )
 from .states import BRANCHES, ScenarioSpec, _config_float, _config_mapping, catalog_case, scenario_from_config
 
@@ -140,12 +136,9 @@ def run(config: RunConfig) -> list[str]:
         analysis = analyze_case(config.scenario, config.hamiltonian, config.t_max, config.samples)
 
     rendered: list[tuple[str, str]] = []
-    if "table1" in config.outputs:
-        rendered.append(("table1.csv", render_table_csv(scenario_table1_rows(config.scenario), TABLE1_COLUMNS)))
-    if "table2" in config.outputs:
-        rendered.append(("table2.csv", render_table_csv(table2_rows({label: analysis}), TABLE2_COLUMNS)))
-    if "table3" in config.outputs:
-        rendered.append(("table3.csv", render_table_csv(table3_rows({label: analysis}), TABLE3_COLUMNS)))
+    for table, columns in TABLE_COLUMNS.items():
+        if table in config.outputs:
+            rendered.append((f"{table}.csv", render_table_csv(table_rows(table, config.scenario, analysis), columns)))
     if "trajectory" in config.outputs:
         for alpha in BRANCHES:
             name = f"trajectory_case_{case_file_tag(label)}_{alpha}.csv"
@@ -197,7 +190,8 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         return 0
     except Exception as exc:  # batch tool: any invariant failure is a hard error
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() of a KeyError is its key's repr
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -65,7 +65,8 @@ def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
     """``states`` with its spectrum and n: the ones it carries, else from eig_hermitian of the stack.
 
     A bare state with an eigenvalue below -(PSD_TOL + HERM_TOL) raises NotPositiveError naming the
-    first one; an orbit carries the spectrum of its validated t=0 state.
+    first one, and one whose eigenvalues sum to more than TRACE_TOL away from 1 raises ValueError;
+    an orbit carries the spectrum of its validated t=0 state.
     """
     if isinstance(states, DiagonalizedStates):
         return states
@@ -77,6 +78,11 @@ def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
     if len(bad):
         name = " ".join(["matrix", *map(str, bad[0])])
         raise NotPositiveError(f"{name} has eigenvalue {w[(*bad[0], -1)]:.3g} below {-(PSD_TOL + HERM_TOL):g}")
+    trace = w.sum(axis=-1)
+    bad = np.argwhere(np.abs(trace - 1.0) > TRACE_TOL)
+    if len(bad):
+        name = " ".join(["matrix", *map(str, bad[0])])
+        raise ValueError(f"{name} has trace {trace[tuple(bad[0])]:.15g}, not 1 within {TRACE_TOL:g}")
     root_w = np.sqrt(np.clip(w, 0.0, None))
     n = root_w[..., :, None] * (v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()) * root_w[..., None, :]
     return DiagonalizedStates(states, w, n)

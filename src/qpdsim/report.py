@@ -50,17 +50,19 @@ from .stp import StpVerdict, choice_probability, stp_leak, stp_verdict
 # Regression tolerances. Time-averaged table cells must land within
 # TABLE_TOL of the 2-decimal reference; cells between TABLE_TOL and
 # TABLE_TOL_LOOSE pass with a logged note (the published averaging
-# convention is unstated). Structurally exact cells and exact-zero cells
-# get their own, much tighter limits.
-TABLE1_TOL = 0.005
+# convention is unstated). Exact cells (all of table1, some of table2) and
+# exact-zero cells get their own, much tighter limits.
 TABLE_TOL = 0.02
 TABLE_TOL_LOOSE = 0.05
 EXACT_CELL_TOL = 0.005
 ZERO_CELL_TOL = 1e-6
 
-TABLE2_COLUMNS = ("S_B", "S_A", "S_AB", "I_AB")
-TABLE3_COLUMNS = ("Cl1_B", "Cl1_A", "Cl1_AB", "CRE_AB", "EF_AB")
-TABLE1_COLUMNS = ("Cl1_B", "S_B", "Cl1_A", "S_A")
+# The value columns of each output table, in file order.
+TABLE_COLUMNS = {
+    "table1": ("Cl1_B", "S_B", "Cl1_A", "S_A"),
+    "table2": ("S_B", "S_A", "S_AB", "I_AB"),
+    "table3": ("Cl1_B", "Cl1_A", "Cl1_AB", "CRE_AB", "EF_AB"),
+}
 
 # Cells pinned by unitary invariance or marginal structure rather than by
 # quadrature: the uncertain maximally-mixed case and the certain-prediction
@@ -178,43 +180,25 @@ def analyze_case(
     )
 
 
-def _rows(
-    label: str, records: Mapping[str, MeasureRecord], columns: tuple[str, ...], violated=None
-) -> list[dict]:
-    """One table row per branch: case, alpha, the verdict flag if given, then ``columns``."""
+def table_rows(table: str, spec: ScenarioSpec, analysis: CaseAnalysis | None = None) -> list[dict]:
+    """One row of ``table`` per branch: case, alpha, table2's verdict flag, then the table's columns.
+
+    table1 measures each branch's t=0 state and needs no analysis; tables 2 and 3 read
+    the time averages of ``analysis``, the CaseAnalysis of ``spec``.
+    """
+    if table not in TABLE_COLUMNS:
+        raise ValueError(f"unknown table {table!r}; choose from {tuple(TABLE_COLUMNS)}")
+    if table != "table1" and analysis is None:
+        raise ValueError(f"{table} reads time averages: pass the CaseAnalysis of the scenario")
     rows = []
     for alpha in BRANCHES:
-        row = {"case": label, "alpha": alpha}
-        if violated is not None:
-            row["violated"] = int(violated)
-        row.update((column, getattr(records[alpha], column)) for column in columns)
+        row = {"case": spec.case_label, "alpha": alpha}
+        record = measure_state(initial_mental_state(spec, alpha)) if table == "table1" else analysis.means[alpha]
+        if table == "table2":
+            row["violated"] = int(analysis.verdict.violated)
+        row.update((column, getattr(record, column)) for column in TABLE_COLUMNS[table])
         rows.append(row)
     return rows
-
-
-def scenario_table1_rows(spec: ScenarioSpec) -> list[dict]:
-    """Coherence and entropy of one scenario's branches, measured on the joint t=0 state."""
-    records = {alpha: measure_state(initial_mental_state(spec, alpha)) for alpha in BRANCHES}
-    return _rows(spec.case_label, records, TABLE1_COLUMNS)
-
-
-def table1_rows() -> list[dict]:
-    """Initial-state coherence and entropy per catalog case and branch."""
-    return [row for label in CATALOG_LABELS for row in scenario_table1_rows(catalog_case(label))]
-
-
-def table2_rows(analyses: Mapping[str, CaseAnalysis]) -> list[dict]:
-    """Time-averaged entropies and mutual information per case and branch."""
-    return [
-        row
-        for label, analysis in analyses.items()
-        for row in _rows(label, analysis.means, TABLE2_COLUMNS, analysis.verdict.violated)
-    ]
-
-
-def table3_rows(analyses: Mapping[str, CaseAnalysis]) -> list[dict]:
-    """Time-averaged coherence and entanglement per case and branch."""
-    return [row for label, analysis in analyses.items() for row in _rows(label, analysis.means, TABLE3_COLUMNS)]
 
 
 def analyze_catalog(
@@ -248,10 +232,7 @@ class CellCheck:
 
 def _check_cell(table, case, alpha, column, value, reference) -> CellCheck:
     dev = abs(value - reference)
-    if table == "table1":
-        limit = TABLE1_TOL
-        status = "pass" if dev <= limit else "fail"
-    elif table == "table2" and (case, alpha, column) in EXACT_TABLE2_CELLS:
+    if table == "table1" or (table == "table2" and (case, alpha, column) in EXACT_TABLE2_CELLS):
         limit = EXACT_CELL_TOL
         status = "pass" if dev <= limit else "fail"
     elif (
@@ -261,8 +242,7 @@ def _check_cell(table, case, alpha, column, value, reference) -> CellCheck:
         and reference == 0.0
     ):
         limit = ZERO_CELL_TOL
-        status = "pass" if abs(value) < limit else "fail"
-        dev = abs(value)
+        status = "pass" if dev < limit else "fail"
     else:
         limit = TABLE_TOL
         if dev <= TABLE_TOL:
@@ -309,9 +289,10 @@ def reproduce_all(
 ) -> ReproduceReport:
     """Regression sweep over the whole catalog against the reference tables."""
     analyses = analyze_catalog(params, t_max, samples)
-    checks = check_table("table1", table1_rows(), TABLE1_COLUMNS)
-    checks += check_table("table2", table2_rows(analyses), TABLE2_COLUMNS)
-    checks += check_table("table3", table3_rows(analyses), TABLE3_COLUMNS)
+    checks = []
+    for table, columns in TABLE_COLUMNS.items():
+        rows = [row for analysis in analyses.values() for row in table_rows(table, analysis.spec, analysis)]
+        checks += check_table(table, rows, columns)
     verdicts_ok = check_verdicts(analyses)
 
     lines = []

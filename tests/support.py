@@ -51,10 +51,13 @@ def random_hamiltonian_params(rng: np.random.Generator) -> HamiltonianParams:
     )
 
 
-def rk4_propagator(h: np.ndarray, t: float, steps: int = 2000) -> np.ndarray:
-    """Classical fixed-step RK4 for dU/dt = -i h U, U(0) = I."""
-    dt = t / steps
-    u = np.eye(h.shape[0], dtype=complex)
+def rk4_propagator(h: np.ndarray, t, steps: int = 2000) -> np.ndarray:
+    """Classical fixed-step RK4 for dU/dt = -i h U, U(0) = I: h (d, d) with a scalar t, or a
+    stack (K, d, d) with t (K,), each matrix integrated over its own t in ``steps`` steps.
+    """
+    h = np.asarray(h)
+    dt = (np.asarray(t, dtype=float) / steps)[..., None, None]
+    u = np.broadcast_to(np.eye(h.shape[-1], dtype=complex), h.shape).copy()
     for _ in range(steps):
         k1 = -1j * (h @ u)
         k2 = -1j * (h @ (u + 0.5 * dt * k1))

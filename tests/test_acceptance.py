@@ -15,6 +15,7 @@ from qpdsim import (
     BRANCHES,
     CATALOG_LABELS,
     build_hamiltonian,
+    catalog_case,
     entanglement_of_formation,
     evolve,
     initial_mental_state,
@@ -25,17 +26,7 @@ from qpdsim import (
 )
 from qpdsim.cli import main as cli_main
 from qpdsim.linalg import SpectralPropagator
-from qpdsim.report import (
-    TABLE1_COLUMNS,
-    TABLE2_COLUMNS,
-    TABLE3_COLUMNS,
-    analyze_catalog,
-    check_table,
-    check_verdicts,
-    table1_rows,
-    table2_rows,
-    table3_rows,
-)
+from qpdsim.report import TABLE_COLUMNS, analyze_catalog, check_table, check_verdicts, table_rows
 from support import (
     chi_leak,
     chi_series,
@@ -63,7 +54,8 @@ def catalog_analyses():
 
 def test_criterion_1_table1_reproduction():
     start = time.perf_counter()
-    checks = check_table("table1", table1_rows(), TABLE1_COLUMNS)
+    rows = [row for label in CATALOG_LABELS for row in table_rows("table1", catalog_case(label))]
+    checks = check_table("table1", rows, TABLE_COLUMNS["table1"])
     elapsed = time.perf_counter() - start
     bad = [c for c in checks if c.status != "pass"]
     ok = not bad and elapsed < 1.0
@@ -77,7 +69,8 @@ def test_criterion_1_table1_reproduction():
 def test_criterion_2_table2_reproduction():
     start = time.perf_counter()
     analyses = analyze_catalog()
-    checks = check_table("table2", table2_rows(analyses), TABLE2_COLUMNS)
+    rows = [row for a in analyses.values() for row in table_rows("table2", a.spec, a)]
+    checks = check_table("table2", rows, TABLE_COLUMNS["table2"])
     elapsed = time.perf_counter() - start
     failures = [c for c in checks if c.status == "fail"]
     notes = [c for c in checks if c.status == "note"]
@@ -98,7 +91,8 @@ def test_criterion_2_table2_reproduction():
 def test_criterion_3_table3_reproduction():
     start = time.perf_counter()
     analyses = analyze_catalog()
-    checks = check_table("table3", table3_rows(analyses), TABLE3_COLUMNS)
+    rows = [row for a in analyses.values() for row in table_rows("table3", a.spec, a)]
+    checks = check_table("table3", rows, TABLE_COLUMNS["table3"])
     elapsed = time.perf_counter() - start
     failures = [c for c in checks if c.status == "fail"]
     notes = [c for c in checks if c.status == "note"]
@@ -223,15 +217,19 @@ def test_criterion_6d_entanglement_paths_agree():
 def test_criterion_6e_propagator_matches_rk4():
     rng = np.random.default_rng(604)
     rho0 = random_density(np.random.default_rng(605), 4)
-    worst = 0.0
+    hs, ts = [], []
     for trial in range(N_TRIALS):
         h = (
             build_hamiltonian(random_hamiltonian_params(rng))
             if trial % 2
             else random_hermitian(rng, 4)
         )
-        t = rng.uniform(0.25, 2.0)
-        u = rk4_propagator(h, t)
+        hs.append(h)
+        ts.append(rng.uniform(0.25, 2.0))
+    # all trials integrated as one stack: the same 2000 RK4 steps per trial
+    us = rk4_propagator(np.stack(hs), np.array(ts))
+    worst = 0.0
+    for h, t, u in zip(hs, ts, us):
         diff = np.max(np.abs(SpectralPropagator(h, t).conjugated(rho0) - u @ rho0 @ u.conj().T))
         worst = max(worst, diff)
     ok = worst <= 1e-8

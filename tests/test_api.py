@@ -25,7 +25,7 @@ PUBLIC_NAMES = {
     "l1_coherence", "measure_series", "measure_state", "trapezoid_mean",
     # report
     "CaseAnalysis", "ReproduceReport", "analyze_case", "analyze_catalog", "load_reference_table",
-    "reproduce_all", "table1_rows", "table2_rows", "table3_rows",
+    "reproduce_all", "table_rows",
     # states
     "BRANCHES", "CATALOG_LABELS", "ScenarioSpec", "SubsystemParams", "catalog_case",
     "chi_initial", "initial_mental_state", "qubit_state",

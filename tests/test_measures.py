@@ -354,6 +354,29 @@ class TestNotPositiveInput:
             assert all(math.isfinite(getattr(record, name)) for name in MeasureRecord.__dataclass_fields__)
 
 
+class TestTraceOffOne:
+    """A bare state whose eigenvalues sum to more than TRACE_TOL away from 1 is named, not measured."""
+
+    def test_single_state(self):
+        # np.eye(4) used to give S_A = S_B = -4 and I_AB = -8
+        for measure in (measure_state, concurrence, entanglement_of_formation, measure_series):
+            with pytest.raises(ValueError, match=r"^matrix has trace 4, not 1 within 1e-12$"):
+                measure(np.eye(4))
+
+    def test_stack_names_the_sample(self):
+        rng = np.random.default_rng(54)
+        states = np.stack([random_density(rng, 4) for _ in range(10)])
+        states[3] = np.eye(4)
+        states[7] = np.eye(4) / 2
+        for measure in (measure_series, concurrence, entanglement_of_formation):
+            with pytest.raises(ValueError, match=r"^matrix 3 has trace 4, not 1 within 1e-12$"):
+                measure(states)
+
+    def test_trace_within_tolerance_passes(self):
+        record = measure_state(np.eye(4) / 4 * (1.0 + 0.5e-12))
+        assert record.S_AB == pytest.approx(2.0, rel=0, abs=1e-11)
+
+
 class TestNonHermitianInput:
     """Every bare state goes through eig_hermitian, which names the first non-Hermitian one."""
 

@@ -24,9 +24,7 @@ from qpdsim.linalg import TRACE_TOL
 from qpdsim.measures import MEASURE_FIELDS, MeasureRecord
 from qpdsim.report import (
     _RENDER_BLOCK_ROWS,
-    TABLE1_COLUMNS,
-    TABLE2_COLUMNS,
-    TABLE3_COLUMNS,
+    TABLE_COLUMNS,
     TRAJECTORY_COLUMNS,
     atomic_write_text,
     case_file_tag,
@@ -34,9 +32,7 @@ from qpdsim.report import (
     render_table_csv,
     render_trajectory_csv,
     reproduce_all,
-    scenario_table1_rows,
-    table2_rows,
-    table3_rows,
+    table_rows,
 )
 from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario, savetxt_trajectory_csv
 
@@ -188,11 +184,22 @@ class TestReferenceTables:
                 (c, a) for c in ("1", "1*", "2", "3", "3*", "4", "4*") for a in ("u", "d", "c")
             }
 
+    def test_table_rows_rejects_unknown_table_and_missing_analysis(self, case2_analysis):
+        spec = case2_analysis.spec
+        with pytest.raises(ValueError, match=r"^unknown table 'table4'; choose from \('table1', 'table2', 'table3'\)$"):
+            table_rows("table4", spec, case2_analysis)
+        for table in ("table2", "table3"):
+            message = f"{table} reads time averages: pass the CaseAnalysis of the scenario"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                table_rows(table, spec)
+        # table1 measures the t=0 states, so an analysis is optional and changes nothing
+        assert table_rows("table1", spec) == table_rows("table1", spec, case2_analysis)
+
     def test_check_table_flags_misses(self):
         rows = [
             {"case": "1", "alpha": "u", "violated": 0, "S_B": 1.0, "S_A": 1.0, "S_AB": 2.0, "I_AB": 0.9}
         ]
-        checks = check_table("table2", rows, TABLE2_COLUMNS)
+        checks = check_table("table2", rows, TABLE_COLUMNS["table2"])
         by_col = {c.column: c for c in checks}
         assert by_col["I_AB"].status == "fail"  # exact cell, way off
         assert by_col["S_B"].status == "pass"
@@ -201,7 +208,7 @@ class TestReferenceTables:
         rows = [
             {"case": "1", "alpha": "d", "violated": 0, "S_B": 0.68, "S_A": 1.0, "S_AB": 1.0, "I_AB": 0.65}
         ]
-        checks = {c.column: c for c in check_table("table2", rows, TABLE2_COLUMNS)}
+        checks = {c.column: c for c in check_table("table2", rows, TABLE_COLUMNS["table2"])}
         assert checks["S_B"].status == "note"  # 0.03 off: between 0.02 and 0.05
 
 
@@ -221,7 +228,7 @@ class TestReproduceAll:
 
 class TestRendering:
     def test_table_csv_layout(self, case2_analysis):
-        text = render_table_csv(table2_rows({"2": case2_analysis}), TABLE2_COLUMNS)
+        text = render_table_csv(table_rows("table2", case2_analysis.spec, case2_analysis), TABLE_COLUMNS["table2"])
         lines = text.strip().split("\n")
         assert lines[0] == (
             "case,alpha,violated,S_B,S_A,S_AB,I_AB,"
@@ -292,7 +299,7 @@ class TestRendering:
     def test_table_format_pin(self):
         # 2.675 is stored just below 2.675, so it rounds down like the decimal value
         rows = [{"case": "x", "alpha": "u", "Cl1_B": -1e-10, "S_B": -0.0, "Cl1_A": 2.675, "S_A": 2.0 + 5e-10}]
-        assert render_table_csv(rows, TABLE1_COLUMNS) == (
+        assert render_table_csv(rows, TABLE_COLUMNS["table1"]) == (
             "case,alpha,Cl1_B,S_B,Cl1_A,S_A,Cl1_B_rounded,S_B_rounded,Cl1_A_rounded,S_A_rounded\n"
             "x,u,0,0,2.675,2,0.00,0.00,2.67,2.00\n"
         )
@@ -320,7 +327,7 @@ class TestRendering:
         row = {"case": "x", "alpha": "u", "Cl1_B": 0.0, "S_B": 0.0, "Cl1_A": 0.0, "S_A": 0.0}
         rows = [row, dict(row, alpha="d", S_B=-1e-6)]
         with pytest.raises(ValueError, match=r"^column S_B, row 1: value -1e-06 below 0\.0$"):
-            render_table_csv(rows, TABLE1_COLUMNS)
+            render_table_csv(rows, TABLE_COLUMNS["table1"])
 
     def test_case_file_tag(self):
         assert case_file_tag("3*") == "3star"
@@ -422,13 +429,13 @@ class TestOutputPins:
 
     def test_table1_text(self):
         for label in CATALOG_LABELS:
-            got = render_table_csv(scenario_table1_rows(catalog_case(label)), TABLE1_COLUMNS)
+            got = render_table_csv(table_rows("table1", catalog_case(label)), TABLE_COLUMNS["table1"])
             assert got == pinned_rows(TABLE1_PIN, label), label
 
     def test_table2_and_table3_rounded_columns(self):
         for label, analysis in analyze_catalog().items():
-            table2 = render_table_csv(table2_rows({label: analysis}), TABLE2_COLUMNS)
-            table3 = render_table_csv(table3_rows({label: analysis}), TABLE3_COLUMNS)
+            table2 = render_table_csv(table_rows("table2", analysis.spec, analysis), TABLE_COLUMNS["table2"])
+            table3 = render_table_csv(table_rows("table3", analysis.spec, analysis), TABLE_COLUMNS["table3"])
             assert rounded_columns(table2) == pinned_rows(TABLE2_PIN, label), label
             assert rounded_columns(table3) == pinned_rows(TABLE3_PIN, label), label
 

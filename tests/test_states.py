@@ -25,7 +25,7 @@ from qpdsim import (
 )
 from qpdsim.cli import main as cli_main
 from qpdsim.linalg import TRACE_TOL
-from qpdsim.report import TABLE1_COLUMNS, check_table, scenario_table1_rows, table1_rows
+from qpdsim.report import TABLE_COLUMNS, check_table, table_rows
 from qpdsim.states import initial_rank
 from support import random_scenario
 
@@ -254,7 +254,8 @@ class TestScenarioSpec:
 
 
 def test_table1_catalog_reproduces_reference():
-    checks = check_table("table1", table1_rows(), TABLE1_COLUMNS)
+    rows = [row for label in CATALOG_LABELS for row in table_rows("table1", catalog_case(label))]
+    checks = check_table("table1", rows, TABLE_COLUMNS["table1"])
     bad = [c for c in checks if c.status != "pass"]
     assert not bad, bad
 
@@ -269,7 +270,7 @@ def test_table1_custom_scenario_matches_closed_forms():
     prediction = SubsystemParams(0.3, 0.2 + 0.1j)
     action = SubsystemParams(0.7, -0.15j)
     spec = ScenarioSpec("custom", prediction, action)
-    rows = scenario_table1_rows(spec)
+    rows = table_rows("table1", spec)
     assert [(r["case"], r["alpha"]) for r in rows] == [("custom", a) for a in BRANCHES]
     for row in rows:
         predicted = {"u": prediction, "d": SubsystemParams(1.0), "c": SubsystemParams(0.0)}[row["alpha"]]
