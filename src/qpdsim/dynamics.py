@@ -73,8 +73,10 @@ class Trajectory:
     def __post_init__(self) -> None:
         if self.times.ndim != 1 or self.states.ndim != 3 or len(self.times) != len(self.states):
             raise ValueError("times (N,) and states (N, d, d) must align")
-        self.times.setflags(write=False)
-        self.states.setflags(write=False)
+        for name in ("times", "states"):  # read-only views: the caller's arrays stay writeable
+            frozen = getattr(self, name).view()
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
 
 
 def orbit(rho0: np.ndarray, propagator: SpectralPropagator, rank: int) -> DiagonalizedStates:

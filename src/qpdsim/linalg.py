@@ -26,14 +26,19 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix (d, d) or stack (..., d, d): eigenvalues descending on
     the last axis, unitary eigenvector columns.
 
-    Raises NonHermitianError if the symmetry tolerance is exceeded, naming the first bad matrix of a stack.
+    Raises NonHermitianError naming the first matrix of a stack with a NaN or infinite entry, else the first
+    that exceeds the symmetry tolerance.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    bad = np.argwhere(~(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) <= HERM_TOL))
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN or infinite entry fails the symmetry check too
+        bad = np.argwhere(~(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) <= HERM_TOL))
     if len(bad):
-        name = " ".join(["matrix", *map(str, bad[0])])
+        non_finite = np.argwhere(~np.isfinite(m).all(axis=(-2, -1)))
+        name = " ".join(["matrix", *map(str, (non_finite if len(non_finite) else bad)[0])])
+        if len(non_finite):
+            raise NonHermitianError(f"{name} has a non-finite entry")
         raise NonHermitianError(f"{name} is not Hermitian within {HERM_TOL:g}")
     w, v = np.linalg.eigh(m)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
@@ -103,10 +108,12 @@ def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray
         )
     blocks = m.reshape(*m.shape[:-2], d_b, d_a, d_b, d_a)
     if keep == "A":
-        return np.einsum("...ikil->...kl", blocks)
-    if keep == "B":
-        return np.einsum("...ikjk->...ij", blocks)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+        parts = [blocks[..., i, :, i, :] for i in range(d_b)]
+    elif keep == "B":
+        parts = [blocks[..., :, k, :, k] for k in range(d_a)]
+    else:
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return sum(parts[1:], parts[0].copy())
 
 
 class SpectralPropagator:
@@ -128,25 +135,47 @@ class SpectralPropagator:
         self.phases = np.exp(-1j * angles)
 
     def conjugated(self, m0: np.ndarray) -> np.ndarray:
-        """U(t) m0 U(t)^dagger, (d, d) or (N, d, d): with C = W^dagger m0 W, entry ab sums
-        W_aj C_jk conj(W_bk) exp(-i (E_j - E_k) t) over j, k, so a zero m0 gives exact zeros.
+        """U(t) m0 U(t)^dagger, (d, d) or (N, d, d): with C = W^dagger m0 W and T_jk = C_jk W_:j W_:k^dagger,
+        the sum of T_jk z_jk over j, k, z_jk = exp(-i (E_j - E_k) t). z_jj is 1 and z_kj = conj(z_jk), so
+        the sum is that of the T_jj plus Re z_jk (T_jk + T_kj) + Im z_jk i (T_jk - T_kj) over j < k: a
+        zero m0 gives exact zeros.
         """
         w = self.basis
-        return _bohr_sum(self.phases, self.phases.conj(), w.T, w.conj().T @ m0 @ w, w.conj().T)
+        terms = np.einsum("aj,jk,bk->jkab", w, w.conj().T @ m0 @ w, w.conj())
+        j, k = np.triu_indices(len(w), 1)
+        constant = np.einsum("jjab->ab", terms)[None]
+        coefficients = np.concatenate([constant, terms[j, k] + terms[k, j], 1j * (terms[j, k] - terms[k, j])])
+        return _bohr_sum(self.phases, self.phases.conj(), list(zip(j, k)), coefficients, constant=True)
 
     def spin_flipped(self, w0: np.ndarray, v0: np.ndarray) -> np.ndarray:
         """n(t) = sqrt(w0) X^dagger (Y (x) Y) X^* sqrt(w0) for X = U(t) v0: (r, r) or (N, r, r).
 
         With A = W^dagger v0 sqrt(w0) and B = W^dagger (Y (x) Y) W^*, entry rs sums
-        conj(A_jr) B_jk conj(A_ks) exp(+i (E_j + E_k) t) over j, k.
+        conj(A_jr) B_jk conj(A_ks) exp(+i (E_j + E_k) t) over j, k. The phases of (j, k) and
+        (k, j) are equal, so the sum runs over the d(d+1)/2 pairs j <= k.
         """
         w = self.basis
         a = (w.conj().T @ v0 * np.sqrt(np.clip(w0, 0.0, None))).conj()
-        return _bohr_sum(self.phases.conj(), self.phases.conj(), a, w.conj().T @ _SPIN_FLIP @ w.conj(), a)
+        terms = np.einsum("jr,jk,ks->jkrs", a, w.conj().T @ _SPIN_FLIP @ w.conj(), a)
+        j, k = np.triu_indices(len(w))
+        symmetric = np.where((j < k)[:, None, None], terms[j, k] + terms[k, j], terms[j, k])
+        conjugate_phases = self.phases.conj()
+        coefficients = np.concatenate([symmetric, 1j * symmetric])
+        return _bohr_sum(conjugate_phases, conjugate_phases, list(zip(j, k)), coefficients)
 
 
-def _bohr_sum(p: np.ndarray, q: np.ndarray, left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_jk left_ja p_j m_jk q_k right_kb, (a, b) or (N, a, b), for phases p, q (d,) or (N, d): one BLAS product."""
-    coefficients = np.einsum("ja,jk,kb->jkab", left, m, right).reshape(len(m) ** 2, -1)
-    pairs = (p[..., :, None] * q[..., None, :]).reshape(*p.shape[:-1], len(m) ** 2)
-    return (pairs @ coefficients).reshape(*p.shape[:-1], left.shape[1], right.shape[1])
+def _bohr_sum(left: np.ndarray, right: np.ndarray, pairs: list, coefficients: np.ndarray, constant=False) -> np.ndarray:
+    """sum_c table_c coefficients_c, (a, b) or (N, a, b), for phases left, right (d,) or (N, d): one real product.
+
+    The real table holds [1 |] Re z | Im z, the 1 only where ``constant``, for z_c = left_j right_k over the
+    index ``pairs`` (j, k), filled column by column; coefficients (m, a, b) are complex, stacked in the
+    table's column order, and enter through their real view.
+    """
+    m, start = len(coefficients), int(constant)
+    table = np.empty((m, *left.shape[:-1]))
+    table[:start] = 1.0
+    for c, (j, k) in enumerate(pairs, start=start):
+        z = left[..., j] * right[..., k]
+        table[c], table[c + len(pairs)] = z.real, z.imag
+    product = table.T @ coefficients.reshape(m, -1).view(float)
+    return product.view(complex).reshape(*left.shape[:-1], *coefficients.shape[1:])

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyTrajectoryError
+from .errors import EmptyTrajectoryError, GridMismatchError
 from .linalg import DiagonalizedStates, _finite_times, diagonalized, partial_trace
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
@@ -25,11 +25,14 @@ def _entropy_from_probs(w: np.ndarray) -> np.ndarray:
     return 0.0 - np.sum(w * np.log2(safe), axis=-1)
 
 
+def _mean_and_radius(a: np.ndarray, d: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues mean +- radius of the Hermitian 2x2 [[a, off], [conj(off), d]], unvalidated."""
+    return 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(off))
+
+
 def _eigenvalues_2x2(m: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of 2x2 stacks (..., 2, 2), unvalidated: reduced states and n n^dagger are Hermitian."""
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    mean = 0.5 * (a + d)
-    radius = np.hypot(0.5 * (a - d), np.abs(m[..., 0, 1]))
+    """Descending eigenvalues of 2x2 stacks (..., 2, 2), unvalidated: the reduced states are Hermitian."""
+    mean, radius = _mean_and_radius(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1])
     return np.stack([mean + radius, mean - radius], axis=-1)
 
 
@@ -50,17 +53,22 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
 
     n comes from DiagonalizedStates (r x r on a support of rank r), else from eig_hermitian of the stack;
     the square-root weights keep it accurate on (near-)pure states. Rank 1 gives C = |n_00|, rank 2
-    C = s1 - s2 with s1^2 the larger eigenvalue of n n^dag and s2 = |det n| / s1 (the root of the
-    smaller eigenvalue would be off by about 1e-8), a larger rank the SVD. Unitary evolution keeps
-    the spectrum w1 >= ... >= w4, and no unitary lifts C above max(0, w1 - w3 - 2 sqrt(w2 w4))
-    (Verstraete, Audenaert and De Moor, PRA 64, 012316, 2001): rank 4 runs the SVD only where
-    that margin is positive, so an orbit's whole branch is settled by its one spectrum.
+    C = s1 - s2 with s1^2 the larger eigenvalue of n n^dag, from the Gram entries of n's rows, and
+    s2 = |det n| / s1 (the root of the smaller eigenvalue would be off by about 1e-8), a larger rank
+    the SVD. Unitary evolution keeps the spectrum w1 >= ... >= w4, and no unitary lifts C above
+    max(0, w1 - w3 - 2 sqrt(w2 w4)) (Verstraete, Audenaert and De Moor, PRA 64, 012316, 2001): rank 4
+    runs the SVD only where that margin is positive, so an orbit's whole branch is settled by its one
+    spectrum.
     """
     rho, w, n = diagonalized(rho)
     if n.shape[-1] == 1:
         c = np.abs(n[..., 0, 0])
     elif n.shape[-1] == 2:
-        s1 = np.sqrt(_eigenvalues_2x2(n @ n.conj().swapaxes(-1, -2))[..., 0])
+        # n n^dagger is the Gram matrix of n's rows: their squared norms and their inner product
+        squares = n.real**2 + n.imag**2
+        norms = squares[..., 0, 0] + squares[..., 0, 1], squares[..., 1, 0] + squares[..., 1, 1]
+        inner = n[..., 0, 0] * n[..., 1, 0].conj() + n[..., 0, 1] * n[..., 1, 1].conj()
+        s1 = np.sqrt(np.add(*_mean_and_radius(*norms, inner)))
         det = np.abs(n[..., 0, 0] * n[..., 1, 1] - n[..., 0, 1] * n[..., 1, 0])
         c = np.clip(s1 - np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0.0), 0.0, None)
     else:
@@ -86,14 +94,20 @@ def entanglement_of_formation(rho: np.ndarray | DiagonalizedStates):
 
 
 def trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
-    """Composite-trapezoid time average (1/T) integral of f dt over [0, T]; a non-finite time raises ValueError."""
+    """Composite-trapezoid time average (1/T) integral of f dt over [0, T].
+
+    A non-finite time raises ValueError, and values not shaped like ``times`` raise GridMismatchError.
+    """
     times = _finite_times(times)
+    values = np.asarray(values, dtype=float)
+    if values.shape != times.shape:
+        raise GridMismatchError(f"{times.shape} times but {values.shape} values")
     if len(times) < 2:
         raise EmptyTrajectoryError("need at least two samples to average")
     span = times[-1] - times[0]
     if span == 0.0:
         raise ValueError(f"cannot average over a zero time span, t = {times[0]:g} to {times[-1]:g}")
-    return float(_trapezoid(np.asarray(values, dtype=float), times, axis=0) / span)
+    return float(_trapezoid(values, times, axis=0) / span)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,28 @@ def unitary(h: np.ndarray, t) -> np.ndarray:
     return (v * np.exp(-1j * np.multiply.outer(t, w))[..., None, :]) @ v.conj().T
 
 
+def bohr_pair_sum(p: np.ndarray, q: np.ndarray, left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_jk left_ja p_j m_jk q_k right_kb, (a, b) or (N, a, b), for phases p, q (d,) or (N, d): every one of
+    the d^2 complex phase pairs times its own coefficient, with no pair folded."""
+    coefficients = np.einsum("ja,jk,kb->jkab", left, m, right).reshape(len(m) ** 2, -1)
+    pairs = (p[..., :, None] * q[..., None, :]).reshape(*p.shape[:-1], len(m) ** 2)
+    return (pairs @ coefficients).reshape(*p.shape[:-1], left.shape[1], right.shape[1])
+
+
+def conjugated_pair_sum(propagator, m0: np.ndarray) -> np.ndarray:
+    """Oracle of SpectralPropagator.conjugated: U(t) m0 U(t)^dagger as the full pair sum over H's eigenbasis."""
+    w, p = propagator.basis, propagator.phases
+    return bohr_pair_sum(p, p.conj(), w.T, w.conj().T @ m0 @ w, w.conj().T)
+
+
+def spin_flipped_pair_sum(propagator, w0: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Oracle of SpectralPropagator.spin_flipped: n(t) of the support (w0, v0) as the full pair sum."""
+    w, p = propagator.basis, propagator.phases
+    flip = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # Y (x) Y
+    a = (w.conj().T @ v0 * np.sqrt(np.clip(w0, 0.0, None))).conj()
+    return bohr_pair_sum(p.conj(), p.conj(), a, w.conj().T @ flip @ w.conj(), a)
+
+
 def chi_series(traj_u, traj_d, traj_c, p_b: float) -> np.ndarray:
     """Branch-subtraction oracle: chi(t) = rho_u(t) - p_B rho_d(t) - (1 - p_B) rho_c(t) on a shared grid."""
     if not (

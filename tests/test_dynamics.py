@@ -156,6 +156,13 @@ class TestEvolve:
         with pytest.raises(ValueError):
             traj.states[0, 0, 0] = 1.0
 
+    def test_callers_times_stay_writeable(self):
+        times = time_grid(samples=4)
+        traj = evolve(np.eye(4) / 4, build_hamiltonian(), times)
+        assert times.flags.writeable
+        assert not traj.times.flags.writeable and not traj.states.flags.writeable
+        np.testing.assert_array_equal(traj.times, times)
+
     def test_payoff_term_alone_never_entangles(self):
         # the prediction-controlled term commutes with the prediction
         # projectors, so a diagonal-prediction product state stays separable

@@ -15,7 +15,14 @@ from qpdsim import (
 from qpdsim.dynamics import orbit
 from qpdsim.linalg import SpectralPropagator, diagonalized
 from qpdsim.measures import _eigenvalues_2x2
-from support import random_density, random_hermitian, rk4_propagator, unitary
+from support import (
+    conjugated_pair_sum,
+    random_density,
+    random_hermitian,
+    rk4_propagator,
+    spin_flipped_pair_sum,
+    unitary,
+)
 
 
 class TestEigHermitian:
@@ -47,6 +54,18 @@ class TestEigHermitian:
     def test_rejects_nan(self):
         with pytest.raises(NonHermitianError):
             eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_names_the_first_non_finite_matrix(self):
+        stack = random_hermitian_stack(np.random.default_rng(20), 12, 4)
+        stack[2, 0, 3] += 1.0
+        stack[5, 1, 2] = complex(1.0, np.inf)
+        stack[8, 0, 0] = np.nan
+        with pytest.raises(NonHermitianError, match=r"^matrix 5 has a non-finite entry$"):
+            eig_hermitian(stack)
+        with pytest.raises(NonHermitianError, match=r"^matrix 1 1 has a non-finite entry$"):
+            eig_hermitian(stack.reshape(3, 4, 4, 4))
+        with pytest.raises(NonHermitianError, match=r"^matrix has a non-finite entry$"):
+            eig_hermitian(np.diag([1.0, -np.inf]))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(3,\)$"):
@@ -206,6 +225,17 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatchError):
             partial_trace(np.eye(4), "A", (2, 3))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_block_sums_equal_einsum_bit_for_bit(self, dims):
+        rng = np.random.default_rng(21)
+        d = dims[0] * dims[1]
+        m = rng.standard_normal((5, 7, d, d)) + 1j * rng.standard_normal((5, 7, d, d))
+        for keep, subscripts in (("A", "...ikil->...kl"), ("B", "...ikjk->...ij")):
+            for stack in (m, m[2, 3]):
+                got = partial_trace(stack, keep, dims)
+                want = np.einsum(subscripts, stack.reshape(*stack.shape[:-2], *dims, *dims))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestUnitaryFromHamiltonian:
     """exp(-i h t) as support.unitary builds it, the oracle for SpectralPropagator."""
@@ -276,6 +306,8 @@ class TestSpectralPropagator:
     def test_zero_matrix_conjugates_to_exact_zeros(self):
         got = SpectralPropagator(build_hamiltonian(), np.linspace(0.0, 10.0, 33)).conjugated(np.zeros((4, 4)))
         assert got.shape == (33, 4, 4) and np.all(got == 0.0)
+        for h in oracle_hamiltonians(np.random.default_rng(24)):
+            assert np.all(SpectralPropagator(h, 0.7).conjugated(np.zeros((4, 4))) == 0.0)
 
     def test_spin_flipped_matches_propagated_support(self):
         # n(t) = sqrt(w) X^dagger (Y (x) Y) X^* sqrt(w) with X = U(t) v0, formed here from the oracle's U
@@ -289,3 +321,46 @@ class TestSpectralPropagator:
             want = root[:, None] * (x.conj().swapaxes(-1, -2) @ flip @ x.conj()) * root[None, :]
             got = SpectralPropagator(h, times).spin_flipped(w[:rank], v0[:, :rank])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def oracle_hamiltonians(rng):
+    """The catalog H (mu_d = mu_c, so E1 - E2 = E3 - E4), a non-degenerate H, the payoff term alone
+    (E1 = E2 and E3 = E4), and random complex Hermitian H, whose eigenvectors are not real."""
+    return [
+        build_hamiltonian(),
+        build_hamiltonian(HamiltonianParams(0.3, -1.2, 0.8)),
+        build_hamiltonian(HamiltonianParams(0.59, 0.59, 0.0)),
+        *(random_hermitian(rng, 4) for _ in range(3)),
+    ]
+
+
+class TestFoldedBohrSums:
+    """conjugated folds the conjugate difference-phase pairs and spin_flipped the equal sum-phase pairs;
+    the full d^2 complex pair sum is the oracle."""
+
+    def test_catalog_spectrum_has_equal_differences(self):
+        e, _ = eig_hermitian(build_hamiltonian())
+        assert abs((e[0] - e[1]) - (e[2] - e[3])) < 1e-12
+
+    @pytest.mark.parametrize("times", [0.7, np.linspace(-4.0, 9.0, 129)], ids=["scalar", "grid"])
+    def test_conjugated_matches_the_full_pair_sum(self, times):
+        rng = np.random.default_rng(22)
+        for h in oracle_hamiltonians(rng):
+            propagator = SpectralPropagator(h, times)
+            general = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            for m0 in (random_density(rng, 4), general):
+                got = propagator.conjugated(m0)
+                assert got.shape == np.shape(times) + (4, 4)
+                np.testing.assert_allclose(got, conjugated_pair_sum(propagator, m0), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("times", [0.7, np.linspace(-4.0, 9.0, 129)], ids=["scalar", "grid"])
+    def test_spin_flipped_matches_the_full_pair_sum(self, times):
+        rng = np.random.default_rng(23)
+        for h in oracle_hamiltonians(rng):
+            propagator = SpectralPropagator(h, times)
+            w, v0 = eig_hermitian(random_density(rng, 4))
+            for rank in (1, 2, 4):
+                got = propagator.spin_flipped(w[:rank], v0[:, :rank])
+                assert got.shape == np.shape(times) + (rank, rank)
+                want = spin_flipped_pair_sum(propagator, w[:rank], v0[:, :rank])
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -7,6 +7,7 @@ import pytest
 from qpdsim import (
     DimensionMismatchError,
     EmptyTrajectoryError,
+    GridMismatchError,
     MeasureRecord,
     NonHermitianError,
     NotPositiveError,
@@ -40,7 +41,7 @@ from support import (
     von_neumann_entropy,
 )
 from qpdsim.dynamics import orbit
-from qpdsim.linalg import SpectralPropagator
+from qpdsim.linalg import DiagonalizedStates, SpectralPropagator
 from qpdsim.states import initial_rank
 
 BELL = np.zeros((4, 4))
@@ -235,6 +236,36 @@ class TestSpectralCertificate:
         np.testing.assert_allclose(concurrence(np.stack(states)), want, rtol=0, atol=1e-15)
 
 
+def rank_two_concurrence(n):
+    """concurrence of a rank-2 support n (..., 2, 2); the closed form reads n alone."""
+    return concurrence(DiagonalizedStates(np.zeros((*n.shape[:-2], 4, 4)), np.array([0.5, 0.5]), n))
+
+
+class TestRankTwoClosedForm:
+    """C = s1 - s2 of a 2x2 n, s1^2 from the Gram entries of n's rows, against numpy's SVD."""
+
+    def test_random_n_matches_svd(self):
+        rng = np.random.default_rng(53)
+        n = 0.5 * (rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2)))
+        for stack in (n, n + n.swapaxes(-1, -2)):  # general, and complex symmetric as the spin flip gives
+            s = np.linalg.svd(stack, compute_uv=False)
+            np.testing.assert_allclose(rank_two_concurrence(stack), s[:, 0] - s[:, 1], rtol=0, atol=1e-14)
+
+    def test_near_separable_n_matches_svd(self):
+        # s2 about 1e-9: the root of n n^dagger's smaller eigenvalue would be off by about 1e-8
+        rng = np.random.default_rng(54)
+        s1 = rng.uniform(0.05, 1.0, 300)
+        s2 = 1e-9 * rng.uniform(0.5, 2.0, 300)
+        singular = np.zeros((300, 2, 2))
+        singular[:, 0, 0], singular[:, 1, 1] = s1, s2
+        left, right = (np.stack([haar_unitary(rng, 2) for _ in range(300)]) for _ in range(2))
+        n = left @ singular @ right
+        s = np.linalg.svd(n, compute_uv=False)
+        got = rank_two_concurrence(n)
+        np.testing.assert_allclose(got, s[:, 0] - s[:, 1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got, s1 - s2, rtol=0, atol=1e-15)
+
+
 class TestMutualInformation:
     def test_product_state_zero(self):
         rng = np.random.default_rng(46)
@@ -294,6 +325,18 @@ class TestTimeAverage:
     def test_non_finite_time_is_named(self):
         with pytest.raises(ValueError, match=r"^time sample 1 is inf, not finite$"):
             trapezoid_mean([1.0, 2.0], [0.0, np.inf])
+
+    @pytest.mark.parametrize(
+        "values, times, message",
+        [
+            ([1.0, 2.0], [0.0, 1.0, 2.0], r"^\(3,\) times but \(2,\) values$"),
+            ([5.0], [0.0, 1.0], r"^\(2,\) times but \(1,\) values$"),
+        ],
+        ids=["short", "broadcast"],
+    )
+    def test_values_off_the_grid_are_rejected(self, values, times, message):
+        with pytest.raises(GridMismatchError, match=message):
+            trapezoid_mean(values, times)
 
 
 class TestMeasureRecord:
@@ -393,4 +436,15 @@ class TestNonHermitianInput:
         states[7, 0, 3] += 0.9
         for measure in (measure_series, concurrence, entanglement_of_formation):
             with pytest.raises(NonHermitianError, match=r"^matrix 7 is not Hermitian within 1e-12$"):
+                measure(states)
+
+    def test_non_finite_entry_is_named_as_such(self):
+        with pytest.raises(NonHermitianError, match=r"^matrix has a non-finite entry$"):
+            measure_state(np.full((4, 4), np.nan))
+        rng = np.random.default_rng(55)
+        states = np.stack([random_density(rng, 4) for _ in range(10)])
+        states[2, 0, 3] += 0.9
+        states[6, 1, 1] = np.inf
+        for measure in (measure_series, concurrence, entanglement_of_formation):
+            with pytest.raises(NonHermitianError, match=r"^matrix 6 has a non-finite entry$"):
                 measure(states)
