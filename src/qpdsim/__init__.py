@@ -17,16 +17,7 @@ from .dynamics import (
     evolve,
     time_grid,
 )
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    EmptyTrajectoryError,
-    GridMismatchError,
-    InvalidModelError,
-    MissingSubsetError,
-    NonHermitianError,
-    NotPositiveError,
-)
+from .errors import InputError, InvariantError
 from .interference import (
     QuantumSlitModel,
     interference_term,

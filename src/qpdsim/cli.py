@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .dynamics import DEFAULT_GAMMA, DEFAULT_MU, DEFAULT_SAMPLES, DEFAULT_T_MAX, HamiltonianParams
+from .errors import InputError
 from .interference import run_interference_survey
 from .report import (
     TABLE_COLUMNS,
@@ -52,14 +53,14 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.samples < 2:
-            raise ValueError("samples must be at least 2")
+            raise InputError("samples must be at least 2")
         if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+            raise InputError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0 < self.t_max < math.inf:
-            raise ValueError("t_max must be positive and finite")
+            raise InputError("t_max must be positive and finite")
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
-                raise ValueError(f"unknown output {kind!r}; choose from {OUTPUT_KINDS}")
+                raise InputError(f"unknown output {kind!r}; choose from {OUTPUT_KINDS}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +99,7 @@ def _run_params(args: argparse.Namespace, file_cfg: dict) -> tuple[HamiltonianPa
 
     samples = pick(args.samples, "samples", DEFAULT_SAMPLES)
     if not float(samples).is_integer():
-        raise ValueError(f"config: samples must be an integer, got {samples!r}")
+        raise InputError(f"config: samples must be an integer, got {samples!r}")
     hamiltonian = HamiltonianParams(
         mu_d=pick(args.mu, "mu_d", DEFAULT_MU),
         mu_c=pick(args.mu, "mu_c", DEFAULT_MU),
@@ -109,13 +110,13 @@ def _run_params(args: argparse.Namespace, file_cfg: dict) -> tuple[HamiltonianPa
 
 def _config_from_args(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
     if args.case and _SCENARIO_KEYS & file_cfg.keys():
-        raise ValueError("give either --case or a config with a scenario, not both")
+        raise InputError("give either --case or a config with a scenario, not both")
     if args.case:
         scenario = catalog_case(args.case)
     elif _SCENARIO_KEYS & file_cfg.keys():
         scenario = scenario_from_config(file_cfg)
     else:
-        raise ValueError("no scenario: pass --case LABEL or --config with case_label/branches")
+        raise InputError("no scenario: pass --case LABEL or --config with case_label/branches")
     hamiltonian, t_max, samples = _run_params(args, file_cfg)
     outputs = tuple(s.strip() for s in args.outputs.split(",")) if args.outputs is not None else DEFAULT_OUTPUTS
     given = {key: value for key, value in (("out_dir", args.out_dir), ("seed", args.seed)) if value is not None}
@@ -180,7 +181,7 @@ def main(argv=None) -> int:
             stray = [flag for flag, value in flags.items() if value is not None]
             stray += sorted(_SCENARIO_KEYS & file_cfg.keys())
             if stray:
-                raise ValueError(f"--reproduce-all only sweeps the whole catalog; it takes no {', '.join(stray)}")
+                raise InputError(f"--reproduce-all only sweeps the whole catalog; it takes no {', '.join(stray)}")
             result = reproduce_all(*_run_params(args, file_cfg))
             for line in result.lines:
                 print(line)
@@ -189,9 +190,8 @@ def main(argv=None) -> int:
         for path in run(config):
             print(f"wrote {path}")
         return 0
-    except Exception as exc:  # batch tool: any invariant failure is a hard error
-        message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() of a KeyError is its key's repr
-        print(f"error: {message}", file=sys.stderr)
+    except Exception as exc:  # batch tool: every failure, bad input or broken invariant, exits 1
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import InputError
 from .linalg import DiagonalizedStates, SpectralPropagator, eig_hermitian
 
 DEFAULT_MU = 0.59
@@ -32,9 +32,9 @@ class HamiltonianParams:
         for name in ("mu_d", "mu_c", "gamma"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                raise InputError(f"{name} must be finite")
             if name != "gamma" and math.isinf(value * value):  # build_hamiltonian divides by sqrt(1 + mu^2)
-                raise ValueError(f"{name} = {value:g} is too large: its square overflows")
+                raise InputError(f"{name} = {value:g} is too large: its square overflows")
 
 
 def build_hamiltonian(params: HamiltonianParams = HamiltonianParams()) -> np.ndarray:
@@ -57,9 +57,9 @@ def build_hamiltonian(params: HamiltonianParams = HamiltonianParams()) -> np.nda
 def time_grid(t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     """Uniform closed grid [0, t_max] with the given number of samples."""
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise InputError("need at least 2 samples")
     if not 0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
+        raise InputError("t_max must be positive and finite")
     return np.linspace(0.0, t_max, samples)
 
 
@@ -72,7 +72,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         if self.times.ndim != 1 or self.states.ndim != 3 or len(self.times) != len(self.states):
-            raise ValueError("times (N,) and states (N, d, d) must align")
+            raise InputError("times (N,) and states (N, d, d) must align")
         for name in ("times", "states"):  # read-only views: the caller's arrays stay writeable
             frozen = getattr(self, name).view()
             frozen.setflags(write=False)
@@ -94,10 +94,10 @@ def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     """Propagate rho0 along U(t) rho0 U(t)^dagger for every grid time.
 
     Each propagator comes from the spectral decomposition of h, so errors do not
-    accumulate step to step. A non-Hermitian rho0 raises NonHermitianError.
+    accumulate step to step. A non-Hermitian rho0 raises InputError.
     """
     if np.shape(rho0) != np.shape(h):
-        raise DimensionMismatchError(f"state shape {np.shape(rho0)} != Hamiltonian shape {np.shape(h)}")
+        raise InputError(f"state shape {np.shape(rho0)} != Hamiltonian shape {np.shape(h)}")
     eig_hermitian(rho0)  # validates rho0 only: the states need no spectrum and no n
     times = np.asarray(times, dtype=float)
     return Trajectory(times, SpectralPropagator(h, times).conjugated(rho0))

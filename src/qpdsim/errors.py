@@ -1,33 +1,20 @@
-"""Exception types raised by the simulation modules."""
+"""Exception types raised by the simulation modules, and how a failure names its place."""
+
+from __future__ import annotations
+
+import numpy as np
 
 
-class NonHermitianError(ValueError):
-    """Matrix fails the Hermitian symmetry tolerance."""
+class InputError(ValueError):
+    """Bad input: a config key, flag, parameter, shape, grid, case label, slit model, or a state that is
+    not Hermitian, not positive or off trace 1."""
 
 
-class DimensionMismatchError(ValueError):
-    """Matrix or subsystem dimensions are incompatible with the operation."""
+class InvariantError(ValueError):
+    """A computed value broke an invariant the inputs' checks should have guaranteed."""
 
 
-class NotPositiveError(ValueError):
-    """Matrix is not positive semidefinite within tolerance."""
-
-
-class GridMismatchError(ValueError):
-    """Time grids of trajectories that must be aligned differ."""
-
-
-class EmptyTrajectoryError(ValueError):
-    """Trajectory holds no samples."""
-
-
-class EmptyInputError(ValueError):
-    """A non-empty sequence was required."""
-
-
-class MissingSubsetError(ValueError):
-    """A slit experiment lacks a required subset probability."""
-
-
-class InvalidModelError(ValueError):
-    """A quantum slit model violates its structural constraints."""
+def _first_bad(mask) -> tuple[int, ...] | None:
+    """Index of the first true entry of ``mask``, None when there is none; a 0-d mask's index is ()."""
+    hits = np.flatnonzero(mask)
+    return tuple(int(i) for i in np.unravel_index(hits[0], np.shape(mask))) if hits.size else None

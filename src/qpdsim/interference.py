@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModelError, MissingSubsetError
+from .errors import InputError, InvariantError, _first_bad
 
 _RANGE_TOL = 1e-12
 # The one tolerance e of every model check. A slit basis with |U^H U - I| <= e entrywise gives
@@ -34,7 +34,7 @@ _SURVEY_BLOCK = 128
 def subset_keys(n_slits: int) -> tuple[str, ...]:
     """Canonical keys for all non-empty slit subsets, e.g. "1", "13", "123"; one digit per slit."""
     if not 1 <= n_slits <= 9:
-        raise ValueError(f"subset keys need at least 1 slit and one digit per slit, so at most 9 slits, got {n_slits}")
+        raise InputError(f"subset keys need at least 1 slit and one digit per slit, so at most 9 slits, got {n_slits}")
     slits = range(1, n_slits + 1)
     keys = []
     for size in slits:
@@ -42,21 +42,18 @@ def subset_keys(n_slits: int) -> tuple[str, ...]:
     return tuple(keys)
 
 
-def _raise_first(bad: np.ndarray, message: str) -> None:
-    """Raise InvalidModelError naming the first draw flagged in the (n,) mask."""
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        raise InvalidModelError(f"draw {hits[0]}: {message}")
+def _check_probabilities(probs: np.ndarray, keys: tuple[str, ...], tol: float) -> None:
+    """Raise naming the first draw and subset whose probability leaves [0, 1] by more than tol.
 
-
-def _check_probabilities(probs: np.ndarray, keys: tuple[str, ...], tol: float, error: type[ValueError]) -> None:
-    """Raise naming the first draw and subset whose probability leaves [0, 1] by more than tol."""
-    bad = ~((probs >= -tol) & (probs <= 1.0 + tol))  # NaN counts as bad
-    if bad.any():
-        *draw, s = np.argwhere(bad)[0]
+    Given probabilities are checked exactly and raise InputError; computed ones, checked with a
+    rounding tolerance, raise InvariantError.
+    """
+    bad = _first_bad(~((probs >= -tol) & (probs <= 1.0 + tol)))  # NaN counts as bad
+    if bad is not None:
+        *draw, s = bad
         where = f"draw {', '.join(map(str, draw))}: " if draw else ""
         beyond = " beyond tolerance" if tol else ""
-        raise error(f"{where}P_{keys[s]} = {probs[(*draw, s)]} outside [0, 1]{beyond}")
+        raise (InvariantError if tol else InputError)(f"{where}P_{keys[s]} = {probs[(*draw, s)]} outside [0, 1]{beyond}")
 
 
 def _experiment(probs) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -66,9 +63,9 @@ def _experiment(probs) -> tuple[np.ndarray, tuple[str, ...]]:
     n_slits = (length + 1).bit_length() - 1  # n slits have 2^n - 1 subsets
     if not (1 <= n_slits <= 9 and length == 2**n_slits - 1):
         lengths = ", ".join(str(2**n - 1) for n in range(1, 10))
-        raise MissingSubsetError(f"need one probability per slit subset ({lengths}), got shape {probs.shape}")
+        raise InputError(f"need one probability per slit subset ({lengths}), got shape {probs.shape}")
     keys = subset_keys(n_slits)
-    _check_probabilities(probs, keys, 0.0, ValueError)
+    _check_probabilities(probs, keys, 0.0)
     return probs, keys
 
 
@@ -81,7 +78,7 @@ def interference_term(probs, slits: tuple[int, ...]) -> np.ndarray:
     n_slits = len(keys[-1])
     chosen = set(map(str, slits))
     if len(slits) < 2 or len(chosen) != len(slits) or not chosen <= set(keys[:n_slits]):
-        raise ValueError(f"slits ({', '.join(map(str, slits))}) are not two or more distinct slits of 1..{n_slits}")
+        raise InputError(f"slits ({', '.join(map(str, slits))}) are not two or more distinct slits of 1..{n_slits}")
     term = np.zeros(probs.shape[:-1])
     for size in range(len(slits), 0, -1):
         for s, key in enumerate(keys):
@@ -103,20 +100,27 @@ class QuantumSlitModel:
     effect: np.ndarray  # (n_draws, d, d)
 
     def __post_init__(self) -> None:
-        n_draws, d = self.rho.shape[:2]
+        for name in ("rho", "basis", "effect"):  # array-likes, as every other entry point takes them
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        shape = self.rho.shape[:2] + self.rho.shape[1:2]  # (n_draws, d, d)
+        if any(a.ndim != 3 or a.shape != shape for a in (self.rho, self.basis, self.effect)):
+            raise InputError("model dimensions are inconsistent")
+        for message, bad in self._defects():
+            draw = _first_bad(bad)
+            if draw is not None:
+                raise InputError(f"draw {draw[0]}: {message}")
+
+    def _defects(self):
+        """Each check's message and (n_draws,) mask of failing draws, in order; lazy, so the first failure ends it."""
         rho, basis, effect = self.rho, self.basis, self.effect
-        if any(a.shape != (n_draws, d, d) for a in (rho, basis, effect)):
-            raise InvalidModelError("model dimensions are inconsistent")
-        _raise_first(np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _MODEL_TOL, "state must be Hermitian")
-        _raise_first(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) > _MODEL_TOL, "state must have unit trace")
-        _raise_first(np.linalg.eigvalsh(rho)[:, 0] < -_MODEL_TOL, "state must be positive semidefinite")
+        yield "state must be Hermitian", np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _MODEL_TOL
+        yield "state must have unit trace", np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) > _MODEL_TOL
+        yield "state must be positive semidefinite", np.linalg.eigvalsh(rho)[:, 0] < -_MODEL_TOL
         gram = basis.conj().swapaxes(1, 2) @ basis
-        _raise_first(np.abs(gram - np.eye(d)).max(axis=(1, 2)) > _MODEL_TOL, "slit basis must be unitary")
-        bad = np.abs(effect - effect.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _MODEL_TOL
-        _raise_first(bad, "effect must be Hermitian")
+        yield "slit basis must be unitary", np.abs(gram - np.eye(gram.shape[-1])).max(axis=(1, 2)) > _MODEL_TOL
+        yield "effect must be Hermitian", np.abs(effect - effect.conj().swapaxes(1, 2)).max(axis=(1, 2)) > _MODEL_TOL
         eigs = np.linalg.eigvalsh(effect)
-        bad = (eigs[:, 0] < -_MODEL_TOL) | (eigs[:, -1] > 1.0 + _MODEL_TOL)
-        _raise_first(bad, "effect eigenvalues must lie in [0, 1]")
+        yield "effect eigenvalues must lie in [0, 1]", (eigs[:, 0] < -_MODEL_TOL) | (eigs[:, -1] > 1.0 + _MODEL_TOL)
 
 
 def run_slit_model(model: QuantumSlitModel) -> np.ndarray:
@@ -134,7 +138,7 @@ def run_slit_model(model: QuantumSlitModel) -> np.ndarray:
     mask = np.array([[str(k) in key for k in range(1, d + 1)] for key in keys], dtype=float)
     pair_mask = (mask[:, :, None] * mask[:, None, :]).reshape(len(keys), d * d)
     probs = terms.reshape(n_draws, d * d) @ pair_mask.T
-    _check_probabilities(probs, keys, _RANGE_TOL, InvalidModelError)
+    _check_probabilities(probs, keys, _RANGE_TOL)
     return np.clip(probs, 0.0, 1.0)
 
 
@@ -176,7 +180,7 @@ def run_interference_survey(n_draws: int, seed: int) -> dict:
     diagonal (classical-limit) models.
     """
     if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+        raise InputError(f"n_draws must be at least 1, got {n_draws}")
     rng = np.random.default_rng(seed)
     blocks = [
         (run_slit_model(random_slit_model(rng, size)), run_slit_model(random_slit_model(rng, size, diagonal=True)))

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError, NotPositiveError
+from .errors import InputError, _first_bad
 
 # Validation tolerances. PSD_TOL is qubit_state's positivity slack, |lam|^2 <= p(1-p) + PSD_TOL, so states
 # built at that edge have eigenvalues down to about -PSD_TOL; the entropies clamp every negative one to 0.
@@ -26,30 +26,30 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix (d, d) or stack (..., d, d): eigenvalues descending on
     the last axis, unitary eigenvector columns.
 
-    Raises NonHermitianError naming the first matrix of a stack with a NaN or infinite entry, else the first
+    Raises InputError naming the first matrix of a stack with a NaN or infinite entry, else the first
     that exceeds the symmetry tolerance.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN or infinite entry fails the symmetry check too
-        bad = np.argwhere(~(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) <= HERM_TOL))
-    if len(bad):
-        non_finite = np.argwhere(~np.isfinite(m).all(axis=(-2, -1)))
-        name = " ".join(["matrix", *map(str, (non_finite if len(non_finite) else bad)[0])])
-        if len(non_finite):
-            raise NonHermitianError(f"{name} has a non-finite entry")
-        raise NonHermitianError(f"{name} is not Hermitian within {HERM_TOL:g}")
+        bad = _first_bad(~(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) <= HERM_TOL))
+    if bad is not None:
+        non_finite = _first_bad(~np.isfinite(m).all(axis=(-2, -1)))
+        name = " ".join(["matrix", *map(str, bad if non_finite is None else non_finite)])
+        if non_finite is not None:
+            raise InputError(f"{name} has a non-finite entry")
+        raise InputError(f"{name} is not Hermitian within {HERM_TOL:g}")
     w, v = np.linalg.eigh(m)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def _finite_times(t) -> np.ndarray:
-    """t as a float array; a NaN or infinite sample raises ValueError naming the first one."""
+    """t as a float array; a NaN or infinite sample raises InputError naming the first one."""
     t = np.asarray(t, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(t))
-    if bad.size:
-        raise ValueError(f"time sample {bad[0]} is {t.flat[bad[0]]}, not finite")
+    bad = _first_bad(~np.isfinite(t).ravel())
+    if bad is not None:
+        raise InputError(f"time sample {bad[0]} is {t.flat[bad[0]]}, not finite")
     return t
 
 
@@ -69,25 +69,25 @@ class DiagonalizedStates(NamedTuple):
 def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
     """``states`` with its spectrum and n: the ones it carries, else from eig_hermitian of the stack.
 
-    A bare state with an eigenvalue below -(PSD_TOL + HERM_TOL) raises NotPositiveError naming the
-    first one, and one whose eigenvalues sum to more than TRACE_TOL away from 1 raises ValueError;
+    A bare state with an eigenvalue below -(PSD_TOL + HERM_TOL) raises InputError naming the
+    first one, as does one whose eigenvalues sum to more than TRACE_TOL away from 1;
     an orbit carries the spectrum of its validated t=0 state.
     """
     if isinstance(states, DiagonalizedStates):
         return states
     states = np.asarray(states, dtype=complex)
     if states.shape[-2:] != (4, 4):
-        raise DimensionMismatchError(f"concurrence needs 4x4 states, got {states.shape[-2:]}")
+        raise InputError(f"concurrence needs 4x4 states, got {states.shape[-2:]}")
     w, v = eig_hermitian(states)
-    bad = np.argwhere(w[..., -1] < -(PSD_TOL + HERM_TOL))
-    if len(bad):
-        name = " ".join(["matrix", *map(str, bad[0])])
-        raise NotPositiveError(f"{name} has eigenvalue {w[(*bad[0], -1)]:.3g} below {-(PSD_TOL + HERM_TOL):g}")
+    bad = _first_bad(w[..., -1] < -(PSD_TOL + HERM_TOL))
+    if bad is not None:
+        name = " ".join(["matrix", *map(str, bad)])
+        raise InputError(f"{name} has eigenvalue {w[(*bad, -1)]:.3g} below {-(PSD_TOL + HERM_TOL):g}")
     trace = w.sum(axis=-1)
-    bad = np.argwhere(np.abs(trace - 1.0) > TRACE_TOL)
-    if len(bad):
-        name = " ".join(["matrix", *map(str, bad[0])])
-        raise ValueError(f"{name} has trace {trace[tuple(bad[0])]:.15g}, not 1 within {TRACE_TOL:g}")
+    bad = _first_bad(np.abs(trace - 1.0) > TRACE_TOL)
+    if bad is not None:
+        name = " ".join(["matrix", *map(str, bad)])
+        raise InputError(f"{name} has trace {trace[bad]:.15g}, not 1 within {TRACE_TOL:g}")
     root_w = np.sqrt(np.clip(w, 0.0, None))
     n = root_w[..., :, None] * (v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()) * root_w[..., None, :]
     return DiagonalizedStates(states, w, n)
@@ -103,16 +103,14 @@ def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray
     m = np.asarray(m)
     d_b, d_a = dims
     if m.shape[-1] != d_b * d_a or m.shape[-2] != d_b * d_a:
-        raise DimensionMismatchError(
-            f"matrix dim {m.shape[-1]} incompatible with subsystem dims {dims}"
-        )
+        raise InputError(f"matrix dim {m.shape[-1]} incompatible with subsystem dims {dims}")
     blocks = m.reshape(*m.shape[:-2], d_b, d_a, d_b, d_a)
     if keep == "A":
         parts = [blocks[..., i, :, i, :] for i in range(d_b)]
     elif keep == "B":
         parts = [blocks[..., :, k, :, k] for k in range(d_a)]
     else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+        raise InputError(f"keep must be 'A' or 'B', got {keep!r}")
     return sum(parts[1:], parts[0].copy())
 
 
@@ -120,7 +118,7 @@ class SpectralPropagator:
     """exp(-i h t) at the times t from one diagonalization h = W diag(E) W^dagger.
 
     ``phases`` holds exp(-i E t): (d,) for a scalar t, (N, d) for N times.
-    A NaN or infinite time raises ValueError naming the first one; a phase E t
+    A NaN or infinite time raises InputError naming the first one; a phase E t
     that overflows raises it naming the largest |E| and |t|.
     """
 
@@ -131,7 +129,7 @@ class SpectralPropagator:
             angles = np.multiply.outer(t, self.energies)
         if not np.isfinite(angles).all():
             largest_e, largest_t = np.max(np.abs(self.energies)), np.max(np.abs(t))
-            raise ValueError(f"phase E*t overflows: largest |E| = {largest_e:.6g}, largest |t| = {largest_t:.6g}")
+            raise InputError(f"phase E*t overflows: largest |E| = {largest_e:.6g}, largest |t| = {largest_t:.6g}")
         self.phases = np.exp(-1j * angles)
 
     def conjugated(self, m0: np.ndarray) -> np.ndarray:

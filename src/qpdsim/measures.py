@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyTrajectoryError, GridMismatchError
+from .errors import InputError
 from .linalg import DiagonalizedStates, _finite_times, diagonalized, partial_trace
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
@@ -96,17 +96,19 @@ def entanglement_of_formation(rho: np.ndarray | DiagonalizedStates):
 def trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
     """Composite-trapezoid time average (1/T) integral of f dt over [0, T].
 
-    A non-finite time raises ValueError, and values not shaped like ``times`` raise GridMismatchError.
+    A non-finite time, a grid that is not 1-D, and values not shaped like ``times`` raise InputError.
     """
     times = _finite_times(times)
+    if times.ndim != 1:
+        raise InputError(f"times must be 1-D, got shape {times.shape}")
     values = np.asarray(values, dtype=float)
     if values.shape != times.shape:
-        raise GridMismatchError(f"{times.shape} times but {values.shape} values")
+        raise InputError(f"{times.shape} times but {values.shape} values")
     if len(times) < 2:
-        raise EmptyTrajectoryError("need at least two samples to average")
+        raise InputError("need at least two samples to average")
     span = times[-1] - times[0]
     if span == 0.0:
-        raise ValueError(f"cannot average over a zero time span, t = {times[0]:g} to {times[-1]:g}")
+        raise InputError(f"cannot average over a zero time span, t = {times[0]:g} to {times[-1]:g}")
     return float(_trapezoid(values, times, axis=0) / span)
 
 

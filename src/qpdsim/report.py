@@ -28,6 +28,7 @@ from .dynamics import (
     orbit,
     time_grid,
 )
+from .errors import InputError, InvariantError, _first_bad
 from .linalg import SpectralPropagator
 from .measures import (
     MEASURE_FIELDS,
@@ -113,18 +114,17 @@ def _checked_column(name: str, values) -> np.ndarray:
     """One output column clipped onto its valid range, with -0.0 as 0.0.
 
     A NaN, an infinity, or a value beyond the range by more than
-    _RANGE_CLIP_TOL raises ValueError naming the column and the first such
+    _RANGE_CLIP_TOL raises InvariantError naming the column and the first such
     0-based data row.
     """
     values = np.asarray(values, dtype=float)
     lo, hi = _COLUMN_RANGES.get(name, (-np.inf, np.inf))
     ok = np.isfinite(values) & (values >= lo - _RANGE_CLIP_TOL) & (values <= hi + _RANGE_CLIP_TOL)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        row = bad[0]
-        value = float(values[row])
+    bad = _first_bad(~ok)
+    if bad is not None:
+        value = float(values[bad])
         side = f"below {lo}" if value < lo else f"above {hi}" if value > hi else "is not finite"
-        raise ValueError(f"column {name}, row {row}: value {value!r} {side}")
+        raise InvariantError(f"column {name}, row {bad[0]}: value {value!r} {side}")
     return np.clip(values, lo, hi) + 0.0
 
 
@@ -187,9 +187,9 @@ def table_rows(table: str, spec: ScenarioSpec, analysis: CaseAnalysis | None = N
     the time averages of ``analysis``, the CaseAnalysis of ``spec``.
     """
     if table not in TABLE_COLUMNS:
-        raise ValueError(f"unknown table {table!r}; choose from {tuple(TABLE_COLUMNS)}")
+        raise InputError(f"unknown table {table!r}; choose from {tuple(TABLE_COLUMNS)}")
     if table != "table1" and analysis is None:
-        raise ValueError(f"{table} reads time averages: pass the CaseAnalysis of the scenario")
+        raise InputError(f"{table} reads time averages: pass the CaseAnalysis of the scenario")
     rows = []
     for alpha in BRANCHES:
         row = {"case": spec.case_label, "alpha": alpha}

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NotPositiveError
+from .errors import InputError
 from .linalg import PSD_TOL
 
 BRANCHES = ("u", "d", "c")
@@ -45,7 +45,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         label = self.case_label  # it names the output files
         if not (isinstance(label, str) and label and label.isprintable() and "/" not in label and "\\" not in label):
-            raise ValueError(f"case_label must be a non-empty printable string without / or \\, got {label!r}")
+            raise InputError(f"case_label must be a non-empty printable string without / or \\, got {label!r}")
         qubit_state(self.prediction)
         qubit_state(self.action)
 
@@ -61,15 +61,15 @@ def _predictions(spec: ScenarioSpec) -> dict[str, SubsystemParams]:
 def qubit_state(params: SubsystemParams) -> np.ndarray:
     """2x2 density matrix [[p, lam], [conj(lam), 1-p]].
 
-    Raises NotPositiveError when |lam|^2 exceeds p(1-p) beyond tolerance,
+    Raises InputError when |lam|^2 exceeds p(1-p) beyond tolerance,
     i.e. when the matrix would not be positive semidefinite.
     """
     p = float(params.p)
     lam = complex(params.lam)
     if not (np.isfinite(p) and np.isfinite(lam.real) and np.isfinite(lam.imag)):
-        raise ValueError("subsystem parameters must be finite")
+        raise InputError("subsystem parameters must be finite")
     if abs(lam) ** 2 > p * (1.0 - p) + PSD_TOL:
-        raise NotPositiveError(
+        raise InputError(
             f"|lam|^2 = {abs(lam) ** 2:.6g} exceeds p(1-p) = {p * (1.0 - p):.6g}"
         )
     return np.array([[p, lam], [lam.conjugate(), 1.0 - p]], dtype=complex)
@@ -118,7 +118,7 @@ def catalog_case(label: str) -> ScenarioSpec:
     try:
         prediction, action = _CATALOG_PARAMS[label]
     except KeyError:
-        raise KeyError(f"unknown case label {label!r}; known labels: {CATALOG_LABELS}") from None
+        raise InputError(f"unknown case label {label!r}; known labels: {CATALOG_LABELS}") from None
     return ScenarioSpec(label, prediction, action)
 
 
@@ -141,7 +141,7 @@ def _config_value(mapping, path: str, default=None):
     """Entry at the dotted key ``path`` whose parent is ``mapping``, a mapping checked by _config_mapping."""
     key = path.rpartition(".")[2]
     if key not in mapping and default is None:
-        raise ValueError(f"config: missing key {path}")
+        raise InputError(f"config: missing key {path}")
     return mapping.get(key, default)
 
 
@@ -149,10 +149,10 @@ def _config_mapping(parent, path: str = "", known: tuple[str, ...] = _CONFIG_KEY
     """The mapping at ``path`` (``parent`` itself, the top level, for the empty path), with no key outside ``known``."""
     mapping = _config_value(parent, path) if path else parent
     if not isinstance(mapping, Mapping):
-        raise ValueError(f"config: {path or 'top level'} must be a mapping, got {mapping!r}")
+        raise InputError(f"config: {path or 'top level'} must be a mapping, got {mapping!r}")
     unknown = [key for key in mapping if key not in known]
     if unknown:
-        raise ValueError(f"config: unknown key {path}{'.' if path else ''}{unknown[0]}; known keys: {', '.join(known)}")
+        raise InputError(f"config: unknown key {path}{'.' if path else ''}{unknown[0]}; known keys: {', '.join(known)}")
     return mapping
 
 
@@ -162,7 +162,7 @@ def _config_float(mapping, path: str, default=None) -> float:
     if not isinstance(value, bool):
         with contextlib.suppress(TypeError, ValueError):
             return float(value)
-    raise ValueError(f"config: {path} must be a number, got {value!r}")
+    raise InputError(f"config: {path} must be a number, got {value!r}")
 
 
 def _subsystem_from_config(raw, path: str, side: str) -> SubsystemParams:
@@ -177,7 +177,7 @@ def scenario_from_config(config: Mapping) -> ScenarioSpec:
 
     The scenario comes from branch "u"; branches "d" and "c" must hold the
     values it derives for them. A missing, unknown, malformed or inconsistent
-    entry raises ValueError naming its key path, e.g. ``branches.d.pB``.
+    entry raises InputError naming its key path, e.g. ``branches.d.pB``.
     """
     config = _config_mapping(config)
     branches_cfg = _config_mapping(config, "branches", BRANCHES)
@@ -186,9 +186,9 @@ def scenario_from_config(config: Mapping) -> ScenarioSpec:
     prediction, action = (_subsystem_from_config(raw["u"], "branches.u", side) for side in "BA")
     try:
         spec = ScenarioSpec(label, prediction, action)
-    except ValueError as exc:  # the label is checked first; a later error is branch u's
+    except InputError as exc:  # the label is checked first; a later error is branch u's
         where = "" if str(exc).startswith("case_label") else "branches.u: "
-        raise ValueError(f"config: {where}{exc}") from None
+        raise InputError(f"config: {where}{exc}") from None
     for alpha in ("d", "c"):
         path = f"branches.{alpha}"
         derived = (("B", _predictions(spec)[alpha], "a certain prediction"), ("A", action, "the action of branch u"))
@@ -196,5 +196,5 @@ def scenario_from_config(config: Mapping) -> ScenarioSpec:
             got = _subsystem_keys(_subsystem_from_config(raw[alpha], path, side), side)
             for key, value in _subsystem_keys(params, side).items():
                 if got[key] != value:
-                    raise ValueError(f"config: {path}.{key} must be {value!r} ({why}), got {got[key]!r}")
+                    raise InputError(f"config: {path}.{key} must be {value!r} ({why}), got {got[key]!r}")
     return spec

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyInputError, GridMismatchError
+from .errors import InputError, InvariantError, _first_bad
 from .linalg import _finite_times
 
 # Threshold separating rounding noise from genuine violations (>= 1e-3 at
@@ -46,14 +46,14 @@ def stp_leak(chi_diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     delta is the defection weight of chi; Delta sums the moduli of the
     whole diagonal, so Delta >= |delta|. An imaginary part beyond 1e-12, or NaN, raises
-    ValueError naming the first sample and entry; a single diagonal is sample 0.
+    InvariantError naming the first sample and entry; a single diagonal is sample 0.
     """
     chi_diagonal = np.asarray(chi_diagonal)
     if not np.max(np.abs(chi_diagonal.imag), initial=0.0) <= _IMAG_TOL:  # a NaN fails too
         imag = np.abs(chi_diagonal.imag).reshape(-1, chi_diagonal.shape[-1])
-        sample, entry = np.argwhere(~(imag <= _IMAG_TOL))[0]
+        sample, entry = _first_bad(~(imag <= _IMAG_TOL))
         part = imag[sample, entry]
-        raise ValueError(f"chi diagonal sample {sample}, entry {entry}: imaginary part {part:.3g} beyond {_IMAG_TOL:g}")
+        raise InvariantError(f"chi diagonal sample {sample}, entry {entry}: imaginary part {part:.3g} beyond {_IMAG_TOL:g}")
     return _defection_weight(chi_diagonal), np.sum(np.abs(chi_diagonal), axis=-1)
 
 
@@ -69,18 +69,21 @@ def stp_verdict(times: np.ndarray, delta: np.ndarray) -> StpVerdict:
 
     Violated iff max |delta| exceeds DELTA_EPS; onset_time is the first grid time
     where that happens, None when the principle holds. A NaN or infinite time or
-    delta sample raises ValueError naming the first one.
+    delta sample raises InputError naming the first one, and a grid that is not
+    1-D raises it naming its shape.
     """
     times = _finite_times(times)
+    if times.ndim != 1:
+        raise InputError(f"times must be 1-D, got shape {times.shape}")
     delta = np.asarray(delta, dtype=float)
     abs_delta = np.abs(delta)
     if times.shape != abs_delta.shape:
-        raise GridMismatchError(f"{times.shape} times but {abs_delta.shape} delta samples")
+        raise InputError(f"{times.shape} times but {abs_delta.shape} delta samples")
     if abs_delta.size == 0:
-        raise EmptyInputError("no delta samples to judge")
-    bad = np.flatnonzero(~np.isfinite(delta))
-    if bad.size:
-        raise ValueError(f"delta sample {bad[0]} (t = {times[bad[0]]:g}) is {delta[bad[0]]}, not finite")
+        raise InputError("no delta samples to judge")
+    bad = _first_bad(~np.isfinite(delta))
+    if bad is not None:
+        raise InputError(f"delta sample {bad[0]} (t = {times[bad]:g}) is {delta[bad]}, not finite")
     max_abs = float(np.max(abs_delta))
     violated = max_abs > DELTA_EPS
     onset = float(times[np.argmax(abs_delta > DELTA_EPS)]) if violated else None

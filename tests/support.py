@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 
-from qpdsim import GridMismatchError, HamiltonianParams, ScenarioSpec, SubsystemParams, subset_keys
+from qpdsim import HamiltonianParams, InputError, ScenarioSpec, SubsystemParams, subset_keys
 from qpdsim.measures import MEASURE_FIELDS
 from qpdsim.report import TRAJECTORY_COLUMNS, _checked_column
 from qpdsim.stp import stp_leak
@@ -102,7 +102,7 @@ def chi_series(traj_u, traj_d, traj_c, p_b: float) -> np.ndarray:
         and np.array_equal(traj_u.times, traj_d.times)
         and np.array_equal(traj_u.times, traj_c.times)
     ):
-        raise GridMismatchError("branch trajectories must share one time grid")
+        raise InputError("branch trajectories must share one time grid")
     return traj_u.states - p_b * traj_d.states - (1.0 - p_b) * traj_c.states
 
 

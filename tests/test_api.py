@@ -1,9 +1,14 @@
+import ast
 import dataclasses
 import inspect
+import pathlib
 
+import numpy as np
 import pytest
 
 import qpdsim
+from qpdsim.report import _checked_column
+from qpdsim.stp import stp_leak
 
 # The public surface of the package, grouped by defining module. A name added
 # or removed here is an API change and belongs in CHANGES.md. Submodules are
@@ -13,8 +18,7 @@ PUBLIC_NAMES = {
     "DEFAULT_GAMMA", "DEFAULT_MU", "DEFAULT_SAMPLES", "DEFAULT_T_MAX", "HamiltonianParams",
     "Trajectory", "build_hamiltonian", "evolve", "time_grid",
     # errors
-    "DimensionMismatchError", "EmptyInputError", "EmptyTrajectoryError", "GridMismatchError",
-    "InvalidModelError", "MissingSubsetError", "NonHermitianError", "NotPositiveError",
+    "InputError", "InvariantError",
     # interference
     "QuantumSlitModel", "interference_term", "random_slit_model", "run_interference_survey",
     "run_slit_model", "subset_keys",
@@ -59,3 +63,33 @@ DATACLASS_FIELDS = {
 @pytest.mark.parametrize("name", sorted(DATACLASS_FIELDS))
 def test_dataclass_fields_are_pinned(name):
     assert tuple(field.name for field in dataclasses.fields(getattr(qpdsim, name))) == DATACLASS_FIELDS[name]
+
+
+def _raised_classes(node: ast.expr) -> set[str]:
+    """Names of the classes a ``raise`` expression can raise: ``E(...)``, ``E``, or ``(A if c else B)(...)``."""
+    if isinstance(node, ast.Call):
+        return _raised_classes(node.func)
+    if isinstance(node, ast.IfExp):
+        return _raised_classes(node.body) | _raised_classes(node.orelse)
+    return {node.id if isinstance(node, ast.Name) else ast.unparse(node)}
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(qpdsim.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_raise_uses_one_of_the_two_bases(path):
+    # A bare ``raise`` re-raises what a handler caught; every other raise names InputError or InvariantError.
+    raised = [
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for name in _raised_classes(node.exc)
+    ]
+    assert [(line, name) for line, name in raised if name not in {"InputError", "InvariantError"}] == []
+
+
+def test_broken_invariants_of_computed_values_raise_invariant_error():
+    # the output columns and chi(t) are computed, never given; run_slit_model's range check is pinned in
+    # test_interference.py
+    with pytest.raises(qpdsim.InvariantError, match=r"^column EF_AB, row 1: value 1\.5 above 1\.0$"):
+        _checked_column("EF_AB", [0.5, 1.5])
+    with pytest.raises(qpdsim.InvariantError, match=r"^chi diagonal sample 0, entry 1: imaginary part 1e-09 beyond 1e-12$"):
+        stp_leak(np.array([0.0, 1e-9j, 0.0, 0.0]))

@@ -101,7 +101,7 @@ def test_sorkin_output(tmp_path):
 
 def test_error_paths(tmp_path, capsys):
     assert main(["--case", "nope", "--out-dir", str(tmp_path)]) == 1
-    # catalog_case raises KeyError, whose str() is the repr of its message: the message is printed unquoted
+    # the message is printed as it is, without quotes around it
     labels = "('1', '1*', '2', '3', '3*', '4', '4*')"
     assert capsys.readouterr().err == f"error: unknown case label 'nope'; known labels: {labels}\n"
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from qpdsim import (
-    DimensionMismatchError,
     HamiltonianParams,
-    NonHermitianError,
+    InputError,
     build_hamiltonian,
     catalog_case,
     choice_probability,
@@ -126,13 +125,13 @@ class TestEvolve:
         assert np.max(np.abs(mixed - separate)) <= 1e-10
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match=r"^state shape \(2, 2\) != Hamiltonian shape \(4, 4\)$"):
             evolve(np.eye(2) / 2, build_hamiltonian(), time_grid(samples=4))
 
     def test_non_hermitian_state_rejected(self):
         rho0 = np.eye(4) / 4
         rho0[0, 1] = 0.1
-        with pytest.raises(NonHermitianError):
+        with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
             evolve(rho0, build_hamiltonian(), time_grid(samples=4))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -3,11 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qpdsim import (
-    InvalidModelError,
-    MissingSubsetError,
+    InputError,
+    InvariantError,
     QuantumSlitModel,
     build_hamiltonian,
     catalog_case,
@@ -63,13 +63,14 @@ class TestSlitExperiment:
                 subset_keys(n_slits)
 
     def test_missing_subset(self):
-        with pytest.raises(MissingSubsetError):
+        message = "need one probability per slit subset (1, 3, 7, 15, 31, 63, 127, 255, 511), got shape (2,)"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             interference_term(np.array([0.2, 0.3]), (1, 2))
 
     @pytest.mark.parametrize("length", [4, 8])
     def test_rejects_lengths_that_count_no_subsets(self, length):
         message = f"need one probability per slit subset (1, 3, 7, 15, 31, 63, 127, 255, 511), got shape ({length},)"
-        with pytest.raises(MissingSubsetError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             interference_term(np.full(length, 0.1), (1, 2))
 
     def test_probability_range(self):
@@ -261,7 +262,7 @@ class TestRunSlitModel:
         psi = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         skewed = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
         rho, effect = np.outer(psi, psi).astype(complex), np.diag([1.0, 0.0, 0.0]).astype(complex)
-        with pytest.raises(InvalidModelError, match=r"^draw 0: slit basis must be unitary$"):
+        with pytest.raises(InputError, match=r"^draw 0: slit basis must be unitary$"):
             QuantumSlitModel(rho[None], skewed[None], effect[None])
 
     def test_rejects_ten_slits(self):
@@ -280,7 +281,7 @@ class TestRunSlitModel:
         assert_allclose(run_slit_model(rephased), run_slit_model(model), rtol=0, atol=1e-15)
 
     def test_rejects_oversized_effect(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InputError, match=r"^draw 0: effect eigenvalues must lie in \[0, 1\]$"):
             projector_model(np.eye(2) / 2, 2.0 * np.eye(2))
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["general", "diagonal"])
@@ -317,43 +318,43 @@ class TestStackChecks:
     def test_slit_basis_must_be_unitary(self):
         rho, basis, effect = valid_stack()
         basis[3, :, 0] *= 1.0 + 1e-12  # a column of norm 1 + 1e-12, beyond the 5e-14 model tolerance
-        with pytest.raises(InvalidModelError, match=r"^draw 3: slit basis must be unitary$"):
+        with pytest.raises(InputError, match=r"^draw 3: slit basis must be unitary$"):
             QuantumSlitModel(rho, basis, effect)
         basis[3] = [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # unit-norm columns, not orthogonal
         basis[3, :, 1] /= np.sqrt(2.0)
-        with pytest.raises(InvalidModelError, match=r"^draw 3: slit basis must be unitary$"):
+        with pytest.raises(InputError, match=r"^draw 3: slit basis must be unitary$"):
             QuantumSlitModel(rho, basis, effect)
 
     def test_effect_must_be_hermitian(self):
         rho, basis, effect = valid_stack()
         effect[3, 0, 1] = 0.1
-        with pytest.raises(InvalidModelError, match=r"^draw 3: effect must be Hermitian$"):
+        with pytest.raises(InputError, match=r"^draw 3: effect must be Hermitian$"):
             QuantumSlitModel(rho, basis, effect)
 
     def test_effect_eigenvalues_must_lie_in_unit_interval(self):
         rho, basis, effect = valid_stack()
         effect[3] = 1.5 * np.eye(3)
-        with pytest.raises(InvalidModelError, match=r"^draw 3: effect eigenvalues must lie in \[0, 1\]$"):
+        with pytest.raises(InputError, match=r"^draw 3: effect eigenvalues must lie in \[0, 1\]$"):
             QuantumSlitModel(rho, basis, effect)
 
     def test_state_must_be_hermitian(self):
         rho, basis, effect = valid_stack()
         rho[3, 0, 1] = 0.1
-        with pytest.raises(InvalidModelError, match=r"^draw 3: state must be Hermitian$"):
+        with pytest.raises(InputError, match=r"^draw 3: state must be Hermitian$"):
             QuantumSlitModel(rho, basis, effect)
 
     def test_state_must_have_unit_trace(self):
         # with the identity effect this state used to give P_123 = 0.5
         rho, basis, effect = valid_stack()
         rho[3] = np.eye(3) / 6
-        with pytest.raises(InvalidModelError, match=r"^draw 3: state must have unit trace$"):
+        with pytest.raises(InputError, match=r"^draw 3: state must have unit trace$"):
             QuantumSlitModel(rho, basis, effect)
 
     def test_state_must_be_positive_semidefinite(self):
         # Hermitian with trace 1 and eigenvalues 1.4, 0, -0.4; its P_S all lay inside [0, 1]
         rho, basis, effect = valid_stack()
         rho[3] = [[0.5, 0.9, 0.0], [0.9, 0.5, 0.0], [0.0, 0.0, 0.0]]
-        with pytest.raises(InvalidModelError, match=r"^draw 3: state must be positive semidefinite$"):
+        with pytest.raises(InputError, match=r"^draw 3: state must be positive semidefinite$"):
             QuantumSlitModel(rho, basis, effect)
 
     def test_model_checks_keep_probabilities_in_range(self):
@@ -361,7 +362,7 @@ class TestStackChecks:
         rho, basis, effect = valid_stack()
         effect[:] = np.eye(3)
         rho[3] = np.diag([0.5 + 5e-11, 0.0, 0.5])
-        with pytest.raises(InvalidModelError, match=r"^draw 3: state must have unit trace$"):
+        with pytest.raises(InputError, match=r"^draw 3: state must have unit trace$"):
             QuantumSlitModel(rho, basis, effect)
 
     def test_probabilities_must_lie_in_unit_interval(self):
@@ -370,14 +371,14 @@ class TestStackChecks:
         effect[:] = np.eye(3)
         model = QuantumSlitModel(rho, basis, effect)
         model.rho[3] = np.diag([0.5 + 5e-11, 0.0, 0.5])
-        with pytest.raises(InvalidModelError, match=r"^draw 3: P_13 = 1\.00000000005 outside \[0, 1\] beyond tolerance$"):
+        with pytest.raises(InvariantError, match=r"^draw 3: P_13 = 1\.00000000005 outside \[0, 1\] beyond tolerance$"):
             run_slit_model(model)
 
     def test_names_the_first_of_several_bad_draws(self):
         rho, basis, effect = valid_stack()
         effect[3, 0, 1] = 0.1
         effect[1, 1, 2] = 0.1
-        with pytest.raises(InvalidModelError, match=r"^draw 1: effect must be Hermitian$"):
+        with pytest.raises(InputError, match=r"^draw 1: effect must be Hermitian$"):
             QuantumSlitModel(rho, basis, effect)
 
     def test_residue_within_tolerance_is_clipped(self):
@@ -390,9 +391,17 @@ class TestStackChecks:
         assert exp["1"] == 1.0
         assert exp["2"] == 0.0
 
+    def test_stacks_must_be_three_dimensional(self):
+        # 1-D arrays used to fail on unpacking their shape, nested lists on reading .shape
+        for stacks in ((np.ones(3),) * 3, (np.eye(3).tolist(),) * 3):
+            with pytest.raises(InputError, match=r"^model dimensions are inconsistent$"):
+                QuantumSlitModel(*stacks)
+        as_lists = QuantumSlitModel(*(a.tolist() for a in valid_stack()))
+        assert_array_equal(run_slit_model(as_lists), run_slit_model(QuantumSlitModel(*valid_stack())))
+
     def test_inconsistent_dimensions(self):
         rho, basis, effect = valid_stack()
-        with pytest.raises(InvalidModelError, match="dimensions"):
+        with pytest.raises(InputError, match=r"^model dimensions are inconsistent$"):
             QuantumSlitModel(rho, basis[:4], effect)
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from qpdsim import (
-    DimensionMismatchError,
     HamiltonianParams,
-    NonHermitianError,
+    InputError,
     ScenarioSpec,
     SubsystemParams,
     build_hamiltonian,
@@ -48,11 +47,11 @@ class TestEigHermitian:
         np.testing.assert_allclose(w, [1.0, 1.0, -1.0, -1.0], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
+        with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_nan(self):
-        with pytest.raises(NonHermitianError):
+        with pytest.raises(InputError, match=r"^matrix has a non-finite entry$"):
             eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_names_the_first_non_finite_matrix(self):
@@ -60,17 +59,17 @@ class TestEigHermitian:
         stack[2, 0, 3] += 1.0
         stack[5, 1, 2] = complex(1.0, np.inf)
         stack[8, 0, 0] = np.nan
-        with pytest.raises(NonHermitianError, match=r"^matrix 5 has a non-finite entry$"):
+        with pytest.raises(InputError, match=r"^matrix 5 has a non-finite entry$"):
             eig_hermitian(stack)
-        with pytest.raises(NonHermitianError, match=r"^matrix 1 1 has a non-finite entry$"):
+        with pytest.raises(InputError, match=r"^matrix 1 1 has a non-finite entry$"):
             eig_hermitian(stack.reshape(3, 4, 4, 4))
-        with pytest.raises(NonHermitianError, match=r"^matrix has a non-finite entry$"):
+        with pytest.raises(InputError, match=r"^matrix has a non-finite entry$"):
             eig_hermitian(np.diag([1.0, -np.inf]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(3,\)$"):
+        with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(3,\)$"):
             eig_hermitian(np.zeros(3))
-        with pytest.raises(DimensionMismatchError, match=r"^expected a square matrix, got shape \(5, 2, 3\)$"):
+        with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(5, 2, 3\)$"):
             eig_hermitian(np.zeros((5, 2, 3)))
 
     def test_stack_matches_single_matrices(self):
@@ -88,11 +87,11 @@ class TestEigHermitian:
         stack = random_hermitian_stack(np.random.default_rng(18), 12, 4)
         stack[7, 0, 3] += 1e-9
         stack[9, 1, 2] += 1.0
-        with pytest.raises(NonHermitianError, match=r"^matrix 7 is not Hermitian within 1e-12$"):
+        with pytest.raises(InputError, match=r"^matrix 7 is not Hermitian within 1e-12$"):
             eig_hermitian(stack)
-        with pytest.raises(NonHermitianError, match=r"^matrix 1 3 is not Hermitian within 1e-12$"):
+        with pytest.raises(InputError, match=r"^matrix 1 3 is not Hermitian within 1e-12$"):
             eig_hermitian(stack.reshape(3, 4, 4, 4))
-        with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian within 1e-12$"):
+        with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
             eig_hermitian(stack[7])
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -144,7 +143,7 @@ class TestHermitianEigenvalues:
     def test_rejects_non_hermitian_beyond_the_closed_form(self):
         m = np.zeros((3, 3))
         m[0, 2] = 0.5
-        with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian within 1e-12$"):
+        with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
             eig_hermitian(m)
 
 
@@ -222,7 +221,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(partial_trace(rho, "A", (2, 2)), np.eye(2) / 2, atol=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match=r"^matrix dim 4 incompatible with subsystem dims \(2, 3\)$"):
             partial_trace(np.eye(4), "A", (2, 3))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
@@ -280,7 +279,7 @@ class TestUnitaryFromHamiltonian:
             np.testing.assert_allclose(u, unitary(h, t), rtol=0, atol=1e-14)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
+        with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
             SpectralPropagator(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
 
 

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from qpdsim import (
-    DimensionMismatchError,
-    EmptyTrajectoryError,
-    GridMismatchError,
+    InputError,
     MeasureRecord,
-    NonHermitianError,
-    NotPositiveError,
     ScenarioSpec,
     SubsystemParams,
     Trajectory,
@@ -118,7 +114,7 @@ class TestEntanglementOfFormation:
         assert entanglement_of_formation(BELL) == pytest.approx(1.0, abs=1e-12)
 
     def test_wrong_dimension(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match=r"^concurrence needs 4x4 states, got \(2, 2\)$"):
             entanglement_of_formation(np.eye(2) / 2)
 
     def test_concurrence_path_matches_reduced_entropy_on_pure_states(self):
@@ -315,12 +311,17 @@ class TestTimeAverage:
 
     def test_empty_trajectory(self):
         traj = Trajectory(np.zeros(0), np.zeros((0, 4, 4), dtype=complex))
-        with pytest.raises(EmptyTrajectoryError):
+        with pytest.raises(InputError, match=r"^need at least two samples to average$"):
             trapezoid_mean(von_neumann_entropy(traj.states), traj.times)
 
     def test_zero_time_span(self):
         with pytest.raises(ValueError, match=r"^cannot average over a zero time span, t = 1 to 1$"):
             trapezoid_mean([1.0, 2.0], [1.0, 1.0])
+
+    def test_scalar_time_grid_is_rejected(self):
+        # a 0-d grid used to fail inside len() with a TypeError
+        with pytest.raises(InputError, match=r"^times must be 1-D, got shape \(\)$"):
+            trapezoid_mean(1.0, 1.0)
 
     def test_non_finite_time_is_named(self):
         with pytest.raises(ValueError, match=r"^time sample 1 is inf, not finite$"):
@@ -335,7 +336,7 @@ class TestTimeAverage:
         ids=["short", "broadcast"],
     )
     def test_values_off_the_grid_are_rejected(self, values, times, message):
-        with pytest.raises(GridMismatchError, match=message):
+        with pytest.raises(InputError, match=message):
             trapezoid_mean(values, times)
 
 
@@ -376,7 +377,7 @@ class TestNotPositiveInput:
 
     def test_single_state(self):
         for measure in (measure_state, concurrence, entanglement_of_formation, measure_series):
-            with pytest.raises(NotPositiveError, match=r"^matrix has eigenvalue -0.5 below -1.01e-10$"):
+            with pytest.raises(InputError, match=r"^matrix has eigenvalue -0.5 below -1.01e-10$"):
                 measure(np.diag([1.5, -0.5, 0.0, 0.0]))
 
     def test_stack_names_the_sample(self):
@@ -385,7 +386,7 @@ class TestNotPositiveInput:
         states[6] = np.diag([0.5, 0.5, 0.2, -0.2])
         states[8] = np.diag([1.5, -0.5, 0.0, 0.0])
         for measure in (measure_series, concurrence, entanglement_of_formation):
-            with pytest.raises(NotPositiveError, match=r"^matrix 6 has eigenvalue -0.2 below -1.01e-10$"):
+            with pytest.raises(InputError, match=r"^matrix 6 has eigenvalue -0.2 below -1.01e-10$"):
                 measure(states)
 
     def test_states_at_the_qubit_state_edge_pass(self):
@@ -427,7 +428,7 @@ class TestNonHermitianInput:
         m = np.zeros((4, 4))
         m[0, 0], m[0, 3] = 1.0, 0.9
         for measure in (measure_state, concurrence, entanglement_of_formation, measure_series):
-            with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian within 1e-12$"):
+            with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
                 measure(m)
 
     def test_stack_names_the_sample(self):
@@ -435,16 +436,16 @@ class TestNonHermitianInput:
         states = np.stack([random_density(rng, 4) for _ in range(10)])
         states[7, 0, 3] += 0.9
         for measure in (measure_series, concurrence, entanglement_of_formation):
-            with pytest.raises(NonHermitianError, match=r"^matrix 7 is not Hermitian within 1e-12$"):
+            with pytest.raises(InputError, match=r"^matrix 7 is not Hermitian within 1e-12$"):
                 measure(states)
 
     def test_non_finite_entry_is_named_as_such(self):
-        with pytest.raises(NonHermitianError, match=r"^matrix has a non-finite entry$"):
+        with pytest.raises(InputError, match=r"^matrix has a non-finite entry$"):
             measure_state(np.full((4, 4), np.nan))
         rng = np.random.default_rng(55)
         states = np.stack([random_density(rng, 4) for _ in range(10)])
         states[2, 0, 3] += 0.9
         states[6, 1, 1] = np.inf
         for measure in (measure_series, concurrence, entanglement_of_formation):
-            with pytest.raises(NonHermitianError, match=r"^matrix 6 has a non-finite entry$"):
+            with pytest.raises(InputError, match=r"^matrix 6 has a non-finite entry$"):
                 measure(states)

@@ -9,7 +9,7 @@ from qpdsim import (
     CATALOG_LABELS,
     HERM_TOL,
     PSD_TOL,
-    NotPositiveError,
+    InputError,
     ScenarioSpec,
     SubsystemParams,
     analyze_case,
@@ -43,7 +43,7 @@ class TestQubitState:
         np.testing.assert_allclose(eig_hermitian(rho)[0], [0.75, 0.25])
 
     def test_rejects_excess_coherence(self):
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(InputError, match=r"^\|lam\|\^2 = 0\.25 exceeds p\(1-p\) = 0\.21$"):
             qubit_state(SubsystemParams(0.3, 0.5))
 
     def test_layout(self):
@@ -189,7 +189,7 @@ class TestScenarioSpec:
         assert CATALOG_LABELS == ("1", "1*", "2", "3", "3*", "4", "4*")
 
     def test_unknown_label(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError, match="unknown case label '5'"):
             catalog_case("5")
 
     def test_certain_branches_fixed(self):
@@ -215,9 +215,9 @@ class TestScenarioSpec:
             scenario_from_config(config)
 
     def test_rejects_non_positive_prediction(self):
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(InputError, match=r"^\|lam\|\^2 = 0\.81 exceeds p\(1-p\) = 0\.25$"):
             ScenarioSpec("bad", SubsystemParams(0.5, 0.9), SubsystemParams(0.5))
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(InputError, match=r"^\|lam\|\^2 = 0\.25 exceeds p\(1-p\) = 0\.21$"):
             ScenarioSpec("bad", SubsystemParams(0.5), SubsystemParams(0.3, 0.5))
 
     @pytest.mark.parametrize("label", ["a/b", 5])

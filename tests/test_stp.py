@@ -5,8 +5,7 @@ from qpdsim import (
     BRANCHES,
     CATALOG_LABELS,
     DELTA_EPS,
-    EmptyInputError,
-    GridMismatchError,
+    InputError,
     build_hamiltonian,
     catalog_case,
     chi_initial,
@@ -62,7 +61,7 @@ class TestChiSeries:
         h = build_hamiltonian()
         traj_a = evolve(initial_mental_state(spec, "u"), h, time_grid(samples=8))
         traj_b = evolve(initial_mental_state(spec, "d"), h, time_grid(samples=16))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(InputError, match=r"^branch trajectories must share one time grid$"):
             chi_series(traj_a, traj_b, traj_b, spec.prediction.p)
 
     def test_two_computation_paths_agree(self):
@@ -215,7 +214,7 @@ class TestVerdict:
         assert verdict.max_abs_delta == 8e-3
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match=r"^no delta samples to judge$"):
             stp_verdict(np.array([]), np.array([]))
 
     def test_non_finite_delta_rejected(self):
@@ -226,8 +225,13 @@ class TestVerdict:
         with pytest.raises(ValueError, match=r"^time sample 1 is nan, not finite$"):
             stp_verdict(np.array([0.0, np.nan, 2.0]), np.array([0.0, 0.5, 0.1]))
 
+    def test_scalar_time_grid_rejected(self):
+        # a 0-d grid used to fail on indexing with an IndexError
+        with pytest.raises(InputError, match=r"^times must be 1-D, got shape \(\)$"):
+            stp_verdict(0.0, 1.0)
+
     def test_length_mismatch_rejected(self):
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(InputError, match=r"^\(2,\) times but \(1,\) delta samples$"):
             stp_verdict(np.array([0.0, 1.0]), np.array([0.0]))
 
 
