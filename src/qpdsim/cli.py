@@ -31,7 +31,7 @@ from .report import (
     reproduce_all,
     table_rows,
 )
-from .states import BRANCHES, ScenarioSpec, _config_float, _config_mapping, catalog_case, scenario_from_config
+from .states import ScenarioSpec, _config_float, _config_mapping, catalog_case, scenario_from_config
 
 OUTPUT_KINDS = ("table1", "table2", "table3", "trajectory", "sorkin")
 DEFAULT_OUTPUTS = ("table1", "table2", "table3", "trajectory")
@@ -141,9 +141,8 @@ def run(config: RunConfig) -> list[str]:
         if table in config.outputs:
             rendered.append((f"{table}.csv", render_table_csv(table_rows(table, config.scenario, analysis), columns)))
     if "trajectory" in config.outputs:
-        for alpha in BRANCHES:
-            name = f"trajectory_case_{case_file_tag(label)}_{alpha}.csv"
-            rendered.append((name, render_trajectory_csv(analysis, alpha)))
+        for alpha, text in render_trajectory_csv(analysis).items():
+            rendered.append((f"trajectory_case_{case_file_tag(label)}_{alpha}.csv", text))
     if "sorkin" in config.outputs:
         survey = run_interference_survey(SURVEY_DRAWS, config.seed)
         rendered.append(("sorkin.json", json.dumps(survey, indent=2) + "\n"))

@@ -56,6 +56,8 @@ def build_hamiltonian(params: HamiltonianParams = HamiltonianParams()) -> np.nda
 
 def time_grid(t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     """Uniform closed grid [0, t_max] with the given number of samples."""
+    if not isinstance(samples, (int, np.integer)):
+        raise InputError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
         raise InputError("need at least 2 samples")
     if not 0 < t_max < math.inf:

@@ -105,6 +105,8 @@ class QuantumSlitModel:
         shape = self.rho.shape[:2] + self.rho.shape[1:2]  # (n_draws, d, d)
         if any(a.ndim != 3 or a.shape != shape for a in (self.rho, self.basis, self.effect)):
             raise InputError("model dimensions are inconsistent")
+        if shape[1] == 0:
+            raise InputError("model needs at least 1 slit, got dimension 0")
         for message, bad in self._defects():
             draw = _first_bad(bad)
             if draw is not None:

@@ -101,6 +101,9 @@ def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray
     stacked input (..., d, d).
     """
     m = np.asarray(m)
+    positive_ints = isinstance(dims, (tuple, list)) and all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
+    if not positive_ints or len(dims) != 2:
+        raise InputError(f"dims must be two positive integers (d_B, d_A), got {dims!r}")
     d_b, d_a = dims
     if m.shape[-1] != d_b * d_a or m.shape[-2] != d_b * d_a:
         raise InputError(f"matrix dim {m.shape[-1]} incompatible with subsystem dims {dims}")

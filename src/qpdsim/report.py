@@ -31,7 +31,6 @@ from .dynamics import (
 from .errors import InputError, InvariantError, _first_bad
 from .linalg import SpectralPropagator
 from .measures import (
-    MEASURE_FIELDS,
     MeasureRecord,
     average_measures,
     measure_series,
@@ -87,6 +86,7 @@ TRAJECTORY_COLUMNS = (
 
 _SIG_FMT = "%.12g"
 _RENDER_BLOCK_ROWS = 1024
+_WRITE_CHUNK_CHARS = 1 << 16
 
 # Valid ranges for emitted columns. Values within _RANGE_CLIP_TOL of a bound
 # are rounding residue and get clipped onto it; anything beyond is an
@@ -111,7 +111,7 @@ _COLUMN_RANGES: dict[str, tuple[float, float]] = {
 
 
 def _checked_column(name: str, values) -> np.ndarray:
-    """One output column clipped onto its valid range, with -0.0 as 0.0.
+    """One output column clipped onto its valid range, with -0.0 as 0.0; ``values`` itself when it needs neither.
 
     A NaN, an infinity, or a value beyond the range by more than
     _RANGE_CLIP_TOL raises InvariantError naming the column and the first such
@@ -125,7 +125,9 @@ def _checked_column(name: str, values) -> np.ndarray:
         value = float(values[bad])
         side = f"below {lo}" if value < lo else f"above {hi}" if value > hi else "is not finite"
         raise InvariantError(f"column {name}, row {bad[0]}: value {value!r} {side}")
-    return np.clip(values, lo, hi) + 0.0
+    if values.size and (values.min() < lo or values.max() > hi or np.signbit(values[values == 0]).any()):
+        return np.clip(values, lo, hi) + 0.0
+    return values  # nothing to clip or to turn into 0.0: no copy
 
 
 @dataclass(frozen=True)
@@ -336,7 +338,8 @@ def atomic_write_text(path: str, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_CHUNK_CHARS):  # encoded a chunk at a time, not in one copy
+                fh.write(text[start : start + _WRITE_CHUNK_CHARS])
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -365,14 +368,44 @@ def render_table_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
     return buf.getvalue()
 
 
-def render_trajectory_csv(analysis: CaseAnalysis, branch: str) -> str:
-    """Fixed-order per-sample series for one branch at 12 significant digits.
+def _row_format(columns) -> tuple[str, list[np.ndarray]]:
+    """The comma-joined row format of (name, values) pairs, each checked, and the columns it leaves varying.
 
-    Probability and deviation columns are scenario-level (identical across
-    the three branch files); the measure columns belong to the branch.
+    A column whose values are all equal goes into the format as its own text,
+    which holds no '%': the %.12g text of a checked, finite float.
     """
-    series = analysis.series[branch]
-    column_data = {
+    fields, varying = [], []
+    for name, values in columns:
+        values = _checked_column(name, values)
+        if values.size and (values == values[0]).all():
+            fields.append(_SIG_FMT % values[0])
+        else:
+            fields.append(_SIG_FMT)
+            varying.append(values)
+    return ",".join(fields), varying
+
+
+def _interleaved(columns: list[list]) -> tuple:
+    """Equal-length columns as one flat row-major tuple, the arguments of one % over their rows."""
+    flat = [None] * sum(map(len, columns))
+    for j, values in enumerate(columns):
+        flat[j :: len(columns)] = values
+    return tuple(flat)
+
+
+def render_trajectory_csv(analysis: CaseAnalysis, branches=BRANCHES) -> dict[str, str]:
+    """Fixed-order per-sample series at 12 significant digits: ``{branch: text}`` for each label.
+
+    ``branches`` is one label or a sequence of them. The probability and deviation
+    columns belong to the scenario and open every branch file's rows alike, so they
+    are checked and formatted once for all the files; the measure columns belong to
+    the branch.
+    """
+    labels = (branches,) if isinstance(branches, str) else tuple(branches)
+    for label in labels:
+        if label not in BRANCHES:
+            raise InputError(f"unknown branch {label!r}; choose from {BRANCHES}")
+    scenario = {
         "t": analysis.times,
         "p_u": analysis.probabilities["u"],
         "p_d": analysis.probabilities["d"],
@@ -380,19 +413,32 @@ def render_trajectory_csv(analysis: CaseAnalysis, branch: str) -> str:
         "delta": analysis.delta,
         "Delta": analysis.delta_bound,
     }
-    for name in MEASURE_FIELDS:
-        column_data[name] = getattr(series, name)
-    m = np.column_stack([_checked_column(name, column_data[name]) for name in TRAJECTORY_COLUMNS])
-    # One % per block of rows, written into one buffer: the text np.savetxt
-    # gives, without its per-row loop, and with only one block's text alive
-    # besides the buffer (a single % over all rows raises the CLI's peak RSS).
-    row = ",".join([_SIG_FMT] * len(TRAJECTORY_COLUMNS)) + "\n"
-    buf = io.StringIO()
-    buf.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-    for start in range(0, len(m), _RENDER_BLOCK_ROWS):
-        block = m[start : start + _RENDER_BLOCK_ROWS]
-        buf.write((row * len(block)) % tuple(block.ravel().tolist()))
-    return buf.getvalue()
+    scenario_row, scenario_varying = _row_format(scenario.items())
+    n = len(analysis.times)
+    blocks = [(start, min(start + _RENDER_BLOCK_ROWS, n)) for start in range(0, n, _RENDER_BLOCK_ROWS)]
+    # One % per block of rows: the text np.savetxt gives, without its per-row loop.
+    # Each block's scenario fields are kept as one text, which every branch splits
+    # into the %s that opens each of its rows.
+    heads = [
+        "\n".join([scenario_row] * (stop - start)) % _interleaved([v[start:stop].tolist() for v in scenario_varying])
+        for start, stop in blocks
+    ]
+    texts = {}
+    for i, label in enumerate(labels):
+        series = analysis.series[label]
+        branch_row, varying = _row_format((name, getattr(series, name)) for name in TRAJECTORY_COLUMNS[len(scenario) :])
+        row = "%s," + branch_row + "\n"
+        # One branch's buffer grows at a time, and the last branch drops each
+        # block's scenario text once it has used it.
+        buf = io.StringIO()
+        buf.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        for b, (start, stop) in enumerate(blocks):
+            block_heads = heads[b].split("\n")
+            if i == len(labels) - 1:
+                heads[b] = None
+            buf.write((row * (stop - start)) % _interleaved([block_heads, *(v[start:stop].tolist() for v in varying)]))
+        texts[label] = buf.getvalue()
+    return texts
 
 
 def case_file_tag(label: str) -> str:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -227,17 +228,21 @@ def test_reproduce_all_rejects_unknown_config_keys(tmp_path, capsys, key):
 
 
 def test_render_failure_writes_nothing(tmp_path, monkeypatch, capsys):
-    real_render = cli.render_trajectory_csv
+    # Branch c's EF_AB is out of range at row 3, so the one render call fails after
+    # branches u and d have rendered: no file may be written and no directory made.
+    real_analyze = cli.analyze_case
 
-    def fail_on_c(analysis, branch):
-        if branch == "c":
-            raise ValueError("column EF_AB, row 3: value 1.5 above 1.0")
-        return real_render(analysis, branch)
+    def bad_ef_on_c(*args, **kwargs):
+        analysis = real_analyze(*args, **kwargs)
+        ef = analysis.series["c"].EF_AB.copy()
+        ef[3] = 1.5
+        series = dict(analysis.series, c=dataclasses.replace(analysis.series["c"], EF_AB=ef))
+        return dataclasses.replace(analysis, series=series)
 
-    monkeypatch.setattr(cli, "render_trajectory_csv", fail_on_c)
+    monkeypatch.setattr(cli, "analyze_case", bad_ef_on_c)
     out_dir = tmp_path / "fresh"
     assert main(["--case", "3", "--samples", "65", "--out-dir", str(out_dir)]) == 1
-    assert "column EF_AB, row 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: column EF_AB, row 3: value 1.5 above 1.0\n"
     assert not out_dir.exists()
 
 

@@ -223,3 +223,8 @@ class TestTimeGrid:
             time_grid(t_max=0.0)
         with pytest.raises(ValueError):
             time_grid(t_max=math.inf)
+
+    def test_rejects_non_integral_samples(self):
+        with pytest.raises(InputError, match=r"^samples must be an integer, got 2\.5$"):
+            time_grid(1.0, 2.5)
+        assert len(time_grid(1.0, np.int64(3))) == 3

@@ -404,6 +404,10 @@ class TestStackChecks:
         with pytest.raises(InputError, match=r"^model dimensions are inconsistent$"):
             QuantumSlitModel(rho, basis[:4], effect)
 
+    def test_zero_slits(self):
+        with pytest.raises(InputError, match=r"^model needs at least 1 slit, got dimension 0$"):
+            QuantumSlitModel(*(np.zeros((2, 0, 0)),) * 3)
+
 
 class TestSurvey:
     def test_deterministic_for_fixed_seed(self):

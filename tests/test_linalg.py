@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,12 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError, match=r"^matrix dim 4 incompatible with subsystem dims \(2, 3\)$"):
             partial_trace(np.eye(4), "A", (2, 3))
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2, 1), (4, 0), (2.0, 2), 4])
+    def test_dims_must_be_two_positive_integers(self, dims):
+        message = f"dims must be two positive integers (d_B, d_A), got {dims!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            partial_trace(np.eye(4), "A", dims)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
     def test_block_sums_equal_einsum_bit_for_bit(self, dims):

@@ -9,6 +9,8 @@ from qpdsim import (
     BRANCHES,
     CATALOG_LABELS,
     HamiltonianParams,
+    InputError,
+    InvariantError,
     ScenarioSpec,
     SubsystemParams,
     analyze_case,
@@ -24,8 +26,10 @@ from qpdsim.linalg import TRACE_TOL
 from qpdsim.measures import MEASURE_FIELDS, MeasureRecord
 from qpdsim.report import (
     _RENDER_BLOCK_ROWS,
+    _WRITE_CHUNK_CHARS,
     TABLE_COLUMNS,
     TRAJECTORY_COLUMNS,
+    _checked_column,
     atomic_write_text,
     case_file_tag,
     check_table,
@@ -240,7 +244,7 @@ class TestRendering:
         assert float(first[3]) == pytest.approx(float(first[7]), abs=0.005)
 
     def test_trajectory_csv_layout(self, case2_analysis):
-        text = render_trajectory_csv(case2_analysis, "u")
+        text = render_trajectory_csv(case2_analysis, "u")["u"]
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
         assert len(lines) == 258
@@ -250,7 +254,7 @@ class TestRendering:
         assert float(row["S_AB"]) >= 0.0
 
     def test_trajectory_probabilities_in_range(self, case2_analysis):
-        text = render_trajectory_csv(case2_analysis, "d")
+        text = render_trajectory_csv(case2_analysis, "d")["d"]
         for line in text.strip().split("\n")[1:]:
             row = dict(zip(TRAJECTORY_COLUMNS, line.split(",")))
             for col in ("p_u", "p_d", "p_c"):
@@ -259,7 +263,7 @@ class TestRendering:
                 assert 0.0 <= float(row[col]) <= 2.0
 
     def test_twelve_significant_digits(self, case2_analysis):
-        text = render_trajectory_csv(case2_analysis, "u")
+        text = render_trajectory_csv(case2_analysis, "u")["u"]
         t_column = [line.split(",")[0] for line in text.strip().split("\n")[1:]]
         assert t_column[1] == f"{case2_analysis.times[1]:.12g}"
 
@@ -282,7 +286,7 @@ class TestRendering:
             delta_bound=np.array([0.0, 0.75]),
             series={"u": MeasureRecord(**{f: np.array(columns[f]) for f in MEASURE_FIELDS})},
         )
-        assert render_trajectory_csv(hand, "u") == (
+        assert render_trajectory_csv(hand, "u")["u"] == (
             "t,p_u,p_d,p_c,delta,Delta,S_A,S_B,S_AB,I_AB,Cl1_A,Cl1_B,Cl1_AB,CRE_AB,EF_AB\n"
             "0,0.333333333333,1,0,0,0,2,1e-05,0,0,123456.789,1e-300,0.25,0.125,1\n"
             "3.14159265359,0.5,0.5,0.5,-0.25,0.75,1,0.1,1.5,0.666666666667,0,1,3,1,0.5\n"
@@ -293,8 +297,64 @@ class TestRendering:
     )
     def test_blocks_match_savetxt(self, samples):
         analysis = analyze_case("4", samples=samples)
+        texts = render_trajectory_csv(analysis)
         for alpha in BRANCHES:
-            assert render_trajectory_csv(analysis, alpha) == savetxt_trajectory_csv(analysis, alpha)
+            assert texts[alpha] == savetxt_trajectory_csv(analysis, alpha)
+
+    @pytest.mark.parametrize("label", CATALOG_LABELS)
+    def test_catalog_matches_savetxt(self, label):
+        analysis = analyze_case(label, samples=129)
+        texts = render_trajectory_csv(analysis)
+        assert list(texts) == list(BRANCHES)
+        for alpha in BRANCHES:
+            assert texts[alpha] == savetxt_trajectory_csv(analysis, alpha), alpha
+        # The catalog holds every pattern of constant columns, which the renderer
+        # writes into its row format: S_AB everywhere, EF_AB in cases 1, 3 and 3*,
+        # delta and Delta in cases 1, 1* and 2.
+        columns = {
+            "delta": analysis.delta,
+            "Delta": analysis.delta_bound,
+            "S_AB": analysis.series["d"].S_AB,
+            "EF_AB": analysis.series["d"].EF_AB,
+        }
+        constant = {name for name, values in columns.items() if np.all(values == values[0])}
+        expected = {"S_AB"} | ({"EF_AB"} if label in ("1", "3", "3*") else set())
+        expected |= {"delta", "Delta"} if label in ("1", "1*", "2") else set()
+        assert constant == expected
+
+    def test_constant_columns_are_checked_before_they_join_the_row_format(self, case2_analysis):
+        n = len(case2_analysis.times)
+        series = dataclasses.replace(case2_analysis.series["u"], S_A=np.full(n, 2.0 + 5e-10), Cl1_A=np.full(n, -0.0))
+        hand = dataclasses.replace(case2_analysis, delta=np.full(n, -0.0), series={"u": series})
+        text = render_trajectory_csv(hand, "u")["u"]
+        assert text == savetxt_trajectory_csv(hand, "u")
+        cells = dict(zip(TRAJECTORY_COLUMNS, zip(*(line.split(",") for line in text.splitlines()[1:]))))
+        assert set(cells["S_A"]) == {"2"} and set(cells["Cl1_A"]) == {"0"} and set(cells["delta"]) == {"0"}
+
+    def test_constant_out_of_range_column_names_row_0(self, case2_analysis):
+        series = dataclasses.replace(case2_analysis.series["u"], S_AB=np.full(len(case2_analysis.times), 2.5))
+        bad = dataclasses.replace(case2_analysis, series={"u": series})
+        with pytest.raises(InvariantError, match=r"^column S_AB, row 0: value 2\.5 above 2\.0$"):
+            render_trajectory_csv(bad, "u")
+
+    def test_branch_subset_and_unknown_label(self, case2_analysis):
+        full = render_trajectory_csv(case2_analysis)
+        assert list(full) == ["u", "d", "c"]
+        subset = render_trajectory_csv(case2_analysis, ("c", "u"))
+        assert list(subset) == ["c", "u"] and subset == {alpha: full[alpha] for alpha in ("c", "u")}
+        assert render_trajectory_csv(case2_analysis, "d") == {"d": full["d"]}
+        with pytest.raises(InputError, match=r"^unknown branch 'x'; choose from \('u', 'd', 'c'\)$"):
+            render_trajectory_csv(case2_analysis, ("u", "x"))
+        with pytest.raises(InputError, match=r"^unknown branch 'ud'; "):
+            render_trajectory_csv(case2_analysis, "ud")
+
+    def test_checked_column_copies_only_what_it_changes(self):
+        values = np.array([0.0, 0.5, 1.0])
+        assert _checked_column("p_u", values) is values
+        residue = np.array([-0.0, 1.0 + 5e-10])
+        checked = _checked_column("p_u", residue)
+        assert checked.tolist() == [0.0, 1.0] and not np.signbit(checked).any()
+        assert np.signbit(residue[0]) and residue[1] == 1.0 + 5e-10  # the input is left as it was
 
     def test_table_format_pin(self):
         # 2.675 is stored just below 2.675, so it rounds down like the decimal value
@@ -470,6 +530,12 @@ class TestAtomicWrite:
             atomic_write_text(str(target), "new\n")
         assert target.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_writes_text_longer_than_one_chunk(self, tmp_path):
+        target = tmp_path / "out.csv"
+        text = "x" * (_WRITE_CHUNK_CHARS - 1) + "\u00e9" + "y" * (2 * _WRITE_CHUNK_CHARS) + "\n"
+        atomic_write_text(str(target), text)
+        assert target.read_text(encoding="utf-8") == text
 
     def test_leaves_existing_fixed_name_temp_alone(self, tmp_path):
         stale = tmp_path / "out.csv.tmp"
