@@ -179,10 +179,13 @@ def run_interference_survey(n_draws: int, seed: int) -> dict:
     Models are drawn, checked and evaluated in blocks of _SURVEY_BLOCK draws.
     Returns the largest |I3| seen, the fraction of draws whose I2 of slits
     1 and 2 exceeds 0.01 in magnitude, and the largest I2 produced by
-    diagonal (classical-limit) models.
+    diagonal (classical-limit) models. n_draws must be an integer >= 1 and
+    seed one >= 0; a bool is neither.
     """
-    if n_draws < 1:
-        raise InputError(f"n_draws must be at least 1, got {n_draws}")
+    for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    n_draws, seed = int(n_draws), int(seed)  # plain ints, so that the summary dumps to JSON
     rng = np.random.default_rng(seed)
     blocks = [
         (run_slit_model(random_slit_model(rng, size)), run_slit_model(random_slit_model(rng, size, diagonal=True)))

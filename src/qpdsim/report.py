@@ -1,9 +1,10 @@
 """Scenario orchestration, table reproduction, and CSV emission.
 
-One CaseAnalysis bundles everything derived from a scenario: the three
-branch trajectories, choice probabilities, the mixture correction series,
-per-branch information measures, their time averages, and the verdict.
-Reference tables shipped as package data anchor the regression sweep.
+One CaseAnalysis bundles the series derived from a scenario: choice
+probabilities, the mixture correction series, per-branch information
+measures, their time averages, and the verdict. It keeps no state stack: its
+``trajectories`` evolve a branch's states again on each access. Reference
+tables shipped as package data anchor the regression sweep.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import contextlib
 import csv
 import io
 import os
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .dynamics import (
     HamiltonianParams,
     Trajectory,
     build_hamiltonian,
-    evolve,  # noqa: F401  (unused here; perfbench/selftest.py reads report.evolve)
+    evolve,
     orbit,
     time_grid,
 )
@@ -130,18 +131,42 @@ def _checked_column(name: str, values) -> np.ndarray:
     return values  # nothing to clip or to turn into 0.0: no copy
 
 
+class _BranchTrajectories(Mapping):
+    """The branch orbits of one analysis, keyed by BRANCHES; each lookup evolves its branch anew and keeps nothing."""
+
+    def __init__(self, analysis: CaseAnalysis):
+        self._analysis = analysis
+
+    def __getitem__(self, alpha: str) -> Trajectory:
+        a = self._analysis
+        return evolve(initial_mental_state(a.spec, alpha), build_hamiltonian(a.hamiltonian), a.times)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(BRANCHES)
+
+    def __len__(self) -> int:
+        return len(BRANCHES)
+
+    def __contains__(self, alpha) -> bool:
+        return alpha in BRANCHES
+
+
 @dataclass(frozen=True)
 class CaseAnalysis:
     spec: ScenarioSpec
     hamiltonian: HamiltonianParams
     times: np.ndarray
-    trajectories: Mapping[str, Trajectory]
     probabilities: Mapping[str, np.ndarray]
     delta: np.ndarray
     delta_bound: np.ndarray
     series: Mapping[str, MeasureRecord]
     means: Mapping[str, MeasureRecord]
     verdict: StpVerdict
+
+    @property
+    def trajectories(self) -> Mapping[str, Trajectory]:
+        """Each branch's orbit, evolved on each access: ``trajectories["u"].states`` is a fresh (N, 4, 4) stack."""
+        return _BranchTrajectories(self)
 
 
 def analyze_case(
@@ -162,18 +187,17 @@ def analyze_case(
     times = time_grid(t_max, samples)
     propagator = SpectralPropagator(build_hamiltonian(params), times)
     delta, delta_bound = stp_leak(np.diagonal(propagator.conjugated(chi_initial(spec)), axis1=-2, axis2=-1))
-    trajectories, series = {}, {}
+    probabilities, series = {}, {}
     for alpha in BRANCHES:
         branch = orbit(initial_mental_state(spec, alpha), propagator, initial_rank(spec, alpha))
-        trajectories[alpha] = Trajectory(times, branch.states)
+        probabilities[alpha] = choice_probability(branch.states)
         series[alpha] = measure_series(branch)
-        del branch  # its n (N, rank, rank) goes before the next branch's is built
+        del branch  # its states (N, 4, 4) and n (N, rank, rank) go before the next branch's are built
     return CaseAnalysis(
         spec=spec,
         hamiltonian=params,
         times=times,
-        trajectories=trajectories,
-        probabilities={alpha: choice_probability(trajectories[alpha].states) for alpha in BRANCHES},
+        probabilities=probabilities,
         delta=delta,
         delta_bound=delta_bound,
         series=series,
@@ -182,16 +206,25 @@ def analyze_case(
     )
 
 
+def _check_table_name(table: str) -> None:
+    if table not in TABLE_COLUMNS:
+        raise InputError(f"unknown table {table!r}; choose from {tuple(TABLE_COLUMNS)}")
+
+
 def table_rows(table: str, spec: ScenarioSpec, analysis: CaseAnalysis | None = None) -> list[dict]:
     """One row of ``table`` per branch: case, alpha, table2's verdict flag, then the table's columns.
 
     table1 measures each branch's t=0 state and needs no analysis; tables 2 and 3 read
-    the time averages of ``analysis``, the CaseAnalysis of ``spec``.
+    the time averages of ``analysis``, the CaseAnalysis of ``spec``. An analysis of
+    another scenario raises InputError.
     """
-    if table not in TABLE_COLUMNS:
-        raise InputError(f"unknown table {table!r}; choose from {tuple(TABLE_COLUMNS)}")
+    _check_table_name(table)
     if table != "table1" and analysis is None:
         raise InputError(f"{table} reads time averages: pass the CaseAnalysis of the scenario")
+    if analysis is not None and analysis.spec != spec:
+        raise InputError(
+            f"the analysis of case {analysis.spec.case_label!r} is not of the scenario of case {spec.case_label!r}"
+        )
     rows = []
     for alpha in BRANCHES:
         row = {"case": spec.case_label, "alpha": alpha}
@@ -213,6 +246,7 @@ def analyze_catalog(
 
 def load_reference_table(name: str) -> list[dict]:
     """Read one of the packaged reference tables (comment lines skipped)."""
+    _check_table_name(name)
     text = resources.files("qpdsim.data").joinpath(f"{name}_reference.csv").read_text()
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     parse = {"case": str, "alpha": str, "violated": int}  # every other column is a float
@@ -257,11 +291,16 @@ def _check_cell(table, case, alpha, column, value, reference) -> CellCheck:
 
 
 def check_table(table: str, computed_rows: list[dict], columns: tuple[str, ...]) -> list[CellCheck]:
-    """Compare computed rows against the packaged reference, cell by cell."""
+    """Compare computed rows against the packaged reference, cell by cell.
+
+    A row whose case and alpha have no reference row raises InputError naming them.
+    """
     reference = {(r["case"], r["alpha"]): r for r in load_reference_table(table)}
     checks = []
     for row in computed_rows:
-        ref = reference[(row["case"], row["alpha"])]
+        ref = reference.get((row["case"], row["alpha"]))
+        if ref is None:
+            raise InputError(f"{table} has no reference row for case {row['case']!r}, alpha {row['alpha']!r}")
         for column in columns:
             checks.append(
                 _check_cell(table, row["case"], row["alpha"], column, float(row[column]), ref[column])

@@ -45,7 +45,8 @@ def test_public_names_are_pinned():
 
 
 # The fields of the public input and result dataclasses, in order. A scenario
-# and a slit model store only their free parameters.
+# and a slit model store only their free parameters, and an analysis only its
+# series: its trajectories are a property that evolves a branch on each access.
 DATACLASS_FIELDS = {
     "ScenarioSpec": ("case_label", "prediction", "action"),
     "SubsystemParams": ("p", "lam"),
@@ -53,8 +54,7 @@ DATACLASS_FIELDS = {
     "HamiltonianParams": ("mu_d", "mu_c", "gamma"),
     "MeasureRecord": ("S_B", "S_A", "S_AB", "I_AB", "Cl1_B", "Cl1_A", "Cl1_AB", "CRE_AB", "EF_AB"),
     "CaseAnalysis": (
-        "spec", "hamiltonian", "times", "trajectories", "probabilities", "delta", "delta_bound", "series",
-        "means", "verdict",
+        "spec", "hamiltonian", "times", "probabilities", "delta", "delta_bound", "series", "means", "verdict",
     ),
     "StpVerdict": ("violated", "max_abs_delta", "onset_time"),
 }

@@ -429,3 +429,22 @@ class TestSurvey:
     def test_rejects_no_draws(self, n_draws):
         with pytest.raises(ValueError, match="n_draws"):
             run_interference_survey(n_draws, seed=0)
+
+    @pytest.mark.parametrize(
+        ("n_draws", "seed", "message"),
+        [
+            (True, 1, "n_draws must be an integer >= 1, got True"),
+            (2.5, 1, "n_draws must be an integer >= 1, got 2.5"),
+            (10, -1, "seed must be an integer >= 0, got -1"),
+            (10, 1.0, "seed must be an integer >= 0, got 1.0"),
+            (10, False, "seed must be an integer >= 0, got False"),
+        ],
+    )
+    def test_rejects_non_integer_arguments(self, n_draws, seed, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            run_interference_survey(n_draws, seed)
+
+    def test_numpy_integers_are_integers(self):
+        out = run_interference_survey(np.int64(200), np.uint8(7))
+        assert out == run_interference_survey(200, 7)
+        assert type(out["n_draws"]) is int and type(out["seed"]) is int  # so the summary dumps to JSON

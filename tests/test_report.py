@@ -1,6 +1,8 @@
 import dataclasses
 import os
 import stat
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from qpdsim import (
     load_reference_table,
     measure_series,
 )
-from qpdsim import dynamics, linalg
+from qpdsim import dynamics, linalg, report
 from qpdsim.linalg import TRACE_TOL
 from qpdsim.measures import MEASURE_FIELDS, MeasureRecord
 from qpdsim.report import (
@@ -38,6 +40,7 @@ from qpdsim.report import (
     reproduce_all,
     table_rows,
 )
+from qpdsim.states import initial_rank
 from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario, savetxt_trajectory_csv
 
 
@@ -173,6 +176,74 @@ class TestSpectralEngine:
             np.testing.assert_allclose(a.delta_bound, chi_leak(chi)[1], rtol=0, atol=1e-12)
 
 
+def _reachable_arrays(obj):
+    """Every ndarray reachable from ``obj`` through dataclass fields, mapping values and array bases."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+        if isinstance(obj.base, np.ndarray):  # a view keeps its base alive
+            yield from _reachable_arrays(obj.base)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _reachable_arrays(getattr(obj, field.name))
+    elif isinstance(obj, Mapping):
+        for value in obj.values():
+            yield from _reachable_arrays(value)
+
+
+class TestOnDemandTrajectories:
+    def test_analysis_keeps_no_state_stack(self, spectral_analyses):
+        for a in spectral_analyses:
+            arrays = list(_reachable_arrays(a))
+            assert arrays, "the walk must reach the series"
+            assert [x.shape for x in arrays if x.ndim >= 3] == []
+
+    def test_states_equal_the_orbit(self, spectral_analyses):
+        # the seven catalog cases and six random scenarios, bit for bit
+        for a in spectral_analyses:
+            propagator = linalg.SpectralPropagator(build_hamiltonian(a.hamiltonian), a.times)
+            for alpha in BRANCHES:
+                rho0 = initial_mental_state(a.spec, alpha)
+                expected = dynamics.orbit(rho0, propagator, initial_rank(a.spec, alpha)).states
+                got = a.trajectories[alpha]
+                assert np.array_equal(got.states, expected), (a.spec.case_label, alpha)
+                assert np.array_equal(got.times, a.times)
+
+    def test_mapping_evolves_only_on_lookup(self, case2_analysis, monkeypatch):
+        calls = []
+        real_evolve = report.evolve
+
+        def counting_evolve(*args):
+            calls.append(args)
+            return real_evolve(*args)
+
+        monkeypatch.setattr(report, "evolve", counting_evolve)
+        trajectories = case2_analysis.trajectories
+        assert isinstance(trajectories, Mapping)
+        assert tuple(trajectories) == BRANCHES
+        assert tuple(trajectories.keys()) == BRANCHES
+        assert len(trajectories) == 3
+        assert "u" in trajectories and "x" not in trajectories and "u" in trajectories.keys()
+        assert trajectories.get("x") is None
+        with pytest.raises(KeyError, match="x"):
+            trajectories["x"]
+        assert calls == []
+        first, second = trajectories["d"], trajectories["d"]  # nothing is cached: two lookups, two evolutions
+        assert len(calls) == 2 and first is not second
+        assert np.array_equal(first.states, second.states)
+
+    def test_analysis_keeps_little_live_memory(self):
+        analyze_case("3", samples=65)  # imports and first-call setup stay out of the measurement
+        tracemalloc.start()
+        try:
+            a = analyze_case("3", samples=16385)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (N,) series take about 4 MiB; the three (N, 4, 4) state stacks alone would add 12 MiB
+        assert live < 8 * 2**20, f"{live / 2**20:.1f} MiB live"
+        assert a.times.shape == (16385,)
+
+
 class TestReferenceTables:
     def test_loading(self):
         rows = load_reference_table("table2")
@@ -198,6 +269,25 @@ class TestReferenceTables:
                 table_rows(table, spec)
         # table1 measures the t=0 states, so an analysis is optional and changes nothing
         assert table_rows("table1", spec) == table_rows("table1", spec, case2_analysis)
+
+    @pytest.mark.parametrize("table", list(TABLE_COLUMNS))
+    def test_table_rows_rejects_the_analysis_of_another_scenario(self, case2_analysis, table):
+        with pytest.raises(InputError, match=r"^the analysis of case '2' is not of the scenario of case '3'$"):
+            table_rows(table, catalog_case("3"), case2_analysis)
+        # a scenario equal in label but not in parameters is another scenario too
+        other = dataclasses.replace(case2_analysis.spec, action=SubsystemParams(0.25))
+        with pytest.raises(InputError, match=r"^the analysis of case '2' is not of the scenario of case '2'$"):
+            table_rows(table, other, case2_analysis)
+
+    def test_check_table_names_a_row_without_reference(self):
+        rows = [{"case": "1", "alpha": "u", "Cl1_B": 0.0, "S_B": 1.0, "Cl1_A": 0.0, "S_A": 1.0}]
+        rows.append({**rows[0], "case": "random"})
+        with pytest.raises(InputError, match=r"^table1 has no reference row for case 'random', alpha 'u'$"):
+            check_table("table1", rows, TABLE_COLUMNS["table1"])
+
+    def test_unknown_reference_table(self):
+        with pytest.raises(InputError, match=r"^unknown table 'table9'; choose from \('table1', 'table2', 'table3'\)$"):
+            load_reference_table("table9")
 
     def test_check_table_flags_misses(self):
         rows = [
