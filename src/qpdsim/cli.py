@@ -33,8 +33,8 @@ from .report import (
 )
 from .states import ScenarioSpec, _config_float, _config_mapping, catalog_case, scenario_from_config
 
-OUTPUT_KINDS = ("table1", "table2", "table3", "trajectory", "sorkin")
-DEFAULT_OUTPUTS = ("table1", "table2", "table3", "trajectory")
+DEFAULT_OUTPUTS = (*TABLE_COLUMNS, "trajectory")
+OUTPUT_KINDS = (*DEFAULT_OUTPUTS, "sorkin")
 SURVEY_DRAWS = 10_000
 _SCENARIO_KEYS = {"case_label", "branches"}  # a config with either one describes a scenario
 
@@ -137,9 +137,9 @@ def run(config: RunConfig) -> list[str]:
         analysis = analyze_case(config.scenario, config.hamiltonian, config.t_max, config.samples)
 
     rendered: list[tuple[str, str]] = []
-    for table, columns in TABLE_COLUMNS.items():
+    for table in TABLE_COLUMNS:
         if table in config.outputs:
-            rendered.append((f"{table}.csv", render_table_csv(table_rows(table, config.scenario, analysis), columns)))
+            rendered.append((f"{table}.csv", render_table_csv(table, table_rows(table, config.scenario, analysis))))
     if "trajectory" in config.outputs:
         for alpha, text in render_trajectory_csv(analysis).items():
             rendered.append((f"trajectory_case_{case_file_tag(label)}_{alpha}.csv", text))

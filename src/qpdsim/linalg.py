@@ -22,6 +22,13 @@ TRACE_TOL = 1e-12
 _SPIN_FLIP = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]]).real  # Y (x) Y, a real +-1 antidiagonal
 
 
+def _square(m: np.ndarray) -> np.ndarray:
+    """``m`` itself when it is a matrix (d, d) or a stack (..., d, d); any other shape raises InputError naming it."""
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix (d, d) or stack (..., d, d): eigenvalues descending on
     the last axis, unitary eigenvector columns.
@@ -29,9 +36,7 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises InputError naming the first matrix of a stack with a NaN or infinite entry, else the first
     that exceeds the symmetry tolerance.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(np.asarray(m, dtype=complex))
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN or infinite entry fails the symmetry check too
         bad = _first_bad(~(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1)) <= HERM_TOL))
     if bad is not None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError
-from .linalg import DiagonalizedStates, _finite_times, diagonalized, partial_trace
+from .linalg import DiagonalizedStates, _finite_times, _square, diagonalized, partial_trace
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -41,8 +41,8 @@ def _scalar_or_array(x: np.ndarray, was_single: bool):
 
 
 def l1_coherence(rho: np.ndarray):
-    """Sum of the moduli of all off-diagonal entries."""
-    rho = np.asarray(rho)
+    """Sum of the moduli of all off-diagonal entries of a matrix or of each matrix of a stack."""
+    rho = _square(np.asarray(rho))
     total = np.sum(np.abs(rho), axis=(-2, -1))
     diag = np.sum(np.abs(np.diagonal(rho, axis1=-2, axis2=-1)), axis=-1)
     return _scalar_or_array(total - diag, rho.ndim == 2)

@@ -41,6 +41,7 @@ from .states import (
     BRANCHES,
     CATALOG_LABELS,
     ScenarioSpec,
+    _check_branch,
     catalog_case,
     chi_initial,
     initial_mental_state,
@@ -80,23 +81,17 @@ EXACT_TABLE2_CELLS = frozenset(
 ZERO_TABLE3_CASES = ("1", "3", "3*")
 ZERO_TABLE3_COLUMNS = ("Cl1_A", "EF_AB")
 
-TRAJECTORY_COLUMNS = (
-    "t", "p_u", "p_d", "p_c", "delta", "Delta",
-    "S_A", "S_B", "S_AB", "I_AB", "Cl1_A", "Cl1_B", "Cl1_AB", "CRE_AB", "EF_AB",
-)
-
 _SIG_FMT = "%.12g"
 _RENDER_BLOCK_ROWS = 1024
 _WRITE_CHUNK_CHARS = 1 << 16
 
-# Valid ranges for emitted columns. Values within _RANGE_CLIP_TOL of a bound
-# are rounding residue and get clipped onto it; anything beyond is an
-# invariant failure and aborts the run.
+# Every emitted value column and its valid range, in trajectory file order: the
+# scenario's columns, then the branch's measures. Values within _RANGE_CLIP_TOL
+# of a bound are rounding residue and get clipped onto it; anything beyond is
+# an invariant failure and aborts the run.
 _RANGE_CLIP_TOL = 1e-9
 _COLUMN_RANGES: dict[str, tuple[float, float]] = {
-    "p_u": (0.0, 1.0),
-    "p_d": (0.0, 1.0),
-    "p_c": (0.0, 1.0),
+    **{f"p_{alpha}": (0.0, 1.0) for alpha in BRANCHES},
     "delta": (-1.0, 1.0),
     "Delta": (0.0, 4.0),
     "S_A": (0.0, 2.0),
@@ -109,6 +104,7 @@ _COLUMN_RANGES: dict[str, tuple[float, float]] = {
     "CRE_AB": (0.0, 2.0),
     "EF_AB": (0.0, 1.0),
 }
+TRAJECTORY_COLUMNS = ("t", *_COLUMN_RANGES)
 
 
 def _checked_column(name: str, values) -> np.ndarray:
@@ -138,6 +134,8 @@ class _BranchTrajectories(Mapping):
         self._analysis = analysis
 
     def __getitem__(self, alpha: str) -> Trajectory:
+        if alpha not in BRANCHES:  # KeyError, which Mapping.get() expects, not initial_mental_state's InputError
+            return {}[alpha]
         a = self._analysis
         return evolve(initial_mental_state(a.spec, alpha), build_hamiltonian(a.hamiltonian), a.times)
 
@@ -386,24 +384,19 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def render_table_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
-    """Full-precision value columns followed by 2-decimal display columns."""
+def render_table_csv(table: str, rows: list[dict]) -> str:
+    """The CSV of ``table``: case, alpha, table2's verdict flag, the full-precision columns, then 2-decimal ones."""
+    _check_table_name(table)
+    keys = ("case", "alpha", "violated") if table == "table2" else ("case", "alpha")
+    columns = TABLE_COLUMNS[table]
     # Python floats, so that round() below rounds the decimal value exactly
     checked = [_checked_column(c, [row[c] for row in rows]).tolist() for c in columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["case", "alpha"]
-    if rows and "violated" in rows[0]:
-        header.append("violated")
-    header += list(columns) + [f"{c}_rounded" for c in columns]
-    writer.writerow(header)
+    writer.writerow([*keys, *columns, *(f"{c}_rounded" for c in columns)])
     for row, values in zip(rows, zip(*checked)):
-        out = [row["case"], row["alpha"]]
-        if "violated" in row:
-            out.append(str(row["violated"]))
-        out += [_SIG_FMT % v for v in values]
-        out += [f"{round(v, 2):.2f}" for v in values]
-        writer.writerow(out)
+        rounded = (f"{round(v, 2):.2f}" for v in values)
+        writer.writerow([*(row[k] for k in keys), *(_SIG_FMT % v for v in values), *rounded])
     return buf.getvalue()
 
 
@@ -442,17 +435,9 @@ def render_trajectory_csv(analysis: CaseAnalysis, branches=BRANCHES) -> dict[str
     """
     labels = (branches,) if isinstance(branches, str) else tuple(branches)
     for label in labels:
-        if label not in BRANCHES:
-            raise InputError(f"unknown branch {label!r}; choose from {BRANCHES}")
-    scenario = {
-        "t": analysis.times,
-        "p_u": analysis.probabilities["u"],
-        "p_d": analysis.probabilities["d"],
-        "p_c": analysis.probabilities["c"],
-        "delta": analysis.delta,
-        "Delta": analysis.delta_bound,
-    }
-    scenario_row, scenario_varying = _row_format(scenario.items())
+        _check_branch(label)
+    scenario = (analysis.times, *(analysis.probabilities[a] for a in BRANCHES), analysis.delta, analysis.delta_bound)
+    scenario_row, scenario_varying = _row_format(zip(TRAJECTORY_COLUMNS, scenario))
     n = len(analysis.times)
     blocks = [(start, min(start + _RENDER_BLOCK_ROWS, n)) for start in range(0, n, _RENDER_BLOCK_ROWS)]
     # One % per block of rows: the text np.savetxt gives, without its per-row loop.

@@ -58,6 +58,11 @@ def _predictions(spec: ScenarioSpec) -> dict[str, SubsystemParams]:
     return {"u": spec.prediction, "d": SubsystemParams(1.0), "c": SubsystemParams(0.0)}
 
 
+def _check_branch(branch: str) -> None:
+    if branch not in BRANCHES:
+        raise InputError(f"unknown branch {branch!r}; choose from {BRANCHES}")
+
+
 def qubit_state(params: SubsystemParams) -> np.ndarray:
     """2x2 density matrix [[p, lam], [conj(lam), 1-p]].
 
@@ -77,11 +82,13 @@ def qubit_state(params: SubsystemParams) -> np.ndarray:
 
 def initial_mental_state(spec: ScenarioSpec, branch: str) -> np.ndarray:
     """Uncorrelated 4x4 joint state prediction (x) action for one branch."""
+    _check_branch(branch)
     return np.kron(qubit_state(_predictions(spec)[branch]), qubit_state(spec.action))
 
 
 def initial_rank(spec: ScenarioSpec, branch: str) -> int:
     """Rank of the t=0 state of one branch: rank_B x rank_A, a qubit being pure when |lam|^2 >= p(1-p)."""
+    _check_branch(branch)
     qubits = (_predictions(spec)[branch], spec.action)
     return int(np.prod([1 if abs(q.lam) ** 2 >= q.p * (1.0 - q.p) else 2 for q in qubits]))
 

@@ -34,9 +34,11 @@ def _defection_weight(diagonal: np.ndarray) -> np.ndarray:
 def choice_probability(rho: np.ndarray):
     """Probability of choosing defection: diagonal entries dd and cd.
 
-    Accepts a single 4x4 state or a stacked batch (..., 4, 4).
+    Accepts a single 4x4 state or a stacked batch (..., 4, 4); any other shape raises InputError naming it.
     """
     rho = np.asarray(rho)
+    if rho.shape[-2:] != (4, 4):
+        raise InputError(f"expected a 4x4 state or a (..., 4, 4) stack, got shape {rho.shape}")
     p = _defection_weight(np.diagonal(rho, axis1=-2, axis2=-1))
     return float(p) if rho.ndim == 2 else p
 

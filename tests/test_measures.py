@@ -89,6 +89,12 @@ class TestL1Coherence:
         rho = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
         assert l1_coherence(rho) == pytest.approx(0.5)
 
+    def test_rejects_a_shape_that_is_not_square(self):
+        with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(3,\)$"):
+            l1_coherence(np.ones(3))
+        with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(5, 2, 3\)$"):
+            l1_coherence(np.ones((5, 2, 3)))
+
 
 class TestRelativeEntropyCoherence:
     def test_diagonal_zero(self):

@@ -322,7 +322,7 @@ class TestReproduceAll:
 
 class TestRendering:
     def test_table_csv_layout(self, case2_analysis):
-        text = render_table_csv(table_rows("table2", case2_analysis.spec, case2_analysis), TABLE_COLUMNS["table2"])
+        text = render_table_csv("table2", table_rows("table2", case2_analysis.spec, case2_analysis))
         lines = text.strip().split("\n")
         assert lines[0] == (
             "case,alpha,violated,S_B,S_A,S_AB,I_AB,"
@@ -449,10 +449,19 @@ class TestRendering:
     def test_table_format_pin(self):
         # 2.675 is stored just below 2.675, so it rounds down like the decimal value
         rows = [{"case": "x", "alpha": "u", "Cl1_B": -1e-10, "S_B": -0.0, "Cl1_A": 2.675, "S_A": 2.0 + 5e-10}]
-        assert render_table_csv(rows, TABLE_COLUMNS["table1"]) == (
+        assert render_table_csv("table1", rows) == (
             "case,alpha,Cl1_B,S_B,Cl1_A,S_A,Cl1_B_rounded,S_B_rounded,Cl1_A_rounded,S_A_rounded\n"
             "x,u,0,0,2.675,2,0.00,0.00,2.67,2.00\n"
         )
+
+    def test_table_name_gives_the_columns_and_the_verdict_flag(self):
+        assert render_table_csv("table2", []) == (
+            "case,alpha,violated,S_B,S_A,S_AB,I_AB,S_B_rounded,S_A_rounded,S_AB_rounded,I_AB_rounded\n"
+        )
+        row = {"case": "x", "alpha": "u", "violated": 1, "Cl1_B": 0.0, "S_B": 0.0, "Cl1_A": 0.0, "S_A": 0.0}
+        assert render_table_csv("table1", [row]).splitlines()[1] == "x,u,0,0,0,0,0.00,0.00,0.00,0.00"
+        with pytest.raises(InputError, match=r"^unknown table 'table9'; choose from \('table1', 'table2', 'table3'\)$"):
+            render_table_csv("table9", [])
 
     def test_out_of_range_names_column_and_sample(self, case2_analysis):
         delta = case2_analysis.delta.copy()
@@ -477,7 +486,7 @@ class TestRendering:
         row = {"case": "x", "alpha": "u", "Cl1_B": 0.0, "S_B": 0.0, "Cl1_A": 0.0, "S_A": 0.0}
         rows = [row, dict(row, alpha="d", S_B=-1e-6)]
         with pytest.raises(ValueError, match=r"^column S_B, row 1: value -1e-06 below 0\.0$"):
-            render_table_csv(rows, TABLE_COLUMNS["table1"])
+            render_table_csv("table1", rows)
 
     def test_case_file_tag(self):
         assert case_file_tag("3*") == "3star"
@@ -579,13 +588,13 @@ class TestOutputPins:
 
     def test_table1_text(self):
         for label in CATALOG_LABELS:
-            got = render_table_csv(table_rows("table1", catalog_case(label)), TABLE_COLUMNS["table1"])
+            got = render_table_csv("table1", table_rows("table1", catalog_case(label)))
             assert got == pinned_rows(TABLE1_PIN, label), label
 
     def test_table2_and_table3_rounded_columns(self):
         for label, analysis in analyze_catalog().items():
-            table2 = render_table_csv(table_rows("table2", analysis.spec, analysis), TABLE_COLUMNS["table2"])
-            table3 = render_table_csv(table_rows("table3", analysis.spec, analysis), TABLE_COLUMNS["table3"])
+            table2 = render_table_csv("table2", table_rows("table2", analysis.spec, analysis))
+            table3 = render_table_csv("table3", table_rows("table3", analysis.spec, analysis))
             assert rounded_columns(table2) == pinned_rows(TABLE2_PIN, label), label
             assert rounded_columns(table3) == pinned_rows(TABLE3_PIN, label), label
 

@@ -77,6 +77,12 @@ class TestInitialMentalState:
                 assert abs(np.trace(rho) - 1.0) <= TRACE_TOL, (label, alpha)
                 assert np.linalg.eigvalsh(rho)[0] >= -PSD_TOL, (label, alpha)
 
+    def test_unknown_branch(self):
+        spec = catalog_case("3")
+        for build in (initial_mental_state, initial_rank):
+            with pytest.raises(InputError, match=r"^unknown branch 'x'; choose from \('u', 'd', 'c'\)$"):
+                build(spec, "x")
+
 
 class TestInitialRank:
     CATALOG_RANKS = {

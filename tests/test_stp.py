@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,12 @@ class TestChoiceProbability:
 
     def test_maximally_mixed(self):
         assert choice_probability(np.eye(4) / 4) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (3, 4, 2)])
+    def test_rejects_a_shape_that_is_not_4x4(self, shape):
+        message = f"expected a 4x4 state or a (..., 4, 4) stack, got shape {shape}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            choice_probability(np.ones(shape))
 
     def test_mixture_law_exact_at_t0(self):
         # the correction matrix has an identically zero diagonal initially,
