@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DiagonalizedStates, SpectralPropagator, eig_hermitian
+from .linalg import _STATE_ENTRIES, DiagonalizedStates, SpectralPropagator, _entangling, eig_hermitian
 
 DEFAULT_MU = 0.59
 DEFAULT_GAMMA = 1.74
@@ -82,14 +82,17 @@ class Trajectory:
 
 
 def orbit(rho0: np.ndarray, propagator: SpectralPropagator, rank: int) -> DiagonalizedStates:
-    """U(t) rho0 U(t)^dagger at the propagator's times, with the spectrum and n of its ``rank`` largest eigenvalues.
+    """U(t) rho0 U(t)^dagger at the propagator's times as its measured entries, with the spectrum and n of its
+    ``rank`` largest eigenvalues.
 
-    Unitary evolution keeps the spectrum, so rho0 is diagonalized once; the states and n
-    are both Bohr sums over H's eigenbasis, formed from rho0 and its support at t=0.
+    Unitary evolution keeps the spectrum, so rho0 is diagonalized once; the entries and n are
+    both Bohr sums over H's eigenbasis, formed from rho0 and its support at t=0. A rank-4
+    spectrum that no unitary entangles gets no n: concurrence reads none there.
     """
     w0, v0 = eig_hermitian(rho0)
     w = w0[:rank]
-    return DiagonalizedStates(propagator.conjugated(rho0), w, propagator.spin_flipped(w, v0[:, :rank]))
+    n = propagator.spin_flipped(w, v0[:, :rank]) if rank < 4 or _entangling(w) else None
+    return DiagonalizedStates(propagator._entries(rho0, *_STATE_ENTRIES), w, n)
 
 
 def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:

@@ -21,6 +21,10 @@ TRACE_TOL = 1e-12
 
 _SPIN_FLIP = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]]).real  # Y (x) Y, a real +-1 antidiagonal
 
+# The (row, column) positions of the entries of a Hermitian 4x4 state that its measures read:
+# the diagonal, then the upper triangle row by row, (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3).
+_STATE_ENTRIES = tuple(np.concatenate([np.diag_indices(4), np.triu_indices(4, 1)], axis=1))
+
 
 def _square(m: np.ndarray) -> np.ndarray:
     """``m`` itself when it is a matrix (d, d) or a stack (..., d, d); any other shape raises InputError naming it."""
@@ -59,20 +63,28 @@ def _finite_times(t) -> np.ndarray:
 
 
 class DiagonalizedStates(NamedTuple):
-    """Stacked two-qubit states (N, 4, 4) with their spectrum and n = sqrt(w) V^dagger (Y (x) Y) V^* sqrt(w).
+    """Two-qubit states as their ``entries`` (..., 10) at _STATE_ENTRIES, with their spectrum and
+    n = sqrt(w) V^dagger (Y (x) Y) V^* sqrt(w).
 
     A bare stack has ``eigenvalues`` (N, 4) and n (N, 4, 4). A unitary orbit keeps one spectrum
-    and only its support: eigenvalues (r,) and n (N, r, r), where r is the rank. Eigenvalues are
-    descending, as eig_hermitian gives them.
+    and only its support: eigenvalues (r,) and n (N, r, r), where r is the rank, or no n (None)
+    where r is 4 and no unitary can entangle its spectrum (``_entangling``), for concurrence reads
+    none there. Eigenvalues are descending, as eig_hermitian gives them.
     """
 
-    states: np.ndarray
+    entries: np.ndarray
     eigenvalues: np.ndarray
-    n: np.ndarray
+    n: np.ndarray | None
+
+
+def _entangling(w: np.ndarray) -> np.ndarray:
+    """Whether a unitary can entangle the descending spectrum w (..., 4), clipped at 0: w1 - w3 - 2 sqrt(w2 w4) > 0."""
+    w = np.clip(w, 0.0, None)
+    return w[..., 0] - w[..., 2] - 2.0 * np.sqrt(w[..., 1] * w[..., 3]) > 0.0
 
 
 def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
-    """``states`` with its spectrum and n: the ones it carries, else from eig_hermitian of the stack.
+    """``states`` with its spectrum and n: the ones it carries, else its entries and eig_hermitian of the stack.
 
     A bare state with an eigenvalue below -(PSD_TOL + HERM_TOL) raises InputError naming the
     first one, as does one whose eigenvalues sum to more than TRACE_TOL away from 1;
@@ -95,7 +107,7 @@ def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
         raise InputError(f"{name} has trace {trace[bad]:.15g}, not 1 within {TRACE_TOL:g}")
     root_w = np.sqrt(np.clip(w, 0.0, None))
     n = root_w[..., :, None] * (v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()) * root_w[..., None, :]
-    return DiagonalizedStates(states, w, n)
+    return DiagonalizedStates(states[..., _STATE_ENTRIES[0], _STATE_ENTRIES[1]], w, n)
 
 
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray:
@@ -141,17 +153,24 @@ class SpectralPropagator:
         self.phases = np.exp(-1j * angles)
 
     def conjugated(self, m0: np.ndarray) -> np.ndarray:
-        """U(t) m0 U(t)^dagger, (d, d) or (N, d, d): with C = W^dagger m0 W and T_jk = C_jk W_:j W_:k^dagger,
-        the sum of T_jk z_jk over j, k, z_jk = exp(-i (E_j - E_k) t). z_jj is 1 and z_kj = conj(z_jk), so
-        the sum is that of the T_jj plus Re z_jk (T_jk + T_kj) + Im z_jk i (T_jk - T_kj) over j < k: a
-        zero m0 gives exact zeros.
+        """U(t) m0 U(t)^dagger, (d, d) or (N, d, d): every entry of ``_entries``, row by row."""
+        d = len(m0)
+        rows, cols = np.indices((d, d)).reshape(2, -1)
+        return self._entries(m0, rows, cols).reshape(*self.phases.shape[:-1], d, d)
+
+    def _entries(self, m0: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries (rows[i], cols[i]) of U(t) m0 U(t)^dagger, (k,) or (N, k): with C = W^dagger m0 W and
+        T_jk = C_jk W_:j W_:k^dagger, the sum of T_jk z_jk over j, k, z_jk = exp(-i (E_j - E_k) t). z_jj is 1
+        and z_kj = conj(z_jk), so the sum is that of the T_jj plus Re z_jk (T_jk + T_kj) + Im z_jk i (T_jk - T_kj)
+        over j < k: a zero m0 gives exact zeros. Only the k entries' coefficients enter the product.
         """
         w = self.basis
         terms = np.einsum("aj,jk,bk->jkab", w, w.conj().T @ m0 @ w, w.conj())
         j, k = np.triu_indices(len(w), 1)
         constant = np.einsum("jjab->ab", terms)[None]
         coefficients = np.concatenate([constant, terms[j, k] + terms[k, j], 1j * (terms[j, k] - terms[k, j])])
-        return _bohr_sum(self.phases, self.phases.conj(), list(zip(j, k)), coefficients, constant=True)
+        chosen = np.ascontiguousarray(coefficients[:, rows, cols])  # the real view needs a contiguous last axis
+        return _bohr_sum(self.phases, self.phases.conj(), list(zip(j, k)), chosen, constant=True)
 
     def spin_flipped(self, w0: np.ndarray, v0: np.ndarray) -> np.ndarray:
         """n(t) = sqrt(w0) X^dagger (Y (x) Y) X^* sqrt(w0) for X = U(t) v0: (r, r) or (N, r, r).
@@ -171,10 +190,10 @@ class SpectralPropagator:
 
 
 def _bohr_sum(left: np.ndarray, right: np.ndarray, pairs: list, coefficients: np.ndarray, constant=False) -> np.ndarray:
-    """sum_c table_c coefficients_c, (a, b) or (N, a, b), for phases left, right (d,) or (N, d): one real product.
+    """sum_c table_c coefficients_c, (...) or (N, ...), for phases left, right (d,) or (N, d): one real product.
 
     The real table holds [1 |] Re z | Im z, the 1 only where ``constant``, for z_c = left_j right_k over the
-    index ``pairs`` (j, k), filled column by column; coefficients (m, a, b) are complex, stacked in the
+    index ``pairs`` (j, k), filled column by column; coefficients (m, ...) are complex, stacked in the
     table's column order, and enter through their real view.
     """
     m, start = len(coefficients), int(constant)

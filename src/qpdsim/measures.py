@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError
-from .linalg import DiagonalizedStates, _finite_times, _square, diagonalized, partial_trace
+from .linalg import DiagonalizedStates, _entangling, _finite_times, _square, diagonalized
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -30,9 +30,9 @@ def _mean_and_radius(a: np.ndarray, d: np.ndarray, off: np.ndarray) -> tuple[np.
     return 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(off))
 
 
-def _eigenvalues_2x2(m: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of 2x2 stacks (..., 2, 2), unvalidated: the reduced states are Hermitian."""
-    mean, radius = _mean_and_radius(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1])
+def _eigenvalues_2x2(a: np.ndarray, d: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian 2x2 [[a, off], [conj(off), d]] from stacks of its entries, unvalidated."""
+    mean, radius = _mean_and_radius(a, d, off)
     return np.stack([mean + radius, mean - radius], axis=-1)
 
 
@@ -57,13 +57,13 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
     s2 = |det n| / s1 (the root of the smaller eigenvalue would be off by about 1e-8), a larger rank
     the SVD. Unitary evolution keeps the spectrum w1 >= ... >= w4, and no unitary lifts C above
     max(0, w1 - w3 - 2 sqrt(w2 w4)) (Verstraete, Audenaert and De Moor, PRA 64, 012316, 2001): rank 4
-    runs the SVD only where that margin is positive, so an orbit's whole branch is settled by its one
-    spectrum.
+    runs the SVD only where that margin is positive (linalg._entangling), so an orbit's whole branch is
+    settled by its one spectrum, and an orbit whose margin is not positive carries no n.
     """
-    rho, w, n = diagonalized(rho)
-    if n.shape[-1] == 1:
+    entries, w, n = diagonalized(rho)
+    if w.shape[-1] == 1:
         c = np.abs(n[..., 0, 0])
-    elif n.shape[-1] == 2:
+    elif w.shape[-1] == 2:
         # n n^dagger is the Gram matrix of n's rows: their squared norms and their inner product
         squares = n.real**2 + n.imag**2
         norms = squares[..., 0, 0] + squares[..., 0, 1], squares[..., 1, 0] + squares[..., 1, 1]
@@ -72,13 +72,12 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
         det = np.abs(n[..., 0, 0] * n[..., 1, 1] - n[..., 0, 1] * n[..., 1, 0])
         c = np.clip(s1 - np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0.0), 0.0, None)
     else:
-        w = np.clip(w, 0.0, None)
-        entangling = np.broadcast_to(w[..., 0] - w[..., 2] - 2.0 * np.sqrt(w[..., 1] * w[..., 3]) > 0.0, n.shape[:-2])
-        c = np.zeros(n.shape[:-2])
+        entangling = np.broadcast_to(_entangling(w), entries.shape[:-1])
+        c = np.zeros(entries.shape[:-1])
         if entangling.any():
             s = np.linalg.svd(n if entangling.all() else n[entangling], compute_uv=False)  # descending
             c[entangling] = np.clip(2.0 * s[..., 0] - np.sum(s, axis=-1), 0.0, None)
-    return _scalar_or_array(c, rho.ndim == 2)
+    return _scalar_or_array(c, entries.ndim == 1)
 
 
 def entanglement_of_formation(rho: np.ndarray | DiagonalizedStates):
@@ -133,25 +132,27 @@ MEASURE_FIELDS = tuple(f.name for f in fields(MeasureRecord))
 def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
     """All measures along stacked states (N, 4, 4), or of one state (4, 4), fully vectorized.
 
-    A bare stack is diagonalized by eig_hermitian; DiagonalizedStates, such as an
-    orbit, bring their spectrum and n. Both then run the same formulas.
+    Every measure but the spectral two reads only the diagonal and upper-triangle entries. A bare
+    stack gives them and is diagonalized by eig_hermitian; DiagonalizedStates, such as an orbit,
+    bring their entries, spectrum and n. Both then run the same formulas.
     """
     diagonal_form = diagonalized(states)
-    states = diagonal_form.states
-    rho_b = partial_trace(states, "B", (2, 2))
-    rho_a = partial_trace(states, "A", (2, 2))
-    s_ab = np.full(states.shape[:-2], _entropy_from_probs(diagonal_form.eigenvalues))
-    s_b = _entropy_from_probs(_eigenvalues_2x2(rho_b))
-    s_a = _entropy_from_probs(_eigenvalues_2x2(rho_a))
+    entries = diagonal_form.entries
+    p, upper = entries[..., :4].real, entries[..., 4:]  # upper: (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+    # the reduced states rho_B = [[p0 + p1, s02 + s13], [., p2 + p3]] and rho_A = [[p0 + p2, s01 + s23], [., p1 + p3]]
+    off_b, off_a = upper[..., 1] + upper[..., 4], upper[..., 0] + upper[..., 5]
+    s_b = _entropy_from_probs(_eigenvalues_2x2(p[..., 0] + p[..., 1], p[..., 2] + p[..., 3], off_b))
+    s_a = _entropy_from_probs(_eigenvalues_2x2(p[..., 0] + p[..., 2], p[..., 1] + p[..., 3], off_a))
+    s_ab = np.full(entries.shape[:-1], _entropy_from_probs(diagonal_form.eigenvalues))
     return MeasureRecord(
         S_B=s_b,
         S_A=s_a,
         S_AB=s_ab,
         I_AB=s_a + s_b - s_ab,
-        Cl1_B=np.asarray(l1_coherence(rho_b)),
-        Cl1_A=np.asarray(l1_coherence(rho_a)),
-        Cl1_AB=np.asarray(l1_coherence(states)),
-        CRE_AB=_entropy_from_probs(np.diagonal(states, axis1=-2, axis2=-1).real) - s_ab,
+        Cl1_B=2.0 * np.abs(off_b),
+        Cl1_A=2.0 * np.abs(off_a),
+        Cl1_AB=2.0 * np.sum(np.abs(upper), axis=-1),
+        CRE_AB=_entropy_from_probs(p) - s_ab,
         EF_AB=np.asarray(entanglement_of_formation(diagonal_form)),
     )
 

@@ -47,7 +47,7 @@ from .states import (
     initial_mental_state,
     initial_rank,
 )
-from .stp import StpVerdict, choice_probability, stp_leak, stp_verdict
+from .stp import StpVerdict, _defection_weight, stp_leak, stp_verdict
 
 # Regression tolerances. Time-averaged table cells must land within
 # TABLE_TOL of the 2-decimal reference; cells between TABLE_TOL and
@@ -176,21 +176,22 @@ def analyze_case(
     """Run one scenario end to end on the default or a custom grid.
 
     H is diagonalized once for all three branches, and each branch state once,
-    at t=0: unitary evolution keeps its spectrum, so each branch's states and the
-    spin-flip matrix n of its support (its rank comes from the qubit factors) are
-    Bohr sums over H's eigenbasis. chi(t) is one too, formed from chi(0), so it
-    is exactly zero when the uncertain prediction has no coherence.
+    at t=0: unitary evolution keeps its spectrum, so the entries its measures read
+    (the diagonal and upper triangle) and the spin-flip matrix n of its support (its
+    rank comes from the qubit factors) are Bohr sums over H's eigenbasis. No state
+    stack is formed. chi(t)'s diagonal is one too, formed from chi(0), so it is
+    exactly zero when the uncertain prediction has no coherence.
     """
     spec = catalog_case(scenario) if isinstance(scenario, str) else scenario
     times = time_grid(t_max, samples)
     propagator = SpectralPropagator(build_hamiltonian(params), times)
-    delta, delta_bound = stp_leak(np.diagonal(propagator.conjugated(chi_initial(spec)), axis1=-2, axis2=-1))
+    delta, delta_bound = stp_leak(propagator._entries(chi_initial(spec), *np.diag_indices(4)))
     probabilities, series = {}, {}
     for alpha in BRANCHES:
         branch = orbit(initial_mental_state(spec, alpha), propagator, initial_rank(spec, alpha))
-        probabilities[alpha] = choice_probability(branch.states)
+        probabilities[alpha] = _defection_weight(branch.entries[..., :4])
         series[alpha] = measure_series(branch)
-        del branch  # its states (N, 4, 4) and n (N, rank, rank) go before the next branch's are built
+        del branch  # its entries (N, 10) and n (N, rank, rank) go before the next branch's are built
     return CaseAnalysis(
         spec=spec,
         hamiltonian=params,

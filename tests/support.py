@@ -5,6 +5,7 @@ import io
 import numpy as np
 
 from qpdsim import HamiltonianParams, InputError, ScenarioSpec, SubsystemParams, subset_keys
+from qpdsim.linalg import _STATE_ENTRIES
 from qpdsim.measures import MEASURE_FIELDS
 from qpdsim.report import TRAJECTORY_COLUMNS, _checked_column
 from qpdsim.stp import stp_leak
@@ -93,6 +94,12 @@ def spin_flipped_pair_sum(propagator, w0: np.ndarray, v0: np.ndarray) -> np.ndar
     flip = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # Y (x) Y
     a = (w.conj().T @ v0 * np.sqrt(np.clip(w0, 0.0, None))).conj()
     return bohr_pair_sum(p.conj(), p.conj(), a, w.conj().T @ flip @ w.conj(), a)
+
+
+def state_entries(states: np.ndarray) -> np.ndarray:
+    """The entries (..., 10) of states (..., 4, 4) that an orbit keeps: the diagonal, then the upper triangle."""
+    rows, cols = _STATE_ENTRIES
+    return states[..., rows, cols]
 
 
 def chi_series(traj_u, traj_d, traj_c, p_b: float) -> np.ndarray:

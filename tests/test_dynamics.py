@@ -16,7 +16,7 @@ from qpdsim import (
 )
 from qpdsim.dynamics import orbit
 from qpdsim.linalg import SpectralPropagator
-from support import random_density, von_neumann_entropy
+from support import random_density, state_entries, von_neumann_entropy
 
 
 def hand_expanded_hamiltonian(mu_d, mu_c, gamma):
@@ -142,13 +142,13 @@ class TestEvolve:
     def test_forms_no_spin_flipped_matrix(self, monkeypatch):
         rho0 = initial_mental_state(catalog_case("3*"), "u")
         h, times = build_hamiltonian(), time_grid(samples=33)
-        expected = orbit(rho0, SpectralPropagator(h, times), 4).states
+        expected = orbit(rho0, SpectralPropagator(h, times), 4).entries
 
         def refuse(*args):
             raise AssertionError("evolve formed the spin-flipped n(t)")
 
         monkeypatch.setattr(SpectralPropagator, "spin_flipped", refuse)
-        np.testing.assert_array_equal(evolve(rho0, h, times).states, expected)
+        np.testing.assert_array_equal(state_entries(evolve(rho0, h, times).states), expected)
 
     def test_states_are_write_protected(self):
         traj = evolve(np.eye(4) / 4, build_hamiltonian(), time_grid(samples=4))

@@ -113,8 +113,8 @@ def random_hermitian_stack(rng, n, dim):
 
 
 def descending_eigenvalues(m):
-    """measures' private 2x2 closed form for dim 2, eig_hermitian for any other size."""
-    return _eigenvalues_2x2(m) if m.shape[-1] == 2 else eig_hermitian(m)[0]
+    """measures' private 2x2 closed form (of the entries m_00, m_11, m_01) for dim 2, eig_hermitian for any other size."""
+    return _eigenvalues_2x2(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]) if m.shape[-1] == 2 else eig_hermitian(m)[0]
 
 
 class TestHermitianEigenvalues:
@@ -157,7 +157,7 @@ class TestDiagonalized:
         rho0 = random_density(rng, 4)
         propagator = SpectralPropagator(random_hermitian(rng, 4), np.linspace(0.0, 3.0, 9))
         thin = orbit(rho0, propagator, 4)
-        bare = diagonalized(thin.states)
+        bare = diagonalized(propagator.conjugated(rho0))
         assert bare.eigenvalues.shape == (9, 4) and thin.eigenvalues.shape == (4,)
         assert np.all(np.diff(bare.eigenvalues, axis=-1) <= 0.0)
         assert np.all(np.diff(thin.eigenvalues) <= 0.0)

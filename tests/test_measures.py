@@ -33,6 +33,7 @@ from support import (
     random_hermitian,
     random_pure_density,
     relative_entropy_coherence,
+    state_entries,
     unitary,
     von_neumann_entropy,
 )
@@ -159,7 +160,8 @@ class TestOrbitSupport:
                 states = u @ rho0 @ u.conj().swapaxes(-1, -2)
                 thin = orbit(rho0, propagator, rank)
                 assert thin.eigenvalues.shape == (rank,) and thin.n.shape == (257, rank, rank)
-                np.testing.assert_allclose(thin.states, states, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(thin.entries, state_entries(states), rtol=0, atol=1e-14)
+                np.testing.assert_allclose(evolve(rho0, h, times).states, states, rtol=0, atol=1e-14)
                 got, bare = measure_series(thin), measure_series(states)
                 for name in ("S_AB", "I_AB", "CRE_AB", "EF_AB"):
                     np.testing.assert_allclose(getattr(got, name), getattr(bare, name), rtol=0, atol=1e-12)
@@ -207,6 +209,22 @@ class TestSpectralCertificate:
             ef = analyses[label].series["u"].EF_AB
             assert ef.shape == (257,) and np.all(ef == 0.0), label
 
+    def test_catalog_rank_four_branches_form_no_n(self, monkeypatch):
+        # 21 branches, less the three rank-4 ones whose margin is not positive
+        calls = []
+        real_spin_flipped = SpectralPropagator.spin_flipped
+
+        def counting(self, *args):
+            calls.append(args)
+            return real_spin_flipped(self, *args)
+
+        monkeypatch.setattr(SpectralPropagator, "spin_flipped", counting)
+        analyses = analyze_catalog(samples=257)
+        assert len(calls) == 18
+        for label in ("1", "1*", "3*"):
+            ef = analyses[label].series["u"].EF_AB
+            assert ef.shape == (257,) and np.all(ef == 0.0), label
+
     def test_no_unitary_exceeds_the_margin(self):
         rng = np.random.default_rng(51)
         certified = entangled = 0
@@ -240,7 +258,7 @@ class TestSpectralCertificate:
 
 def rank_two_concurrence(n):
     """concurrence of a rank-2 support n (..., 2, 2); the closed form reads n alone."""
-    return concurrence(DiagonalizedStates(np.zeros((*n.shape[:-2], 4, 4)), np.array([0.5, 0.5]), n))
+    return concurrence(DiagonalizedStates(np.zeros((*n.shape[:-2], 10)), np.array([0.5, 0.5]), n))
 
 
 class TestRankTwoClosedForm:

@@ -41,7 +41,14 @@ from qpdsim.report import (
     table_rows,
 )
 from qpdsim.states import initial_rank
-from support import chi_leak, chi_series, random_hamiltonian_params, random_scenario, savetxt_trajectory_csv
+from support import (
+    chi_leak,
+    chi_series,
+    random_hamiltonian_params,
+    random_scenario,
+    savetxt_trajectory_csv,
+    state_entries,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +148,26 @@ class TestSpectralEngine:
         assert all(any(np.array_equal(m, rho) for m in states) for rho in initial)
         assert [shape for shape in stacked if len(shape) > 2] == []
 
+    def test_forms_no_state_stack(self, monkeypatch):
+        # chi's diagonal, each branch's 10 measured entries and the rank-2 n of d and c; 3* u is
+        # rank 4 with a negative spectral margin, so it gets no n
+        shapes = []
+        real_bohr_sum = linalg._bohr_sum
+
+        def recording(*args, **kwargs):
+            result = real_bohr_sum(*args, **kwargs)
+            shapes.append(result.shape)
+            return result
+
+        def refuse(*args):
+            raise AssertionError("analyze_case formed a state stack")
+
+        monkeypatch.setattr(linalg, "_bohr_sum", recording)
+        monkeypatch.setattr(linalg.SpectralPropagator, "conjugated", refuse)
+        analyze_case("3*", samples=65)
+        assert [shape for shape in shapes if shape[-2:] == (4, 4)] == []
+        assert shapes == [(65, 4), (65, 10), (65, 2, 2), (65, 10), (65, 2, 2), (65, 10)]
+
     def test_branch_series_match_bare_states(self, spectral_analyses):
         for a in spectral_analyses:
             for alpha in BRANCHES:
@@ -203,9 +230,9 @@ class TestOnDemandTrajectories:
             propagator = linalg.SpectralPropagator(build_hamiltonian(a.hamiltonian), a.times)
             for alpha in BRANCHES:
                 rho0 = initial_mental_state(a.spec, alpha)
-                expected = dynamics.orbit(rho0, propagator, initial_rank(a.spec, alpha)).states
+                expected = dynamics.orbit(rho0, propagator, initial_rank(a.spec, alpha)).entries
                 got = a.trajectories[alpha]
-                assert np.array_equal(got.states, expected), (a.spec.case_label, alpha)
+                assert np.array_equal(state_entries(got.states), expected), (a.spec.case_label, alpha)
                 assert np.array_equal(got.times, a.times)
 
     def test_mapping_evolves_only_on_lookup(self, case2_analysis, monkeypatch):
