@@ -39,7 +39,6 @@ from .measures import (
     entanglement_of_formation,
     l1_coherence,
     measure_series,
-    measure_state,
     trapezoid_mean,
 )
 from .report import (

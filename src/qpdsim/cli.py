@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import pathlib
 import sys
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_GAMMA, DEFAULT_MU, DEFAULT_SAMPLES, DEFAULT_T_MAX, HamiltonianParams
+from .dynamics import DEFAULT_GAMMA, DEFAULT_MU, DEFAULT_SAMPLES, DEFAULT_T_MAX, HamiltonianParams, _check_grid
 from .errors import InputError
 from .interference import run_interference_survey
 from .report import (
@@ -52,12 +51,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 2:
-            raise InputError("samples must be at least 2")
+        _check_grid(self.t_max, self.samples)
         if self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed}")
-        if not 0 < self.t_max < math.inf:
-            raise InputError("t_max must be positive and finite")
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise InputError(f"unknown output {kind!r}; choose from {OUTPUT_KINDS}")
@@ -139,7 +135,7 @@ def run(config: RunConfig) -> list[str]:
     rendered: list[tuple[str, str]] = []
     for table in TABLE_COLUMNS:
         if table in config.outputs:
-            rendered.append((f"{table}.csv", render_table_csv(table, table_rows(table, config.scenario, analysis))))
+            rendered.append((f"{table}.csv", render_table_csv(table, table_rows(table, analysis or config.scenario))))
     if "trajectory" in config.outputs:
         for alpha, text in render_trajectory_csv(analysis).items():
             rendered.append((f"trajectory_case_{case_file_tag(label)}_{alpha}.csv", text))

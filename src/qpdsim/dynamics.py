@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _check_number
 from .linalg import _STATE_ENTRIES, DiagonalizedStates, SpectralPropagator, _entangling, eig_hermitian
 
 DEFAULT_MU = 0.59
@@ -31,6 +31,7 @@ class HamiltonianParams:
     def __post_init__(self) -> None:
         for name in ("mu_d", "mu_c", "gamma"):
             value = getattr(self, name)
+            _check_number(name, value)
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite")
             if name != "gamma" and math.isinf(value * value):  # build_hamiltonian divides by sqrt(1 + mu^2)
@@ -54,14 +55,19 @@ def build_hamiltonian(params: HamiltonianParams = HamiltonianParams()) -> np.nda
     return h
 
 
-def time_grid(t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Uniform closed grid [0, t_max] with the given number of samples."""
+def _check_grid(t_max, samples) -> None:
+    """InputError unless ``samples`` is an integer of at least 2 and t_max is positive and finite."""
     if not isinstance(samples, (int, np.integer)):
         raise InputError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
-        raise InputError("need at least 2 samples")
+        raise InputError(f"samples must be at least 2, got {samples}")
     if not 0 < t_max < math.inf:
         raise InputError("t_max must be positive and finite")
+
+
+def time_grid(t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
+    """Uniform closed grid [0, t_max] with the given number of samples."""
+    _check_grid(t_max, samples)
     return np.linspace(0.0, t_max, samples)
 
 

@@ -14,6 +14,13 @@ class InvariantError(ValueError):
     """A computed value broke an invariant the inputs' checks should have guaranteed."""
 
 
+def _check_number(name: str, value, real: bool = True) -> None:
+    """InputError naming ``name`` unless ``value`` is a Python or numpy number, real where ``real``, and not a bool."""
+    kinds = (int, float, np.integer, np.floating) if real else (int, float, complex, np.number)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise InputError(f"{name} must be a {'real ' if real else ''}number, got {value!r}")
+
+
 def _first_bad(mask) -> tuple[int, ...] | None:
     """Index of the first true entry of ``mask``, None when there is none; a 0-d mask's index is ()."""
     hits = np.flatnonzero(mask)

@@ -130,7 +130,7 @@ MEASURE_FIELDS = tuple(f.name for f in fields(MeasureRecord))
 
 
 def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
-    """All measures along stacked states (N, 4, 4), or of one state (4, 4), fully vectorized.
+    """All measures along stacked states (N, 4, 4), fully vectorized, or the floats of one state (4, 4).
 
     Every measure but the spectral two reads only the diagonal and upper-triangle entries. A bare
     stack gives them and is diagonalized by eig_hermitian; DiagonalizedStates, such as an orbit,
@@ -144,7 +144,7 @@ def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
     s_b = _entropy_from_probs(_eigenvalues_2x2(p[..., 0] + p[..., 1], p[..., 2] + p[..., 3], off_b))
     s_a = _entropy_from_probs(_eigenvalues_2x2(p[..., 0] + p[..., 2], p[..., 1] + p[..., 3], off_a))
     s_ab = np.full(entries.shape[:-1], _entropy_from_probs(diagonal_form.eigenvalues))
-    return MeasureRecord(
+    record = dict(
         S_B=s_b,
         S_A=s_a,
         S_AB=s_ab,
@@ -153,14 +153,9 @@ def measure_series(states: np.ndarray | DiagonalizedStates) -> MeasureRecord:
         Cl1_A=2.0 * np.abs(off_a),
         Cl1_AB=2.0 * np.sum(np.abs(upper), axis=-1),
         CRE_AB=_entropy_from_probs(p) - s_ab,
-        EF_AB=np.asarray(entanglement_of_formation(diagonal_form)),
+        EF_AB=entanglement_of_formation(diagonal_form),
     )
-
-
-def measure_state(rho: np.ndarray) -> MeasureRecord:
-    """All measures of a single 4x4 state."""
-    series = measure_series(np.asarray(rho, dtype=complex))
-    return MeasureRecord(**{name: float(getattr(series, name)) for name in MEASURE_FIELDS})
+    return MeasureRecord(**{name: _scalar_or_array(v, entries.ndim == 1) for name, v in record.items()})
 
 
 def average_measures(series: MeasureRecord, times: np.ndarray) -> MeasureRecord:

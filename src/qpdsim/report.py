@@ -35,7 +35,6 @@ from .measures import (
     MeasureRecord,
     average_measures,
     measure_series,
-    measure_state,
 )
 from .states import (
     BRANCHES,
@@ -210,24 +209,21 @@ def _check_table_name(table: str) -> None:
         raise InputError(f"unknown table {table!r}; choose from {tuple(TABLE_COLUMNS)}")
 
 
-def table_rows(table: str, spec: ScenarioSpec, analysis: CaseAnalysis | None = None) -> list[dict]:
+def table_rows(table: str, source: CaseAnalysis | ScenarioSpec) -> list[dict]:
     """One row of ``table`` per branch: case, alpha, table2's verdict flag, then the table's columns.
 
-    table1 measures each branch's t=0 state and needs no analysis; tables 2 and 3 read
-    the time averages of ``analysis``, the CaseAnalysis of ``spec``. An analysis of
-    another scenario raises InputError.
+    ``source`` is a CaseAnalysis, whose time averages tables 2 and 3 read; table1 measures
+    each branch's t=0 state, so it takes the bare ScenarioSpec too.
     """
     _check_table_name(table)
+    analysis = source if isinstance(source, CaseAnalysis) else None
     if table != "table1" and analysis is None:
         raise InputError(f"{table} reads time averages: pass the CaseAnalysis of the scenario")
-    if analysis is not None and analysis.spec != spec:
-        raise InputError(
-            f"the analysis of case {analysis.spec.case_label!r} is not of the scenario of case {spec.case_label!r}"
-        )
+    spec = source if analysis is None else analysis.spec
     rows = []
     for alpha in BRANCHES:
         row = {"case": spec.case_label, "alpha": alpha}
-        record = measure_state(initial_mental_state(spec, alpha)) if table == "table1" else analysis.means[alpha]
+        record = measure_series(initial_mental_state(spec, alpha)) if table == "table1" else analysis.means[alpha]
         if table == "table2":
             row["violated"] = int(analysis.verdict.violated)
         row.update((column, getattr(record, column)) for column in TABLE_COLUMNS[table])
@@ -318,7 +314,6 @@ class ReproduceReport:
     checks: list[CellCheck]
     verdicts_ok: Mapping[str, bool]
     lines: list[str]
-    notes: list[str]
     passed: bool
 
 
@@ -331,34 +326,30 @@ def reproduce_all(
     analyses = analyze_catalog(params, t_max, samples)
     checks = []
     for table, columns in TABLE_COLUMNS.items():
-        rows = [row for analysis in analyses.values() for row in table_rows(table, analysis.spec, analysis)]
+        rows = [row for analysis in analyses.values() for row in table_rows(table, analysis)]
         checks += check_table(table, rows, columns)
     verdicts_ok = check_verdicts(analyses)
 
-    lines = []
-    notes = []
-    for c in checks:
-        lines.append(
-            f"{c.table} case={c.case} alpha={c.alpha} {c.column}: "
-            f"value={c.value:.6f} ref={c.reference:g} dev={c.deviation:.2e} "
-            f"limit={c.limit:g} [{c.status.upper()}]"
-        )
-        if c.status == "note":
-            notes.append(
-                f"{c.table} case={c.case} alpha={c.alpha} {c.column}: deviation "
-                f"{c.deviation:.3f} beyond {TABLE_TOL} but within {TABLE_TOL_LOOSE} "
-                "(averaging-convention slack)"
-            )
-    for label, ok in verdicts_ok.items():
-        lines.append(f"stp case={label}: verdict match [{'PASS' if ok else 'FAIL'}]")
+    lines = [
+        f"{c.table} case={c.case} alpha={c.alpha} {c.column}: "
+        f"value={c.value:.6f} ref={c.reference:g} dev={c.deviation:.2e} "
+        f"limit={c.limit:g} [{c.status.upper()}]"
+        for c in checks
+    ]
+    lines += [f"stp case={label}: verdict match [{'PASS' if ok else 'FAIL'}]" for label, ok in verdicts_ok.items()]
     n_fail = sum(1 for c in checks if c.status == "fail") + sum(1 for ok in verdicts_ok.values() if not ok)
     passed = n_fail == 0
-    lines += [f"note: {note}" for note in notes]
+    notes = [c for c in checks if c.status == "note"]
+    lines += [
+        f"note: {c.table} case={c.case} alpha={c.alpha} {c.column}: deviation "
+        f"{c.deviation:.3f} beyond {TABLE_TOL} but within {TABLE_TOL_LOOSE} (averaging-convention slack)"
+        for c in notes
+    ]
     lines.append(
         f"RESULT: {'PASS' if passed else 'FAIL'} "
         f"({len(checks)} cells, {len(notes)} loose-tier notes, {n_fail} failures)"
     )
-    return ReproduceReport(checks, verdicts_ok, lines, notes, passed)
+    return ReproduceReport(checks, verdicts_ok, lines, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _check_number
 from .linalg import PSD_TOL
 
 BRANCHES = ("u", "d", "c")
@@ -66,9 +66,11 @@ def _check_branch(branch: str) -> None:
 def qubit_state(params: SubsystemParams) -> np.ndarray:
     """2x2 density matrix [[p, lam], [conj(lam), 1-p]].
 
-    Raises InputError when |lam|^2 exceeds p(1-p) beyond tolerance,
-    i.e. when the matrix would not be positive semidefinite.
+    Raises InputError naming p or lam when it is not a number, and when |lam|^2 exceeds
+    p(1-p) beyond tolerance, i.e. when the matrix would not be positive semidefinite.
     """
+    _check_number("p", params.p)
+    _check_number("lam", params.lam, real=False)
     p = float(params.p)
     lam = complex(params.lam)
     if not (np.isfinite(p) and np.isfinite(lam.real) and np.isfinite(lam.imag)):

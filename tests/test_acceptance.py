@@ -69,7 +69,7 @@ def test_criterion_1_table1_reproduction():
 def test_criterion_2_table2_reproduction():
     start = time.perf_counter()
     analyses = analyze_catalog()
-    rows = [row for a in analyses.values() for row in table_rows("table2", a.spec, a)]
+    rows = [row for a in analyses.values() for row in table_rows("table2", a)]
     checks = check_table("table2", rows, TABLE_COLUMNS["table2"])
     elapsed = time.perf_counter() - start
     failures = [c for c in checks if c.status == "fail"]
@@ -91,7 +91,7 @@ def test_criterion_2_table2_reproduction():
 def test_criterion_3_table3_reproduction():
     start = time.perf_counter()
     analyses = analyze_catalog()
-    rows = [row for a in analyses.values() for row in table_rows("table3", a.spec, a)]
+    rows = [row for a in analyses.values() for row in table_rows("table3", a)]
     checks = check_table("table3", rows, TABLE_COLUMNS["table3"])
     elapsed = time.perf_counter() - start
     failures = [c for c in checks if c.status == "fail"]

@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
     "HERM_TOL", "PSD_TOL", "eig_hermitian", "partial_trace",
     # measures
     "MeasureRecord", "average_measures", "concurrence", "entanglement_of_formation",
-    "l1_coherence", "measure_series", "measure_state", "trapezoid_mean",
+    "l1_coherence", "measure_series", "trapezoid_mean",
     # report
     "CaseAnalysis", "ReproduceReport", "analyze_case", "analyze_catalog", "load_reference_table",
     "reproduce_all", "table_rows",

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qpdsim import catalog_case, cli, scenario_to_config
+from qpdsim import InputError, catalog_case, cli, scenario_to_config, time_grid
 from qpdsim.cli import main
 
 
@@ -144,6 +144,22 @@ def test_error_paths(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     assert main(["--case", "1", "--outputs", "table1", "--out-dir", str(blocker)]) == 1
+
+
+@pytest.mark.parametrize(
+    "t_max, samples, message",
+    [
+        (1.0, 1, "samples must be at least 2, got 1"),
+        (1.0, 2.5, "samples must be an integer, got 2.5"),
+        (0.0, 3, "t_max must be positive and finite"),
+        (math.inf, 3, "t_max must be positive and finite"),
+    ],
+)
+def test_run_config_checks_the_grid_as_time_grid_does(t_max, samples, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        time_grid(t_max, samples)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        cli.RunConfig(catalog_case("1"), t_max=t_max, samples=samples)
 
 
 def test_case_and_scenario_config_conflict(tmp_path, capsys):

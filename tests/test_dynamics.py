@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,12 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError, match=rf"^{name} = -1e\+155 is too large"):
             HamiltonianParams(**{name: -1e155})
 
+    @pytest.mark.parametrize("name, value", [("mu_d", "0.5"), ("mu_c", None), ("gamma", 1j), ("gamma", True)])
+    def test_rejects_a_parameter_that_is_not_a_real_number(self, name, value):
+        with pytest.raises(InputError, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            HamiltonianParams(**{name: value})
+        assert HamiltonianParams(**{name: np.float32(0.5)}) == HamiltonianParams(**{name: 0.5})
+
     def test_largest_payoff_constants_keep_the_payoff_rotation(self):
         h = build_hamiltonian(HamiltonianParams(1e150, -1e150, 0.0))
         np.testing.assert_array_equal(np.diag(h), [1.0, -1.0, -1.0, 1.0])
@@ -133,6 +140,10 @@ class TestEvolve:
         rho0[0, 1] = 0.1
         with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
             evolve(rho0, build_hamiltonian(), time_grid(samples=4))
+
+    def test_scalar_time_is_not_a_grid(self):
+        with pytest.raises(InputError, match=r"^times \(N,\) and states \(N, d, d\) must align$"):
+            evolve(np.eye(4) / 4, build_hamiltonian(), 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_time_is_named(self, bad):

@@ -226,6 +226,10 @@ class TestPartialTrace:
         with pytest.raises(InputError, match=r"^matrix dim 4 incompatible with subsystem dims \(2, 3\)$"):
             partial_trace(np.eye(4), "A", (2, 3))
 
+    def test_keep_must_name_a_subsystem(self):
+        with pytest.raises(InputError, match=r"^keep must be 'A' or 'B', got 'C'$"):
+            partial_trace(np.eye(4) / 4, "C", (2, 2))
+
     @pytest.mark.parametrize("dims", [(2,), (2, 2, 1), (4, 0), (2.0, 2), 4])
     def test_dims_must_be_two_positive_integers(self, dims):
         message = f"dims must be two positive integers (d_B, d_A), got {dims!r}"

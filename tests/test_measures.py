@@ -20,7 +20,6 @@ from qpdsim import (
     initial_mental_state,
     l1_coherence,
     measure_series,
-    measure_state,
     partial_trace,
     qubit_state,
     time_grid,
@@ -368,10 +367,10 @@ class TestMeasureRecord:
     def test_record_identities_on_random_states(self):
         rng = np.random.default_rng(48)
         for _ in range(50):
-            record = measure_state(random_density(rng, 4))
+            record = measure_series(random_density(rng, 4))
             assert record.I_AB == pytest.approx(record.S_A + record.S_B - record.S_AB, abs=1e-10)
             for name in MeasureRecord.__dataclass_fields__:
-                assert getattr(record, name) >= -1e-10
+                assert type(getattr(record, name)) is float and getattr(record, name) >= -1e-10  # one state: floats
 
     def test_series_matches_scalar_functionals(self):
         rng = np.random.default_rng(49)
@@ -388,7 +387,7 @@ class TestMeasureRecord:
         # 0.0 - sum, so a zero entropy is +0.0 and tables never print -0.000000
         pure = np.zeros((4, 4))
         pure[0, 0] = 1.0
-        record = measure_state(pure)
+        record = measure_series(pure)
         for name in ("S_B", "S_A", "S_AB", "I_AB", "CRE_AB", "EF_AB"):
             assert getattr(record, name) == 0.0 and math.copysign(1.0, getattr(record, name)) == 1.0, name
         # the series of a pure branch (S_AB) and of an unentangled one (EF_AB)
@@ -400,7 +399,7 @@ class TestNotPositiveInput:
     """A bare state whose smallest eigenvalue is below -(PSD_TOL + HERM_TOL) is named, not measured."""
 
     def test_single_state(self):
-        for measure in (measure_state, concurrence, entanglement_of_formation, measure_series):
+        for measure in (measure_series, concurrence, entanglement_of_formation):
             with pytest.raises(InputError, match=r"^matrix has eigenvalue -0.5 below -1.01e-10$"):
                 measure(np.diag([1.5, -0.5, 0.0, 0.0]))
 
@@ -418,7 +417,7 @@ class TestNotPositiveInput:
         edge = qubit_state(SubsystemParams(0.5, math.sqrt(0.25 + 0.99e-10)))
         for rho in (np.kron(edge, edge), np.kron(np.diag([0.0, 1.0]), edge)):
             assert np.linalg.eigvalsh(rho)[0] < -9.8e-11
-            record = measure_state(rho)
+            record = measure_series(rho)
             assert all(math.isfinite(getattr(record, name)) for name in MeasureRecord.__dataclass_fields__)
 
 
@@ -427,7 +426,7 @@ class TestTraceOffOne:
 
     def test_single_state(self):
         # np.eye(4) used to give S_A = S_B = -4 and I_AB = -8
-        for measure in (measure_state, concurrence, entanglement_of_formation, measure_series):
+        for measure in (measure_series, concurrence, entanglement_of_formation):
             with pytest.raises(ValueError, match=r"^matrix has trace 4, not 1 within 1e-12$"):
                 measure(np.eye(4))
 
@@ -441,7 +440,7 @@ class TestTraceOffOne:
                 measure(states)
 
     def test_trace_within_tolerance_passes(self):
-        record = measure_state(np.eye(4) / 4 * (1.0 + 0.5e-12))
+        record = measure_series(np.eye(4) / 4 * (1.0 + 0.5e-12))
         assert record.S_AB == pytest.approx(2.0, rel=0, abs=1e-11)
 
 
@@ -451,7 +450,7 @@ class TestNonHermitianInput:
     def test_single_state(self):
         m = np.zeros((4, 4))
         m[0, 0], m[0, 3] = 1.0, 0.9
-        for measure in (measure_state, concurrence, entanglement_of_formation, measure_series):
+        for measure in (measure_series, concurrence, entanglement_of_formation):
             with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
                 measure(m)
 
@@ -465,7 +464,7 @@ class TestNonHermitianInput:
 
     def test_non_finite_entry_is_named_as_such(self):
         with pytest.raises(InputError, match=r"^matrix has a non-finite entry$"):
-            measure_state(np.full((4, 4), np.nan))
+            measure_series(np.full((4, 4), np.nan))
         rng = np.random.default_rng(55)
         states = np.stack([random_density(rng, 4) for _ in range(10)])
         states[2, 0, 3] += 0.9

@@ -51,6 +51,31 @@ class TestQubitState:
         assert rho[0, 0] == 0.7 and rho[1, 1] == pytest.approx(0.3)
         assert rho[0, 1] == 0.1 - 0.2j and rho[1, 0] == 0.1 + 0.2j
 
+    def test_rejects_a_nan_population(self):
+        with pytest.raises(InputError, match=r"^subsystem parameters must be finite$"):
+            qubit_state(SubsystemParams(float("nan")))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (SubsystemParams("0.5"), "p must be a real number, got '0.5'"),
+            (SubsystemParams(0.5j), "p must be a real number, got 0.5j"),
+            (SubsystemParams(True), "p must be a real number, got True"),
+            (SubsystemParams(0.5, "0.5j"), "lam must be a number, got '0.5j'"),
+            (SubsystemParams(0.5, None), "lam must be a number, got None"),
+        ],
+    )
+    def test_rejects_a_parameter_that_is_not_a_number(self, params, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            qubit_state(params)
+        # a scenario checks its qubits when it is built, not when analyze_case first reads them
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec("x", params, SubsystemParams(0.5))
+
+    def test_numpy_scalars_are_numbers(self):
+        rho = qubit_state(SubsystemParams(np.float32(0.5), np.complex64(0.25j)))
+        np.testing.assert_array_equal(rho, qubit_state(SubsystemParams(0.5, 0.25j)))
+
 
 class TestInitialMentalState:
     def test_case1_uncertain_is_maximally_mixed(self):
