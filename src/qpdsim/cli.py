@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .dynamics import DEFAULT_GAMMA, DEFAULT_MU, DEFAULT_SAMPLES, DEFAULT_T_MAX, HamiltonianParams, _check_grid
-from .errors import InputError
+from .errors import InputError, _check_choice, _check_integer
 from .interference import run_interference_survey
 from .report import (
     TABLE_COLUMNS,
@@ -52,11 +52,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _check_grid(self.t_max, self.samples)
-        if self.seed < 0:
-            raise InputError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_integer("seed", self.seed, 0)
         for kind in self.outputs:
-            if kind not in OUTPUT_KINDS:
-                raise InputError(f"unknown output {kind!r}; choose from {OUTPUT_KINDS}")
+            _check_choice("output", kind, OUTPUT_KINDS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _check_number
-from .linalg import _STATE_ENTRIES, DiagonalizedStates, SpectralPropagator, _entangling, eig_hermitian
+from .errors import InputError, _check_integer, _check_number
+from .linalg import _STATE_ENTRIES, DiagonalizedStates, SpectralPropagator, _entangling, _finite_times, eig_hermitian
 
 DEFAULT_MU = 0.59
 DEFAULT_GAMMA = 1.74
@@ -30,10 +30,7 @@ class HamiltonianParams:
 
     def __post_init__(self) -> None:
         for name in ("mu_d", "mu_c", "gamma"):
-            value = getattr(self, name)
-            _check_number(name, value)
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite")
+            value = _check_number(name, getattr(self, name))
             if name != "gamma" and math.isinf(value * value):  # build_hamiltonian divides by sqrt(1 + mu^2)
                 raise InputError(f"{name} = {value:g} is too large: its square overflows")
 
@@ -56,13 +53,10 @@ def build_hamiltonian(params: HamiltonianParams = HamiltonianParams()) -> np.nda
 
 
 def _check_grid(t_max, samples) -> None:
-    """InputError unless ``samples`` is an integer of at least 2 and t_max is positive and finite."""
-    if not isinstance(samples, (int, np.integer)):
-        raise InputError(f"samples must be an integer, got {samples!r}")
-    if samples < 2:
-        raise InputError(f"samples must be at least 2, got {samples}")
-    if not 0 < t_max < math.inf:
-        raise InputError("t_max must be positive and finite")
+    """InputError unless ``samples`` is an integer of at least 2 and t_max a positive, finite real number."""
+    _check_integer("samples", samples, 2)
+    if _check_number("t_max", t_max) <= 0:
+        raise InputError(f"t_max must be positive, got {t_max!r}")
 
 
 def time_grid(t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
@@ -110,5 +104,5 @@ def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
     if np.shape(rho0) != np.shape(h):
         raise InputError(f"state shape {np.shape(rho0)} != Hamiltonian shape {np.shape(h)}")
     eig_hermitian(rho0)  # validates rho0 only: the states need no spectrum and no n
-    times = np.asarray(times, dtype=float)
+    times = _finite_times(times)
     return Trajectory(times, SpectralPropagator(h, times).conjugated(rho0))

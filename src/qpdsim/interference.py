@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvariantError, _first_bad
+from .errors import InputError, InvariantError, _check_integer, _first_bad
 
 _RANGE_TOL = 1e-12
 # The one tolerance e of every model check. A slit basis with |U^H U - I| <= e entrywise gives
@@ -182,10 +182,7 @@ def run_interference_survey(n_draws: int, seed: int) -> dict:
     diagonal (classical-limit) models. n_draws must be an integer >= 1 and
     seed one >= 0; a bool is neither.
     """
-    for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-    n_draws, seed = int(n_draws), int(seed)  # plain ints, so that the summary dumps to JSON
+    n_draws, seed = _check_integer("n_draws", n_draws, 1), _check_integer("seed", seed, 0)  # plain ints for JSON
     rng = np.random.default_rng(seed)
     blocks = [
         (run_slit_model(random_slit_model(rng, size)), run_slit_model(random_slit_model(rng, size, diagonal=True)))

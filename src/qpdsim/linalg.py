@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _first_bad
+from .errors import InputError, _check_choice, _first_bad
 
 # Validation tolerances. PSD_TOL is qubit_state's positivity slack, |lam|^2 <= p(1-p) + PSD_TOL, so states
 # built at that edge have eigenvalues down to about -PSD_TOL; the entropies clamp every negative one to 0.
@@ -26,10 +26,11 @@ _SPIN_FLIP = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]]).real  # Y
 _STATE_ENTRIES = tuple(np.concatenate([np.diag_indices(4), np.triu_indices(4, 1)], axis=1))
 
 
-def _square(m: np.ndarray) -> np.ndarray:
-    """``m`` itself when it is a matrix (d, d) or a stack (..., d, d); any other shape raises InputError naming it."""
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise InputError(f"expected a square matrix, got shape {m.shape}")
+def _square(m: np.ndarray, d: int | None = None) -> np.ndarray:
+    """``m`` itself when it is a matrix (d, d) or a stack (..., d, d), any d unless given; else InputError naming it."""
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or d not in (None, m.shape[-1]):
+        what = "a square matrix" if d is None else f"a {d}x{d} state or a (..., {d}, {d}) stack"
+        raise InputError(f"expected {what}, got shape {m.shape}")
     return m
 
 
@@ -54,12 +55,26 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finite_times(t) -> np.ndarray:
-    """t as a float array; a NaN or infinite sample raises InputError naming the first one."""
-    t = np.asarray(t, dtype=float)
+    """t as a float array; InputError when it is not numeric, and naming the first NaN or infinite sample."""
+    try:
+        t = np.asarray(t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"times must be real numbers: {exc}") from None
     bad = _first_bad(~np.isfinite(t).ravel())
     if bad is not None:
         raise InputError(f"time sample {bad[0]} is {t.flat[bad[0]]}, not finite")
     return t
+
+
+def _series_on_grid(times, values, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """times and values as float arrays; InputError unless times is a finite 1-D grid and values, ``what``, its shape."""
+    times = _finite_times(times)
+    if times.ndim != 1:
+        raise InputError(f"times must be 1-D, got shape {times.shape}")
+    values = np.asarray(values, dtype=float)
+    if values.shape != times.shape:
+        raise InputError(f"{times.shape} times but {values.shape} {what}")
+    return times, values
 
 
 class DiagonalizedStates(NamedTuple):
@@ -92,9 +107,7 @@ def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
     """
     if isinstance(states, DiagonalizedStates):
         return states
-    states = np.asarray(states, dtype=complex)
-    if states.shape[-2:] != (4, 4):
-        raise InputError(f"concurrence needs 4x4 states, got {states.shape[-2:]}")
+    states = _square(np.asarray(states, dtype=complex), 4)
     w, v = eig_hermitian(states)
     bad = _first_bad(w[..., -1] < -(PSD_TOL + HERM_TOL))
     if bad is not None:
@@ -124,13 +137,12 @@ def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray
     d_b, d_a = dims
     if m.shape[-1] != d_b * d_a or m.shape[-2] != d_b * d_a:
         raise InputError(f"matrix dim {m.shape[-1]} incompatible with subsystem dims {dims}")
+    _check_choice("subsystem", keep, ("A", "B"))
     blocks = m.reshape(*m.shape[:-2], d_b, d_a, d_b, d_a)
     if keep == "A":
         parts = [blocks[..., i, :, i, :] for i in range(d_b)]
-    elif keep == "B":
-        parts = [blocks[..., :, k, :, k] for k in range(d_a)]
     else:
-        raise InputError(f"keep must be 'A' or 'B', got {keep!r}")
+        parts = [blocks[..., :, k, :, k] for k in range(d_a)]
     return sum(parts[1:], parts[0].copy())
 
 

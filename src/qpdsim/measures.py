@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError
-from .linalg import DiagonalizedStates, _entangling, _finite_times, _square, diagonalized
+from .linalg import DiagonalizedStates, _entangling, _series_on_grid, _square, diagonalized
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -97,12 +97,7 @@ def trapezoid_mean(values: np.ndarray, times: np.ndarray) -> float:
 
     A non-finite time, a grid that is not 1-D, and values not shaped like ``times`` raise InputError.
     """
-    times = _finite_times(times)
-    if times.ndim != 1:
-        raise InputError(f"times must be 1-D, got shape {times.shape}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != times.shape:
-        raise InputError(f"{times.shape} times but {values.shape} values")
+    times, values = _series_on_grid(times, values, "values")
     if len(times) < 2:
         raise InputError("need at least two samples to average")
     span = times[-1] - times[0]

@@ -29,7 +29,7 @@ from .dynamics import (
     orbit,
     time_grid,
 )
-from .errors import InputError, InvariantError, _first_bad
+from .errors import InputError, InvariantError, _check_choice, _first_bad
 from .linalg import SpectralPropagator
 from .measures import (
     MeasureRecord,
@@ -40,7 +40,6 @@ from .states import (
     BRANCHES,
     CATALOG_LABELS,
     ScenarioSpec,
-    _check_branch,
     catalog_case,
     chi_initial,
     initial_mental_state,
@@ -204,31 +203,27 @@ def analyze_case(
     )
 
 
-def _check_table_name(table: str) -> None:
-    if table not in TABLE_COLUMNS:
-        raise InputError(f"unknown table {table!r}; choose from {tuple(TABLE_COLUMNS)}")
-
-
 def table_rows(table: str, source: CaseAnalysis | ScenarioSpec) -> list[dict]:
-    """One row of ``table`` per branch: case, alpha, table2's verdict flag, then the table's columns.
+    """One row of ``table`` per branch: case, alpha, table2's verdict flag, then its columns as the files print them.
 
     ``source`` is a CaseAnalysis, whose time averages tables 2 and 3 read; table1 measures
     each branch's t=0 state, so it takes the bare ScenarioSpec too.
     """
-    _check_table_name(table)
-    analysis = source if isinstance(source, CaseAnalysis) else None
+    _check_choice("table", table, TABLE_COLUMNS)
+    analysis, spec = (source, source.spec) if isinstance(source, CaseAnalysis) else (None, source)
+    if not isinstance(spec, ScenarioSpec):
+        raise InputError(f"source must be a CaseAnalysis or a ScenarioSpec, got {type(source).__name__}")
     if table != "table1" and analysis is None:
         raise InputError(f"{table} reads time averages: pass the CaseAnalysis of the scenario")
-    spec = source if analysis is None else analysis.spec
-    rows = []
-    for alpha in BRANCHES:
-        row = {"case": spec.case_label, "alpha": alpha}
-        record = measure_series(initial_mental_state(spec, alpha)) if table == "table1" else analysis.means[alpha]
-        if table == "table2":
-            row["violated"] = int(analysis.verdict.violated)
-        row.update((column, getattr(record, column)) for column in TABLE_COLUMNS[table])
-        rows.append(row)
-    return rows
+    records = (
+        {a: measure_series(initial_mental_state(spec, a)) for a in BRANCHES} if table == "table1" else analysis.means
+    )
+    columns = [_checked_column(c, [getattr(records[a], c) for a in BRANCHES]).tolist() for c in TABLE_COLUMNS[table]]
+    flag = {"violated": int(analysis.verdict.violated)} if table == "table2" else {}
+    return [
+        {"case": spec.case_label, "alpha": alpha, **flag, **dict(zip(TABLE_COLUMNS[table], values))}
+        for alpha, values in zip(BRANCHES, zip(*columns))
+    ]
 
 
 def analyze_catalog(
@@ -241,7 +236,7 @@ def analyze_catalog(
 
 def load_reference_table(name: str) -> list[dict]:
     """Read one of the packaged reference tables (comment lines skipped)."""
-    _check_table_name(name)
+    _check_choice("table", name, TABLE_COLUMNS)
     text = resources.files("qpdsim.data").joinpath(f"{name}_reference.csv").read_text()
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     parse = {"case": str, "alpha": str, "violated": int}  # every other column is a float
@@ -378,7 +373,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def render_table_csv(table: str, rows: list[dict]) -> str:
     """The CSV of ``table``: case, alpha, table2's verdict flag, the full-precision columns, then 2-decimal ones."""
-    _check_table_name(table)
+    _check_choice("table", table, TABLE_COLUMNS)
     keys = ("case", "alpha", "violated") if table == "table2" else ("case", "alpha")
     columns = TABLE_COLUMNS[table]
     # Python floats, so that round() below rounds the decimal value exactly
@@ -427,7 +422,7 @@ def render_trajectory_csv(analysis: CaseAnalysis, branches=BRANCHES) -> dict[str
     """
     labels = (branches,) if isinstance(branches, str) else tuple(branches)
     for label in labels:
-        _check_branch(label)
+        _check_choice("branch", label, BRANCHES)
     scenario = (analysis.times, *(analysis.probabilities[a] for a in BRANCHES), analysis.delta, analysis.delta_bound)
     scenario_row, scenario_varying = _row_format(zip(TRAJECTORY_COLUMNS, scenario))
     n = len(analysis.times)

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError, _check_number
+from .errors import InputError, _check_choice, _check_number
 from .linalg import PSD_TOL
 
 BRANCHES = ("u", "d", "c")
@@ -58,23 +58,14 @@ def _predictions(spec: ScenarioSpec) -> dict[str, SubsystemParams]:
     return {"u": spec.prediction, "d": SubsystemParams(1.0), "c": SubsystemParams(0.0)}
 
 
-def _check_branch(branch: str) -> None:
-    if branch not in BRANCHES:
-        raise InputError(f"unknown branch {branch!r}; choose from {BRANCHES}")
-
-
 def qubit_state(params: SubsystemParams) -> np.ndarray:
     """2x2 density matrix [[p, lam], [conj(lam), 1-p]].
 
-    Raises InputError naming p or lam when it is not a number, and when |lam|^2 exceeds
+    Raises InputError naming p or lam when it is not a finite number, and when |lam|^2 exceeds
     p(1-p) beyond tolerance, i.e. when the matrix would not be positive semidefinite.
     """
-    _check_number("p", params.p)
-    _check_number("lam", params.lam, real=False)
-    p = float(params.p)
-    lam = complex(params.lam)
-    if not (np.isfinite(p) and np.isfinite(lam.real) and np.isfinite(lam.imag)):
-        raise InputError("subsystem parameters must be finite")
+    p = _check_number("p", params.p)
+    lam = _check_number("lam", params.lam, real=False)
     if abs(lam) ** 2 > p * (1.0 - p) + PSD_TOL:
         raise InputError(
             f"|lam|^2 = {abs(lam) ** 2:.6g} exceeds p(1-p) = {p * (1.0 - p):.6g}"
@@ -84,13 +75,13 @@ def qubit_state(params: SubsystemParams) -> np.ndarray:
 
 def initial_mental_state(spec: ScenarioSpec, branch: str) -> np.ndarray:
     """Uncorrelated 4x4 joint state prediction (x) action for one branch."""
-    _check_branch(branch)
+    _check_choice("branch", branch, BRANCHES)
     return np.kron(qubit_state(_predictions(spec)[branch]), qubit_state(spec.action))
 
 
 def initial_rank(spec: ScenarioSpec, branch: str) -> int:
     """Rank of the t=0 state of one branch: rank_B x rank_A, a qubit being pure when |lam|^2 >= p(1-p)."""
-    _check_branch(branch)
+    _check_choice("branch", branch, BRANCHES)
     qubits = (_predictions(spec)[branch], spec.action)
     return int(np.prod([1 if abs(q.lam) ** 2 >= q.p * (1.0 - q.p) else 2 for q in qubits]))
 
@@ -124,11 +115,8 @@ CATALOG_LABELS = tuple(_CATALOG_PARAMS)
 
 def catalog_case(label: str) -> ScenarioSpec:
     """Look up a built-in scenario by its case label (e.g. "3*")."""
-    try:
-        prediction, action = _CATALOG_PARAMS[label]
-    except KeyError:
-        raise InputError(f"unknown case label {label!r}; known labels: {CATALOG_LABELS}") from None
-    return ScenarioSpec(label, prediction, action)
+    _check_choice("case label", label, CATALOG_LABELS)
+    return ScenarioSpec(label, *_CATALOG_PARAMS[label])
 
 
 def _subsystem_keys(params: SubsystemParams, side: str) -> dict[str, float]:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, InvariantError, _first_bad
-from .linalg import _finite_times
+from .linalg import _series_on_grid, _square
 
 # Threshold separating rounding noise from genuine violations (>= 1e-3 at
 # catalog parameters). chi evolves from chi(0), so delta is exactly 0 when
@@ -36,9 +36,7 @@ def choice_probability(rho: np.ndarray):
 
     Accepts a single 4x4 state or a stacked batch (..., 4, 4); any other shape raises InputError naming it.
     """
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (4, 4):
-        raise InputError(f"expected a 4x4 state or a (..., 4, 4) stack, got shape {rho.shape}")
+    rho = _square(np.asarray(rho), 4)
     p = _defection_weight(np.diagonal(rho, axis1=-2, axis2=-1))
     return float(p) if rho.ndim == 2 else p
 
@@ -74,13 +72,8 @@ def stp_verdict(times: np.ndarray, delta: np.ndarray) -> StpVerdict:
     delta sample raises InputError naming the first one, and a grid that is not
     1-D raises it naming its shape.
     """
-    times = _finite_times(times)
-    if times.ndim != 1:
-        raise InputError(f"times must be 1-D, got shape {times.shape}")
-    delta = np.asarray(delta, dtype=float)
+    times, delta = _series_on_grid(times, delta, "delta samples")
     abs_delta = np.abs(delta)
-    if times.shape != abs_delta.shape:
-        raise InputError(f"{times.shape} times but {abs_delta.shape} delta samples")
     if abs_delta.size == 0:
         raise InputError("no delta samples to judge")
     bad = _first_bad(~np.isfinite(delta))

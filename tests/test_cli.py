@@ -2,11 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qpdsim import InputError, catalog_case, cli, scenario_to_config, time_grid
+from qpdsim import InputError, catalog_case, cli, run_interference_survey, scenario_to_config, time_grid
 from qpdsim.cli import main
 
 
@@ -104,17 +105,17 @@ def test_error_paths(tmp_path, capsys):
     assert main(["--case", "nope", "--out-dir", str(tmp_path)]) == 1
     # the message is printed as it is, without quotes around it
     labels = "('1', '1*', '2', '3', '3*', '4', '4*')"
-    assert capsys.readouterr().err == f"error: unknown case label 'nope'; known labels: {labels}\n"
+    assert capsys.readouterr().err == f"error: unknown case label 'nope'; choose from {labels}\n"
 
     assert main(["--outputs", "table2", "--out-dir", str(tmp_path)]) == 1
     assert "no scenario" in capsys.readouterr().err
 
     assert main(["--case", "1", "--samples", "1", "--out-dir", str(tmp_path)]) == 1
-    assert "at least 2" in capsys.readouterr().err
+    assert "samples must be an integer >= 2, got 1" in capsys.readouterr().err
 
     # checked even when the survey, the seed's only reader, is not requested
     assert main(["--case", "1", "--seed", "-1", "--outputs", "table1", "--out-dir", str(tmp_path)]) == 1
-    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     assert main(["--case", "1", "--outputs", "bogus", "--out-dir", str(tmp_path)]) == 1
     assert "unknown output" in capsys.readouterr().err
@@ -133,7 +134,7 @@ def test_error_paths(tmp_path, capsys):
 
     fresh = tmp_path / "fresh"
     assert main(["--case", "3", "--t-max", "inf", "--out-dir", str(fresh)]) == 1
-    assert "t_max must be positive and finite" in capsys.readouterr().err
+    assert "t_max must be finite, got inf" in capsys.readouterr().err
     assert not fresh.exists()
 
     huge = tmp_path / "huge"
@@ -149,10 +150,14 @@ def test_error_paths(tmp_path, capsys):
 @pytest.mark.parametrize(
     "t_max, samples, message",
     [
-        (1.0, 1, "samples must be at least 2, got 1"),
-        (1.0, 2.5, "samples must be an integer, got 2.5"),
-        (0.0, 3, "t_max must be positive and finite"),
-        (math.inf, 3, "t_max must be positive and finite"),
+        (1.0, 1, "samples must be an integer >= 2, got 1"),
+        (1.0, 2.5, "samples must be an integer >= 2, got 2.5"),
+        (0.0, 3, "t_max must be positive, got 0.0"),
+        (math.inf, 3, "t_max must be finite, got inf"),
+        ("1", 3, "t_max must be a real number, got '1'"),
+        (1j, 3, "t_max must be a real number, got 1j"),
+        (True, 3, "t_max must be a real number, got True"),
+        pytest.param(10**400, 3, f"t_max must be finite, got {10**400}", id="t_max-beyond-float"),
     ],
 )
 def test_run_config_checks_the_grid_as_time_grid_does(t_max, samples, message):
@@ -160,6 +165,15 @@ def test_run_config_checks_the_grid_as_time_grid_does(t_max, samples, message):
         time_grid(t_max, samples)
     with pytest.raises(InputError, match=f"^{message}$"):
         cli.RunConfig(catalog_case("1"), t_max=t_max, samples=samples)
+
+
+@pytest.mark.parametrize("seed", [-1, "1", 1.5, True])
+def test_run_config_checks_the_seed_as_the_survey_does(seed):
+    message = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(InputError, match=message):
+        run_interference_survey(10, seed)
+    with pytest.raises(InputError, match=message):
+        cli.RunConfig(catalog_case("1"), seed=seed)
 
 
 def test_case_and_scenario_config_conflict(tmp_path, capsys):

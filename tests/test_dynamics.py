@@ -85,6 +85,12 @@ class TestBuildHamiltonian:
             HamiltonianParams(**{name: value})
         assert HamiltonianParams(**{name: np.float32(0.5)}) == HamiltonianParams(**{name: 0.5})
 
+    @pytest.mark.parametrize("name", ["mu_d", "gamma"])
+    def test_rejects_an_int_too_large_for_a_float(self, name):
+        # it used to raise a bare OverflowError
+        with pytest.raises(InputError, match=rf"^{name} must be finite, got {10**400}$"):
+            HamiltonianParams(**{name: 10**400})
+
     def test_largest_payoff_constants_keep_the_payoff_rotation(self):
         h = build_hamiltonian(HamiltonianParams(1e150, -1e150, 0.0))
         np.testing.assert_array_equal(np.diag(h), [1.0, -1.0, -1.0, 1.0])
@@ -149,6 +155,10 @@ class TestEvolve:
     def test_non_finite_time_is_named(self, bad):
         with pytest.raises(ValueError, match=rf"^time sample 1 is {bad}, not finite$"):
             evolve(np.eye(4) / 4, build_hamiltonian(), [0.0, bad, 1.0])
+
+    def test_non_numeric_grid_is_named(self):
+        with pytest.raises(InputError, match=r"^times must be real numbers: could not convert string to float: 'a'$"):
+            evolve(np.eye(4) / 4, build_hamiltonian(), ["a", "b"])
 
     def test_forms_no_spin_flipped_matrix(self, monkeypatch):
         rho0 = initial_mental_state(catalog_case("3*"), "u")
@@ -236,6 +246,6 @@ class TestTimeGrid:
             time_grid(t_max=math.inf)
 
     def test_rejects_non_integral_samples(self):
-        with pytest.raises(InputError, match=r"^samples must be an integer, got 2\.5$"):
+        with pytest.raises(InputError, match=r"^samples must be an integer >= 2, got 2\.5$"):
             time_grid(1.0, 2.5)
         assert len(time_grid(1.0, np.int64(3))) == 3

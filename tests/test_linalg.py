@@ -227,7 +227,7 @@ class TestPartialTrace:
             partial_trace(np.eye(4), "A", (2, 3))
 
     def test_keep_must_name_a_subsystem(self):
-        with pytest.raises(InputError, match=r"^keep must be 'A' or 'B', got 'C'$"):
+        with pytest.raises(InputError, match=r"^unknown subsystem 'C'; choose from \('A', 'B'\)$"):
             partial_trace(np.eye(4) / 4, "C", (2, 2))
 
     @pytest.mark.parametrize("dims", [(2,), (2, 2, 1), (4, 0), (2.0, 2), 4])

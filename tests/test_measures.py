@@ -120,7 +120,7 @@ class TestEntanglementOfFormation:
         assert entanglement_of_formation(BELL) == pytest.approx(1.0, abs=1e-12)
 
     def test_wrong_dimension(self):
-        with pytest.raises(InputError, match=r"^concurrence needs 4x4 states, got \(2, 2\)$"):
+        with pytest.raises(InputError, match=r"^expected a 4x4 state or a \(\.\.\., 4, 4\) stack, got shape \(2, 2\)$"):
             entanglement_of_formation(np.eye(2) / 2)
 
     def test_concurrence_path_matches_reduced_entropy_on_pure_states(self):
@@ -350,6 +350,11 @@ class TestTimeAverage:
         with pytest.raises(ValueError, match=r"^time sample 1 is inf, not finite$"):
             trapezoid_mean([1.0, 2.0], [0.0, np.inf])
 
+    def test_non_numeric_grid_is_rejected(self):
+        # numpy's unnamed ValueError used to escape
+        with pytest.raises(InputError, match=r"^times must be real numbers: could not convert string to float: 'a'$"):
+            trapezoid_mean([1.0, 2.0], ["a", "b"])
+
     @pytest.mark.parametrize(
         "values, times, message",
         [
@@ -364,6 +369,11 @@ class TestTimeAverage:
 
 
 class TestMeasureRecord:
+    def test_rejects_a_state_that_is_not_4x4(self):
+        # it used to blame concurrence
+        with pytest.raises(InputError, match=r"^expected a 4x4 state or a \(\.\.\., 4, 4\) stack, got shape \(3, 3\)$"):
+            measure_series(np.eye(3) / 3)
+
     def test_record_identities_on_random_states(self):
         rng = np.random.default_rng(48)
         for _ in range(50):

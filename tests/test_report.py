@@ -306,6 +306,13 @@ class TestReferenceTables:
     def test_unknown_reference_table(self):
         with pytest.raises(InputError, match=r"^unknown table 'table9'; choose from \('table1', 'table2', 'table3'\)$"):
             load_reference_table("table9")
+        with pytest.raises(InputError, match=r"^unknown table \['table1'\]; choose from "):
+            load_reference_table(["table1"])  # unhashable: it used to raise a bare TypeError
+
+    def test_table_rows_names_a_source_of_another_type(self):
+        # a case label used to raise a bare AttributeError
+        with pytest.raises(InputError, match=r"^source must be a CaseAnalysis or a ScenarioSpec, got str$"):
+            table_rows("table1", "3")
 
     def test_check_table_flags_misses(self):
         rows = [
@@ -343,6 +350,13 @@ class TestReproduceAll:
         assert report.passed and len(notes) > 0 and len(note_lines) == len(notes)
         assert report.lines[-1] == f"RESULT: PASS ({len(report.checks)} cells, {len(notes)} loose-tier notes, 0 failures)"
         assert note_lines[0].startswith(f"note: {notes[0].table} case={notes[0].case} alpha={notes[0].alpha} ")
+
+    def test_sweep_reads_the_cells_the_files_print(self):
+        # table3 case 1, branch u, CRE_AB averages to -4.44e-16: the sweep printed it as -0.000000
+        report = reproduce_all()
+        assert not [line for line in report.lines if "-0.000000" in line]
+        cell = next(c for c in report.checks if (c.table, c.case, c.alpha, c.column) == ("table3", "1", "u", "CRE_AB"))
+        assert cell.value == 0.0 and not np.signbit(cell.value) and cell.deviation == 0.0
 
     def test_deterministic(self):
         a = reproduce_all(samples=129)

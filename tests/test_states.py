@@ -52,7 +52,7 @@ class TestQubitState:
         assert rho[0, 1] == 0.1 - 0.2j and rho[1, 0] == 0.1 + 0.2j
 
     def test_rejects_a_nan_population(self):
-        with pytest.raises(InputError, match=r"^subsystem parameters must be finite$"):
+        with pytest.raises(InputError, match=r"^p must be finite, got nan$"):
             qubit_state(SubsystemParams(float("nan")))
 
     @pytest.mark.parametrize(
@@ -69,6 +69,19 @@ class TestQubitState:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             qubit_state(params)
         # a scenario checks its qubits when it is built, not when analyze_case first reads them
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec("x", params, SubsystemParams(0.5))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (SubsystemParams(10**400), f"p must be finite, got {10**400}"),
+            (SubsystemParams(0.5, complex(0.0, np.inf)), "lam must be finite, got infj"),
+        ],
+        ids=["p-beyond-float", "lam-infinite"],
+    )
+    def test_rejects_a_parameter_that_is_not_finite(self, params, message):
+        # the first used to raise a bare OverflowError
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             ScenarioSpec("x", params, SubsystemParams(0.5))
 

@@ -233,6 +233,11 @@ class TestVerdict:
         with pytest.raises(ValueError, match=r"^time sample 1 is nan, not finite$"):
             stp_verdict(np.array([0.0, np.nan, 2.0]), np.array([0.0, 0.5, 0.1]))
 
+    def test_non_numeric_grid_rejected(self):
+        # numpy's unnamed ValueError used to escape
+        with pytest.raises(InputError, match=r"^times must be real numbers: could not convert string to float: 'a'$"):
+            stp_verdict(["a", "b"], np.array([0.0, 0.5]))
+
     def test_scalar_time_grid_rejected(self):
         # a 0-d grid used to fail on indexing with an IndexError
         with pytest.raises(InputError, match=r"^times must be 1-D, got shape \(\)$"):
