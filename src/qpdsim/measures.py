@@ -15,6 +15,7 @@ from .errors import InputError
 from .linalg import DiagonalizedStates, _entangling, _series_on_grid, _square, diagonalized
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
+_BLOCK = 1024  # samples per Gram eigensolve of the rank-4 concurrence
 
 
 def _entropy_from_probs(w: np.ndarray) -> np.ndarray:
@@ -54,10 +55,10 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
     n comes from DiagonalizedStates (r x r on a support of rank r), else from eig_hermitian of the stack;
     the square-root weights keep it accurate on (near-)pure states. Rank 1 gives C = |n_00|, rank 2
     C = s1 - s2 with s1^2 the larger eigenvalue of n n^dag, from the Gram entries of n's rows, and
-    s2 = |det n| / s1 (the root of the smaller eigenvalue would be off by about 1e-8), a larger rank
-    the SVD. Unitary evolution keeps the spectrum w1 >= ... >= w4, and no unitary lifts C above
-    max(0, w1 - w3 - 2 sqrt(w2 w4)) (Verstraete, Audenaert and De Moor, PRA 64, 012316, 2001): rank 4
-    runs the SVD only where that margin is positive (linalg._entangling), so an orbit's whole branch is
+    s2 = |det n| / s1 (the root of the smaller eigenvalue would be off by about 1e-8), rank 4
+    _rank_four_concurrence. Unitary evolution keeps the spectrum w1 >= ... >= w4, and no unitary lifts C
+    above max(0, w1 - w3 - 2 sqrt(w2 w4)) (Verstraete, Audenaert and De Moor, PRA 64, 012316, 2001): rank 4
+    reads n only where that margin is positive (linalg._entangling), so an orbit's whole branch is
     settled by its one spectrum, and an orbit whose margin is not positive carries no n.
     """
     entries, w, n = diagonalized(rho)
@@ -74,10 +75,33 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
     else:
         entangling = np.broadcast_to(_entangling(w), entries.shape[:-1])
         c = np.zeros(entries.shape[:-1])
-        if entangling.any():
-            s = np.linalg.svd(n if entangling.all() else n[entangling], compute_uv=False)  # descending
-            c[entangling] = np.clip(2.0 * s[..., 0] - np.sum(s, axis=-1), 0.0, None)
+        if entangling.any():  # an orbit's one spectrum settles every sample, a bare stack's each its own
+            whole = entangling.all()  # then n is read in place, not through a masked copy
+            picked = (n.reshape(-1, 4, 4), w.reshape(-1, 4)) if whole else (n[entangling], w[entangling])
+            c[entangling] = _rank_four_concurrence(*picked)
     return _scalar_or_array(c, entries.ndim == 1)
+
+
+def _rank_four_concurrence(n: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """max(0, s1 - s2 - s3 - s4) of n (M, 4, 4) = sqrt(w) U sqrt(w), U unitary, for spectra w (1, 4) or (M, 4).
+
+    Per block of _BLOCK samples, s1 >= s2 >= s3 are the roots of eigvalsh of the Gram matrix n n^dagger, and
+    s4 = |det n| / (s1 s2 s3) with |det n| = prod(w) exactly. A root is off by about eps s1^2 / s_i, so the
+    samples with s3 < s1 / 256 take the SVD instead.
+    """
+    det = np.broadcast_to(np.prod(np.clip(w, 0.0, None), axis=-1), n.shape[:1])
+    c = np.empty(len(n))
+    for start in range(0, len(n), _BLOCK):
+        block, part = n[start:start + _BLOCK], slice(start, start + _BLOCK)
+        s = np.empty((len(block), 4))
+        s[:, :3] = np.sqrt(np.clip(np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2))[:, :0:-1], 0.0, None))
+        top = s[:, 0] * s[:, 1] * s[:, 2]
+        s[:, 3] = np.divide(det[part], top, out=np.zeros_like(top), where=top > 0.0)
+        lost = s[:, 2] < s[:, 0] / 256.0
+        if lost.any():
+            s[lost] = np.linalg.svd(block[lost], compute_uv=False)  # descending
+        c[part] = np.clip(s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3], 0.0, None)
+    return c
 
 
 def entanglement_of_formation(rho: np.ndarray | DiagonalizedStates):

@@ -9,6 +9,7 @@ share one action qubit.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -58,6 +59,13 @@ def _predictions(spec: ScenarioSpec) -> dict[str, SubsystemParams]:
     return {"u": spec.prediction, "d": SubsystemParams(1.0), "c": SubsystemParams(0.0)}
 
 
+def _modulus_square(lam) -> float:
+    """|lam|^2 by multiplication, so inf where it overflows: ** raises OverflowError there, as abs does past 1.8e308."""
+    with contextlib.suppress(OverflowError):
+        return abs(lam) * abs(lam)
+    return math.inf
+
+
 def qubit_state(params: SubsystemParams) -> np.ndarray:
     """2x2 density matrix [[p, lam], [conj(lam), 1-p]].
 
@@ -66,10 +74,8 @@ def qubit_state(params: SubsystemParams) -> np.ndarray:
     """
     p = _check_number("p", params.p)
     lam = _check_number("lam", params.lam, real=False)
-    if abs(lam) ** 2 > p * (1.0 - p) + PSD_TOL:
-        raise InputError(
-            f"|lam|^2 = {abs(lam) ** 2:.6g} exceeds p(1-p) = {p * (1.0 - p):.6g}"
-        )
+    if _modulus_square(lam) > p * (1.0 - p) + PSD_TOL:
+        raise InputError(f"|lam|^2 = {_modulus_square(lam):.6g} exceeds p(1-p) = {p * (1.0 - p):.6g}")
     return np.array([[p, lam], [lam.conjugate(), 1.0 - p]], dtype=complex)
 
 
@@ -83,7 +89,7 @@ def initial_rank(spec: ScenarioSpec, branch: str) -> int:
     """Rank of the t=0 state of one branch: rank_B x rank_A, a qubit being pure when |lam|^2 >= p(1-p)."""
     _check_choice("branch", branch, BRANCHES)
     qubits = (_predictions(spec)[branch], spec.action)
-    return int(np.prod([1 if abs(q.lam) ** 2 >= q.p * (1.0 - q.p) else 2 for q in qubits]))
+    return int(np.prod([1 if _modulus_square(q.lam) >= q.p * (1.0 - q.p) else 2 for q in qubits]))
 
 
 def chi_initial(spec: ScenarioSpec) -> np.ndarray:
@@ -154,10 +160,10 @@ def _config_mapping(parent, path: str = "", known: tuple[str, ...] = _CONFIG_KEY
 
 
 def _config_float(mapping, path: str, default=None) -> float:
-    """Number at ``path``; JSON true/false are rejected, not read as 1 and 0."""
+    """Number at ``path``; JSON true/false are rejected, not read as 1 and 0, as is an integer past the float range."""
     value = _config_value(mapping, path, default)
     if not isinstance(value, bool):
-        with contextlib.suppress(TypeError, ValueError):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
             return float(value)
     raise InputError(f"config: {path} must be a number, got {value!r}")
 

@@ -222,6 +222,13 @@ def test_case_label_config_names_a_scenario(tmp_path, capsys):
         pytest.param(lambda cfg: cfg["branches"]["c"].update(lamA_re=0.1), "branches.c.lamA_re", id="c-lamA_re"),
         pytest.param(lambda cfg: cfg["branches"]["d"].update(pA=0.4), "branches.d.pA", id="d-pA"),
         pytest.param(lambda cfg: cfg["branches"]["u"].update(lamB_re=0.9), "branches.u", id="u-not-positive"),
+        # |lam|^2 overflows to inf, which the positivity check names; a JSON integer beyond the float range
+        pytest.param(
+            lambda cfg: cfg["branches"]["u"].update(lamB_re=1e200),
+            "branches.u: |lam|^2 = inf exceeds p(1-p) = 0.25",
+            id="u-coherence-square-overflows",
+        ),
+        pytest.param(lambda cfg: cfg.update(mu_d=10**400), "mu_d must be a number", id="mu_d-beyond-float-range"),
         # the case label names the output files
         pytest.param(lambda cfg: cfg.update(case_label="a/b"), "case_label", id="label-slash"),
         pytest.param(lambda cfg: cfg.update(case_label="x\ny"), "case_label", id="label-newline"),

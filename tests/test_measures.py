@@ -195,14 +195,17 @@ def svd_concurrence(rho):
     return max(0.0, 2.0 * s[0] - np.sum(s))
 
 
+# descending spectra sorted(0.6, 0.4 - w3 - w4, w3, w4), for (w3, w4) = (1e-2, 1e-12), (1e-4, 1e-8) and (1e-6, 1e-8)
+NEAR_RANK_TWO = [np.array([0.6, 0.4 - w3 - w4, w3, w4]) for w3, w4 in ((1e-2, 1e-12), (1e-4, 1e-8), (1e-6, 1e-8))]
+
+
 class TestSpectralCertificate:
     """Rank 4 runs the SVD only where the spectrum's margin w1 - w3 - 2 sqrt(w2 w4) is positive."""
 
     def test_catalog_rank_four_branches_need_no_svd(self, monkeypatch):
-        def no_svd(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called")
-
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        # nor the Gram eigensolve that stands in for the SVD where the margin is positive
+        for name in ("svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kw: pytest.fail(f"np.linalg.{name} called"))
         analyses = analyze_catalog(samples=257)
         for label in ("1", "1*", "3*"):
             ef = analyses[label].series["u"].EF_AB
@@ -224,7 +227,7 @@ class TestSpectralCertificate:
             ef = analyses[label].series["u"].EF_AB
             assert ef.shape == (257,) and np.all(ef == 0.0), label
 
-    def test_no_unitary_exceeds_the_margin(self):
+    def test_no_unitary_exceeds_the_margin(self, monkeypatch):
         rng = np.random.default_rng(51)
         certified = entangled = 0
         for k in range(400):
@@ -237,6 +240,23 @@ class TestSpectralCertificate:
             certified += margin <= 0.0
             entangled += c > 0.0
         assert certified > 50 and entangled > 50
+        # near-rank-2 spectra, whose small singular values the Gram matrix n n^dagger cannot resolve: single
+        # states and one stack per spectrum, counting the samples that the stack sends to the SVD
+        unitaries = [[haar_unitary(rng, 4) for _ in range(40)] for _ in NEAR_RANK_TWO]
+        stacks = [np.stack([(u * w) @ u.conj().T for u in us]) for w, us in zip(NEAR_RANK_TWO, unitaries)]
+        wants = [[svd_concurrence(rho) for rho in stack] for stack in stacks]
+        rows, real_svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kwargs: rows.append(len(m)) or real_svd(m, **kwargs))
+        svd_samples = []
+        for w, stack, want in zip(NEAR_RANK_TWO, stacks, wants):
+            singles = [concurrence(rho) for rho in stack]
+            assert max(singles) <= spectral_margin(w) + 1e-15
+            np.testing.assert_allclose(singles, want, rtol=0, atol=1e-14)
+            rows.clear()
+            np.testing.assert_allclose(concurrence(stack), want, rtol=0, atol=1e-14)
+            svd_samples.append(sum(rows))
+        # s3 ~ 1e-4 and 1e-6 lie below s1 / 256 at every sample, s3 ~ 1e-2 mostly above it
+        assert svd_samples[0] < 40 and svd_samples[1:] == [40, 40]
 
     @pytest.mark.parametrize("shift", [-1e-12, 0.0, 1e-12])
     def test_werner_states_at_the_threshold_match_the_svd(self, shift):

@@ -51,6 +51,12 @@ class TestQubitState:
         assert rho[0, 0] == 0.7 and rho[1, 1] == pytest.approx(0.3)
         assert rho[0, 1] == 0.1 - 0.2j and rho[1, 0] == 0.1 + 0.2j
 
+    @pytest.mark.parametrize("lam", [1e200, complex(1.7e308, 1.7e308)])
+    def test_a_coherence_whose_square_overflows_fails_the_positivity_check(self, lam):
+        # |lam|^2 is inf: the square as a product, not ** or abs, which raise OverflowError
+        with pytest.raises(InputError, match=r"^\|lam\|\^2 = inf exceeds p\(1-p\) = 0\.25$"):
+            qubit_state(SubsystemParams(0.5, lam))
+
     def test_rejects_a_nan_population(self):
         with pytest.raises(InputError, match=r"^p must be finite, got nan$"):
             qubit_state(SubsystemParams(float("nan")))
