@@ -30,14 +30,12 @@ from .linalg import (
     HERM_TOL,
     PSD_TOL,
     eig_hermitian,
-    partial_trace,
 )
 from .measures import (
     MeasureRecord,
     average_measures,
     concurrence,
     entanglement_of_formation,
-    l1_coherence,
     measure_series,
     trapezoid_mean,
 )

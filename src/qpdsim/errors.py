@@ -28,10 +28,11 @@ def _check_number(name: str, value, real: bool = True) -> float | complex:
     return number.real if real else number
 
 
-def _check_integer(name: str, value, least: int) -> int:
-    """``value`` as an int; InputError naming ``name`` unless a Python or numpy integer >= ``least``, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_integer(name: str, value, least: int | None) -> int:
+    """``value`` as an int; InputError naming ``name`` unless a Python or numpy integer, not a bool, >= ``least`` if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise InputError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

@@ -32,8 +32,11 @@ _SURVEY_BLOCK = 128
 
 
 def subset_keys(n_slits: int) -> tuple[str, ...]:
-    """Canonical keys for all non-empty slit subsets, e.g. "1", "13", "123"; one digit per slit."""
-    if not 1 <= n_slits <= 9:
+    """Canonical keys for all non-empty slit subsets, e.g. "1", "13", "123"; one digit per slit.
+
+    n_slits is a Python or numpy integer, not a bool, from 1 to 9; anything else raises InputError.
+    """
+    if not 1 <= _check_integer("n_slits", n_slits, None) <= 9:
         raise InputError(f"subset keys need at least 1 slit and one digit per slit, so at most 9 slits, got {n_slits}")
     slits = range(1, n_slits + 1)
     keys = []
@@ -157,9 +160,10 @@ def random_slit_model(rng: np.random.Generator, n_draws: int, diagonal: bool = F
     """Draw n_draws random three-slit models: Haar slit projectors, full-rank state, random effect.
 
     With diagonal=True each state is diagonal in its slit basis (the classical
-    limit), which kills every second-order interference term.
+    limit), which kills every second-order interference term. n_draws must be
+    an integer >= 1, as for the survey; a bool is not one.
     """
-    n = _SURVEY_SLITS
+    n, n_draws = _SURVEY_SLITS, _check_integer("n_draws", n_draws, 1)
     u = _haar_unitaries(rng, n_draws, n)
     if diagonal:
         weights = rng.dirichlet(np.ones(n), size=n_draws)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _check_choice, _first_bad
+from .errors import InputError, _first_bad
 
 # Validation tolerances. PSD_TOL is qubit_state's positivity slack, |lam|^2 <= p(1-p) + PSD_TOL, so states
 # built at that edge have eigenvalues down to about -PSD_TOL; the entropies clamp every negative one to 0.
@@ -121,29 +121,6 @@ def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
     root_w = np.sqrt(np.clip(w, 0.0, None))
     n = root_w[..., :, None] * (v.conj().swapaxes(-1, -2) @ _SPIN_FLIP @ v.conj()) * root_w[..., None, :]
     return DiagonalizedStates(states[..., _STATE_ENTRIES[0], _STATE_ENTRIES[1]], w, n)
-
-
-def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray:
-    """Reduce a bipartite matrix to one subsystem.
-
-    ``dims`` is (d_B, d_A) with B the leading tensor factor; ``keep`` selects
-    the subsystem that survives ("A" traces out B and vice versa). Supports
-    stacked input (..., d, d).
-    """
-    m = np.asarray(m)
-    positive_ints = isinstance(dims, (tuple, list)) and all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
-    if not positive_ints or len(dims) != 2:
-        raise InputError(f"dims must be two positive integers (d_B, d_A), got {dims!r}")
-    d_b, d_a = dims
-    if m.shape[-1] != d_b * d_a or m.shape[-2] != d_b * d_a:
-        raise InputError(f"matrix dim {m.shape[-1]} incompatible with subsystem dims {dims}")
-    _check_choice("subsystem", keep, ("A", "B"))
-    blocks = m.reshape(*m.shape[:-2], d_b, d_a, d_b, d_a)
-    if keep == "A":
-        parts = [blocks[..., i, :, i, :] for i in range(d_b)]
-    else:
-        parts = [blocks[..., :, k, :, k] for k in range(d_a)]
-    return sum(parts[1:], parts[0].copy())
 
 
 class SpectralPropagator:

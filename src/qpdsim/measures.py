@@ -1,8 +1,8 @@
 """Quantum-information functionals: entropy, coherence, entanglement, averages.
 
-All entropic quantities use log base 2. Every functional accepts either a
-single matrix (d, d) or a stacked batch (..., d, d) and returns a float or an
-array of matching batch shape.
+All entropic quantities use log base 2. Every functional of states accepts either
+one two-qubit state (4, 4) or a stacked batch (..., 4, 4) and returns a float or
+an array of matching batch shape.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError
-from .linalg import DiagonalizedStates, _entangling, _series_on_grid, _square, diagonalized
+from .linalg import DiagonalizedStates, _entangling, _series_on_grid, diagonalized
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 _BLOCK = 1024  # samples per Gram eigensolve of the rank-4 concurrence
@@ -39,14 +39,6 @@ def _eigenvalues_2x2(a: np.ndarray, d: np.ndarray, off: np.ndarray) -> np.ndarra
 
 def _scalar_or_array(x: np.ndarray, was_single: bool):
     return float(x) if was_single else x
-
-
-def l1_coherence(rho: np.ndarray):
-    """Sum of the moduli of all off-diagonal entries of a matrix or of each matrix of a stack."""
-    rho = _square(np.asarray(rho))
-    total = np.sum(np.abs(rho), axis=(-2, -1))
-    diag = np.sum(np.abs(np.diagonal(rho, axis1=-2, axis2=-1)), axis=-1)
-    return _scalar_or_array(total - diag, rho.ndim == 2)
 
 
 def concurrence(rho: np.ndarray | DiagonalizedStates):

@@ -136,12 +136,22 @@ def relative_entropy_coherence(rho):
     return _float_if_single(_entropy_bits(diag) - _entropy_bits(np.linalg.eigvalsh(rho)), rho)
 
 
+def l1_coherence(rho):
+    """Oracle of Cl1: the sum of the moduli of the off-diagonal entries of a matrix (d, d) or stack (..., d, d)."""
+    rho = np.asarray(rho)
+    return _float_if_single(np.sum(np.abs(rho), axis=(-2, -1)) - np.sum(np.abs(np.diagonal(rho, axis1=-2, axis2=-1)), axis=-1), rho)
+
+
+def reduced_states(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle of the reduced states (rho_B, rho_A) of 4x4 joint states (..., 4, 4), B the leading qubit: one einsum each."""
+    blocks = np.asarray(rho).reshape(*np.shape(rho)[:-2], 2, 2, 2, 2)
+    return np.einsum("...ikjk->...ij", blocks), np.einsum("...ikil->...kl", blocks)
+
+
 def mutual_information(rho):
     """Oracle of I_AB: S(A) + S(B) - S(AB) of 4x4 joint states, with B the leading qubit."""
     rho = np.asarray(rho)
-    blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
-    rho_b, rho_a = np.einsum("...ikjk->...ij", blocks), np.einsum("...ikil->...kl", blocks)
-    s_a, s_b = (_entropy_bits(np.linalg.eigvalsh(m)) for m in (rho_a, rho_b))
+    s_b, s_a = (_entropy_bits(np.linalg.eigvalsh(m)) for m in reduced_states(rho))
     return _float_if_single(s_a + s_b - _entropy_bits(np.linalg.eigvalsh(rho)), rho)
 
 
@@ -150,12 +160,17 @@ def chi_leak(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stp_leak(np.diagonal(chi, axis1=-2, axis2=-1))
 
 
-def savetxt_trajectory_csv(analysis, branch: str) -> str:
-    """A trajectory file as np.savetxt writes it, one row at a time, from the checked columns."""
+def trajectory_columns(analysis, branch: str) -> dict[str, np.ndarray]:
+    """The unchecked series of a branch's trajectory file, keyed by TRAJECTORY_COLUMNS in file order."""
     columns = {"t": analysis.times, "delta": analysis.delta, "Delta": analysis.delta_bound}
     columns.update((f"p_{alpha}", p) for alpha, p in analysis.probabilities.items())
     columns.update((name, getattr(analysis.series[branch], name)) for name in MEASURE_FIELDS)
-    m = np.column_stack([_checked_column(name, columns[name]) for name in TRAJECTORY_COLUMNS])
+    return {name: columns[name] for name in TRAJECTORY_COLUMNS}
+
+
+def savetxt_trajectory_csv(analysis, branch: str) -> str:
+    """A trajectory file as np.savetxt writes it, one row at a time, from the checked columns."""
+    m = np.column_stack([_checked_column(name, values) for name, values in trajectory_columns(analysis, branch).items()])
     buf = io.StringIO()
     np.savetxt(buf, m, fmt="%.12g", delimiter=",", header=",".join(TRAJECTORY_COLUMNS), comments="")
     return buf.getvalue()

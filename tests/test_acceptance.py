@@ -20,7 +20,6 @@ from qpdsim import (
     evolve,
     initial_mental_state,
     load_reference_table,
-    partial_trace,
     run_interference_survey,
     time_grid,
 )
@@ -35,6 +34,7 @@ from support import (
     random_hermitian,
     random_pure_density,
     random_scenario,
+    reduced_states,
     rk4_propagator,
     von_neumann_entropy,
 )
@@ -208,7 +208,7 @@ def test_criterion_6d_entanglement_paths_agree():
     worst = 0.0
     for _ in range(2 * N_TRIALS):
         rho = random_pure_density(rng, 4)
-        ee = von_neumann_entropy(partial_trace(rho, "B", (2, 2)))
+        ee = von_neumann_entropy(reduced_states(rho)[0])
         worst = max(worst, abs(entanglement_of_formation(rho) - ee))
     ok = worst <= 1e-8
     assert report("6d concurrence path matches reduced-entropy path to 1e-8", ok, f"worst {worst:.2e}")

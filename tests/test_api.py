@@ -23,10 +23,10 @@ PUBLIC_NAMES = {
     "QuantumSlitModel", "interference_term", "random_slit_model", "run_interference_survey",
     "run_slit_model", "subset_keys",
     # linalg
-    "HERM_TOL", "PSD_TOL", "eig_hermitian", "partial_trace",
+    "HERM_TOL", "PSD_TOL", "eig_hermitian",
     # measures
     "MeasureRecord", "average_measures", "concurrence", "entanglement_of_formation",
-    "l1_coherence", "measure_series", "trapezoid_mean",
+    "measure_series", "trapezoid_mean",
     # report
     "CaseAnalysis", "ReproduceReport", "analyze_case", "analyze_catalog", "load_reference_table",
     "reproduce_all", "table_rows",

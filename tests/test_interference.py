@@ -62,6 +62,12 @@ class TestSlitExperiment:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 subset_keys(n_slits)
 
+    @pytest.mark.parametrize("n_slits", [True, False, 2.0, "3"])
+    def test_subset_keys_takes_an_integer(self, n_slits):
+        # the integer rule of every other integer argument; a bool is none, and 2.0 is not read as 2
+        with pytest.raises(InputError, match=f"^{re.escape(f'n_slits must be an integer, got {n_slits!r}')}$"):
+            subset_keys(n_slits)
+
     def test_missing_subset(self):
         message = "need one probability per slit subset (1, 3, 7, 15, 31, 63, 127, 255, 511), got shape (2,)"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
@@ -443,6 +449,11 @@ class TestSurvey:
     def test_rejects_non_integer_arguments(self, n_draws, seed, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             run_interference_survey(n_draws, seed)
+
+    @pytest.mark.parametrize("n_draws", [-1, 0, True, 2.0])
+    def test_random_slit_model_takes_the_survey_integer_rule(self, n_draws):
+        with pytest.raises(InputError, match=f"^{re.escape(f'n_draws must be an integer >= 1, got {n_draws!r}')}$"):
+            random_slit_model(np.random.default_rng(0), n_draws)
 
     def test_numpy_integers_are_integers(self):
         out = run_interference_survey(np.int64(200), np.uint8(7))

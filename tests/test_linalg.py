@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from qpdsim import (
     build_hamiltonian,
     eig_hermitian,
     initial_mental_state,
-    partial_trace,
+    measure_series,
 )
 from qpdsim.dynamics import orbit
 from qpdsim.linalg import SpectralPropagator, diagonalized
@@ -20,9 +18,11 @@ from support import (
     conjugated_pair_sum,
     random_density,
     random_hermitian,
+    reduced_states,
     rk4_propagator,
     spin_flipped_pair_sum,
     unitary,
+    von_neumann_entropy,
 )
 
 
@@ -192,60 +192,49 @@ class TestTensor:
 
 
 class TestPartialTrace:
+    """The reduced states that measure_series reads as entry sums, against the einsum of support.reduced_states."""
+
     def test_marginals_of_diagonal_joint(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
         rho = np.diag(p)
-        np.testing.assert_allclose(
-            partial_trace(rho, "A", (2, 2)), np.diag([p[0] + p[2], p[1] + p[3]])
-        )
-        np.testing.assert_allclose(
-            partial_trace(rho, "B", (2, 2)), np.diag([p[0] + p[1], p[2] + p[3]])
-        )
+        rho_b, rho_a = reduced_states(rho)
+        np.testing.assert_allclose(rho_a, np.diag([p[0] + p[2], p[1] + p[3]]))
+        np.testing.assert_allclose(rho_b, np.diag([p[0] + p[1], p[2] + p[3]]))
+        record = measure_series(rho)
+        assert record.S_A == pytest.approx(von_neumann_entropy(rho_a), abs=1e-14)
+        assert record.S_B == pytest.approx(von_neumann_entropy(rho_b), abs=1e-14)
+        assert record.Cl1_A == record.Cl1_B == 0.0
 
     def test_product_state_recovers_factor(self):
         rng = np.random.default_rng(8)
         rho_b = random_density(rng, 2)
         rho_a = random_density(rng, 2)
-        np.testing.assert_allclose(partial_trace(np.kron(rho_b, rho_a), "B", (2, 2)), rho_b, atol=1e-14)
-        np.testing.assert_allclose(partial_trace(np.kron(rho_b, rho_a), "A", (2, 2)), rho_a, atol=1e-14)
-
-    def test_scales_with_trace_of_discarded_factor(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            out = partial_trace(np.kron(a, b), "B", (2, 3))
-            assert np.max(np.abs(out - a * np.trace(b))) <= 1e-12
+        got_b, got_a = reduced_states(np.kron(rho_b, rho_a))
+        np.testing.assert_allclose(got_b, rho_b, atol=1e-14)
+        np.testing.assert_allclose(got_a, rho_a, atol=1e-14)
+        record = measure_series(np.kron(rho_b, rho_a))
+        assert record.S_B == pytest.approx(von_neumann_entropy(rho_b), abs=1e-14)
+        assert record.S_A == pytest.approx(von_neumann_entropy(rho_a), abs=1e-14)
+        assert record.Cl1_B == pytest.approx(2.0 * abs(rho_b[0, 1]), abs=1e-14)
+        assert record.Cl1_A == pytest.approx(2.0 * abs(rho_a[0, 1]), abs=1e-14)
 
     def test_bell_state_marginal_is_maximally_mixed(self):
         psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
         rho = np.outer(psi, psi)
-        np.testing.assert_allclose(partial_trace(rho, "A", (2, 2)), np.eye(2) / 2, atol=1e-15)
+        for marginal in reduced_states(rho):
+            np.testing.assert_allclose(marginal, np.eye(2) / 2, atol=1e-15)
+        record = measure_series(rho)
+        assert record.S_A == pytest.approx(1.0, abs=1e-14) and record.S_B == pytest.approx(1.0, abs=1e-14)
+        assert record.Cl1_A == record.Cl1_B == 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError, match=r"^matrix dim 4 incompatible with subsystem dims \(2, 3\)$"):
-            partial_trace(np.eye(4), "A", (2, 3))
-
-    def test_keep_must_name_a_subsystem(self):
-        with pytest.raises(InputError, match=r"^unknown subsystem 'C'; choose from \('A', 'B'\)$"):
-            partial_trace(np.eye(4) / 4, "C", (2, 2))
-
-    @pytest.mark.parametrize("dims", [(2,), (2, 2, 1), (4, 0), (2.0, 2), 4])
-    def test_dims_must_be_two_positive_integers(self, dims):
-        message = f"dims must be two positive integers (d_B, d_A), got {dims!r}"
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            partial_trace(np.eye(4), "A", dims)
-
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
-    def test_block_sums_equal_einsum_bit_for_bit(self, dims):
+    def test_entry_sums_equal_einsum_bit_for_bit(self):
+        # Cl1_B = 2 |s_02 + s_13| and Cl1_A = 2 |s_01 + s_23| add the same two entries as the einsum
         rng = np.random.default_rng(21)
-        d = dims[0] * dims[1]
-        m = rng.standard_normal((5, 7, d, d)) + 1j * rng.standard_normal((5, 7, d, d))
-        for keep, subscripts in (("A", "...ikil->...kl"), ("B", "...ikjk->...ij")):
-            for stack in (m, m[2, 3]):
-                got = partial_trace(stack, keep, dims)
-                want = np.einsum(subscripts, stack.reshape(*stack.shape[:-2], *dims, *dims))
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        states = np.stack([random_density(rng, 4) for _ in range(7)])
+        record = measure_series(states)
+        rho_b, rho_a = reduced_states(states)
+        assert record.Cl1_B.tobytes() == (2.0 * np.abs(rho_b[:, 0, 1])).tobytes()
+        assert record.Cl1_A.tobytes() == (2.0 * np.abs(rho_a[:, 0, 1])).tobytes()
 
 
 class TestUnitaryFromHamiltonian:

@@ -18,19 +18,19 @@ from qpdsim import (
     entanglement_of_formation,
     evolve,
     initial_mental_state,
-    l1_coherence,
     measure_series,
-    partial_trace,
     qubit_state,
     time_grid,
     trapezoid_mean,
 )
 from support import (
+    l1_coherence,
     mutual_information,
     random_density,
     random_hamiltonian_params,
     random_hermitian,
     random_pure_density,
+    reduced_states,
     relative_entropy_coherence,
     state_entries,
     unitary,
@@ -79,21 +79,29 @@ class TestVonNeumannEntropy:
 
 
 class TestL1Coherence:
+    """Cl1_AB, Cl1_B and Cl1_A of measure_series, for one state: the l1 coherence of the state and of its reduced states."""
+
     def test_diagonal_zero(self):
-        assert l1_coherence(np.diag([0.2, 0.3, 0.5])) == 0.0
+        record = measure_series(np.diag([0.1, 0.2, 0.3, 0.4]))
+        assert (record.Cl1_AB, record.Cl1_B, record.Cl1_A) == (0.0, 0.0, 0.0)
 
     def test_real_coherence(self):
-        assert l1_coherence(np.array([[0.5, 0.5], [0.5, 0.5]])) == pytest.approx(1.0)
+        plus = np.array([[0.5, 0.5], [0.5, 0.5]])
+        record = measure_series(np.kron(plus, plus))  # every entry 1/4: 12 off-diagonal ones
+        assert record.Cl1_AB == pytest.approx(3.0)
+        assert record.Cl1_B == pytest.approx(1.0) and record.Cl1_A == pytest.approx(1.0)
 
     def test_imaginary_coherence(self):
-        rho = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
-        assert l1_coherence(rho) == pytest.approx(0.5)
+        rho_b = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        record = measure_series(np.kron(rho_b, np.diag([0.4, 0.6])))
+        assert record.Cl1_AB == pytest.approx(0.5) and record.Cl1_B == pytest.approx(0.5)
+        assert record.Cl1_A == 0.0
 
     def test_rejects_a_shape_that_is_not_square(self):
-        with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(3,\)$"):
-            l1_coherence(np.ones(3))
-        with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(5, 2, 3\)$"):
-            l1_coherence(np.ones((5, 2, 3)))
+        with pytest.raises(InputError, match=r"^expected a 4x4 state or a \(\.\.\., 4, 4\) stack, got shape \(3,\)$"):
+            measure_series(np.ones(3))
+        with pytest.raises(InputError, match=r"^expected a 4x4 state or a \(\.\.\., 4, 4\) stack, got shape \(5, 2, 3\)$"):
+            measure_series(np.ones((5, 2, 3)))
 
 
 class TestRelativeEntropyCoherence:
@@ -129,7 +137,7 @@ class TestEntanglementOfFormation:
         rng = np.random.default_rng(45)
         for _ in range(200):
             rho = random_pure_density(rng, 4)
-            ee = von_neumann_entropy(partial_trace(rho, "B", (2, 2)))
+            ee = von_neumann_entropy(reduced_states(rho)[0])
             assert entanglement_of_formation(rho) == pytest.approx(ee, abs=1e-8)
 
     def test_concurrence_bell(self):
@@ -407,7 +415,12 @@ class TestMeasureRecord:
         states = np.stack([random_density(rng, 4) for _ in range(5)])
         series = measure_series(states)
         for k in range(5):
+            rho_b, rho_a = reduced_states(states[k])
+            assert series.S_B[k] == pytest.approx(von_neumann_entropy(rho_b), abs=1e-12)
+            assert series.S_A[k] == pytest.approx(von_neumann_entropy(rho_a), abs=1e-12)
             assert series.S_AB[k] == pytest.approx(von_neumann_entropy(states[k]), abs=1e-12)
+            assert series.Cl1_B[k] == pytest.approx(l1_coherence(rho_b), abs=1e-12)
+            assert series.Cl1_A[k] == pytest.approx(l1_coherence(rho_a), abs=1e-12)
             assert series.Cl1_AB[k] == pytest.approx(l1_coherence(states[k]), abs=1e-12)
             assert series.CRE_AB[k] == pytest.approx(relative_entropy_coherence(states[k]), abs=1e-12)
             assert series.EF_AB[k] == pytest.approx(entanglement_of_formation(states[k]), abs=1e-12)

@@ -18,7 +18,6 @@ from qpdsim import (
     eig_hermitian,
     initial_mental_state,
     measure_series,
-    partial_trace,
     qubit_state,
     scenario_from_config,
     scenario_to_config,
@@ -27,7 +26,7 @@ from qpdsim.cli import main as cli_main
 from qpdsim.linalg import TRACE_TOL
 from qpdsim.report import TABLE_COLUMNS, check_table, table_rows
 from qpdsim.states import initial_rank
-from support import random_scenario
+from support import random_scenario, reduced_states
 
 
 class TestQubitState:
@@ -222,7 +221,7 @@ class TestClassicalMentalState:
         for _ in range(200):
             p = rng.dirichlet(np.ones(4))
             rho = np.diag(p).astype(complex)
-            p_b = np.real(np.diagonal(partial_trace(rho, "B", (2, 2))))
+            p_b = np.real(np.diagonal(reduced_states(rho)[0]))
             p_a_given_b = np.array(
                 [
                     [p[0], p[1]] / p_b[0] if p_b[0] > 0 else [0.0, 0.0],

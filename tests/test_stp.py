@@ -8,10 +8,12 @@ from qpdsim import (
     CATALOG_LABELS,
     DELTA_EPS,
     InputError,
+    analyze_case,
     build_hamiltonian,
     catalog_case,
     chi_initial,
     choice_probability,
+    eig_hermitian,
     evolve,
     initial_mental_state,
     stp_verdict,
@@ -182,6 +184,33 @@ class TestDelta:
         trajs = branch_trajectories(spec)
         chi = chi_series(trajs["u"], trajs["d"], trajs["c"], spec.prediction.p)
         assert np.max(np.abs(chi_leak(chi)[0])) > 1e-3
+
+
+class TestCoherenceBudget:
+    """chi(0) = [[0, lam_B], [conj(lam_B), 0]] (x) rho_A has eigenvalues +-|lam_B| a_i, with a_1 + a_2 = 1 rho_A's, and
+    unitary evolution keeps them. delta = tr((I (x) |d><d|) chi) projects on a rank-2 subspace, so |delta| <= |lam_B|
+    (Ky Fan's maximum principle), and Delta = sum |chi_ii| <= ||chi||_1 = 2 |lam_B| (pinching), for every H and t."""
+
+    def test_violation_never_exceeds_the_prediction_coherence(self):
+        rng = np.random.default_rng(123)
+        for _ in range(40):
+            spec = random_scenario(rng)
+            analysis = analyze_case(spec, random_hamiltonian_params(rng), samples=513)
+            budget = abs(spec.prediction.lam)
+            assert np.max(np.abs(analysis.delta)) <= budget + 1e-12  # at most 0.927 of it measured
+            assert np.max(analysis.delta_bound) <= 2.0 * budget + 1e-12
+
+    def test_some_unitary_spends_the_whole_budget(self):
+        # U = targets V^dagger, with V chi(0)'s eigenvectors by descending eigenvalue, takes the two positive
+        # ones onto dd and cd, the entries delta adds up
+        rng = np.random.default_rng(5)
+        targets = np.eye(4)[:, [0, 2, 1, 3]]  # dd, cd, dc, cc
+        for _ in range(100):
+            spec = random_scenario(rng)
+            chi0 = chi_initial(spec)
+            u = targets @ eig_hermitian(chi0)[1].conj().T
+            delta = stp_leak(np.diagonal(u @ chi0 @ u.conj().T))[0]
+            assert delta == pytest.approx(abs(spec.prediction.lam), abs=1e-14)  # 3.9e-16 measured
 
 
 def sampled_delta(spec):
