@@ -186,7 +186,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # batch tool: every failure, bad input or broken invariant, exits 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

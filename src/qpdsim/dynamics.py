@@ -72,22 +72,14 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.times.ndim != 1 or self.states.ndim != 3 or len(self.times) != len(self.states):
-            raise InputError("times (N,) and states (N, d, d) must align")
-        for name in ("times", "states"):  # read-only views: the caller's arrays stay writeable
-            frozen = getattr(self, name).view()
-            frozen.setflags(write=False)
-            object.__setattr__(self, name, frozen)
-
 
 def orbit(rho0: np.ndarray, propagator: SpectralPropagator, rank: int) -> DiagonalizedStates:
     """U(t) rho0 U(t)^dagger at the propagator's times as its measured entries, with the spectrum and n of its
     ``rank`` largest eigenvalues.
 
     Unitary evolution keeps the spectrum, so rho0 is diagonalized once; the entries and n are
-    both Bohr sums over H's eigenbasis, formed from rho0 and its support at t=0. A rank-4
-    spectrum that no unitary entangles gets no n: concurrence reads none there.
+    both Bohr sums over H's eigenbasis, formed from rho0 and its support at t=0. n follows
+    concurrence's rank rule.
     """
     w0, v0 = eig_hermitian(rho0)
     w = w0[:rank]
@@ -96,10 +88,11 @@ def orbit(rho0: np.ndarray, propagator: SpectralPropagator, rank: int) -> Diagon
 
 
 def evolve(rho0: np.ndarray, h: np.ndarray, times: np.ndarray) -> Trajectory:
-    """Propagate rho0 along U(t) rho0 U(t)^dagger for every grid time.
+    """Propagate rho0 along U(t) rho0 U(t)^dagger for every time of the 1-D grid ``times``.
 
     Each propagator comes from the spectral decomposition of h, so errors do not
-    accumulate step to step. A non-Hermitian rho0 raises InputError.
+    accumulate step to step. A non-Hermitian rho0, or times that are not a finite
+    1-D grid, raise InputError.
     """
     if np.shape(rho0) != np.shape(h):
         raise InputError(f"state shape {np.shape(rho0)} != Hamiltonian shape {np.shape(h)}")

@@ -27,8 +27,8 @@ _STATE_ENTRIES = tuple(np.concatenate([np.diag_indices(4), np.triu_indices(4, 1)
 
 
 def _square(m: np.ndarray, d: int | None = None) -> np.ndarray:
-    """``m`` itself when it is a matrix (d, d) or a stack (..., d, d), any d unless given; else InputError naming it."""
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or d not in (None, m.shape[-1]):
+    """``m`` itself when a matrix (d, d) or stack (..., d, d), any d >= 1 unless given; else InputError naming it."""
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or not m.shape[-1] or d not in (None, m.shape[-1]):
         what = "a square matrix" if d is None else f"a {d}x{d} state or a (..., {d}, {d}) stack"
         raise InputError(f"expected {what}, got shape {m.shape}")
     return m
@@ -55,22 +55,22 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finite_times(t) -> np.ndarray:
-    """t as a float array; InputError when it is not numeric, and naming the first NaN or infinite sample."""
+    """t as a float array; InputError unless it is a numeric 1-D grid, and naming its first NaN or infinite sample."""
     try:
         t = np.asarray(t, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"times must be real numbers: {exc}") from None
-    bad = _first_bad(~np.isfinite(t).ravel())
+    if t.ndim != 1:
+        raise InputError(f"times must be 1-D, got shape {t.shape}")
+    bad = _first_bad(~np.isfinite(t))
     if bad is not None:
-        raise InputError(f"time sample {bad[0]} is {t.flat[bad[0]]}, not finite")
+        raise InputError(f"time sample {bad[0]} is {t[bad]}, not finite")
     return t
 
 
 def _series_on_grid(times, values, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """times and values as float arrays; InputError unless times is a finite 1-D grid and values, ``what``, its shape."""
+    """times, a _finite_times grid, and values as float arrays; InputError unless values, ``what``, has its shape."""
     times = _finite_times(times)
-    if times.ndim != 1:
-        raise InputError(f"times must be 1-D, got shape {times.shape}")
     values = np.asarray(values, dtype=float)
     if values.shape != times.shape:
         raise InputError(f"{times.shape} times but {values.shape} {what}")
@@ -82,9 +82,8 @@ class DiagonalizedStates(NamedTuple):
     n = sqrt(w) V^dagger (Y (x) Y) V^* sqrt(w).
 
     A bare stack has ``eigenvalues`` (N, 4) and n (N, 4, 4). A unitary orbit keeps one spectrum
-    and only its support: eigenvalues (r,) and n (N, r, r), where r is the rank, or no n (None)
-    where r is 4 and no unitary can entangle its spectrum (``_entangling``), for concurrence reads
-    none there. Eigenvalues are descending, as eig_hermitian gives them.
+    and only its support: eigenvalues (r,) and n (N, r, r) for rank r, or None by concurrence's
+    rank rule. Eigenvalues are descending, as eig_hermitian gives them.
     """
 
     entries: np.ndarray
@@ -124,11 +123,10 @@ def diagonalized(states: np.ndarray | DiagonalizedStates) -> DiagonalizedStates:
 
 
 class SpectralPropagator:
-    """exp(-i h t) at the times t from one diagonalization h = W diag(E) W^dagger.
+    """exp(-i h t) at the times t, a 1-D grid (N,), from one diagonalization h = W diag(E) W^dagger.
 
-    ``phases`` holds exp(-i E t): (d,) for a scalar t, (N, d) for N times.
-    A NaN or infinite time raises InputError naming the first one; a phase E t
-    that overflows raises it naming the largest |E| and |t|.
+    ``phases`` (N, d) holds exp(-i E t). A grid that is not 1-D or a NaN or infinite time raises
+    InputError (_finite_times); a phase E t that overflows raises it naming the largest |E| and |t|.
     """
 
     def __init__(self, h: np.ndarray, t) -> None:
@@ -142,13 +140,13 @@ class SpectralPropagator:
         self.phases = np.exp(-1j * angles)
 
     def conjugated(self, m0: np.ndarray) -> np.ndarray:
-        """U(t) m0 U(t)^dagger, (d, d) or (N, d, d): every entry of ``_entries``, row by row."""
+        """U(t) m0 U(t)^dagger, (N, d, d): every entry of ``_entries``, row by row."""
         d = len(m0)
         rows, cols = np.indices((d, d)).reshape(2, -1)
-        return self._entries(m0, rows, cols).reshape(*self.phases.shape[:-1], d, d)
+        return self._entries(m0, rows, cols).reshape(len(self.phases), d, d)
 
     def _entries(self, m0: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Entries (rows[i], cols[i]) of U(t) m0 U(t)^dagger, (k,) or (N, k): with C = W^dagger m0 W and
+        """Entries (rows[i], cols[i]) of U(t) m0 U(t)^dagger, (N, k): with C = W^dagger m0 W and
         T_jk = C_jk W_:j W_:k^dagger, the sum of T_jk z_jk over j, k, z_jk = exp(-i (E_j - E_k) t). z_jj is 1
         and z_kj = conj(z_jk), so the sum is that of the T_jj plus Re z_jk (T_jk + T_kj) + Im z_jk i (T_jk - T_kj)
         over j < k: a zero m0 gives exact zeros. Only the k entries' coefficients enter the product.
@@ -162,7 +160,7 @@ class SpectralPropagator:
         return _bohr_sum(self.phases, self.phases.conj(), list(zip(j, k)), chosen, constant=True)
 
     def spin_flipped(self, w0: np.ndarray, v0: np.ndarray) -> np.ndarray:
-        """n(t) = sqrt(w0) X^dagger (Y (x) Y) X^* sqrt(w0) for X = U(t) v0: (r, r) or (N, r, r).
+        """n(t) = sqrt(w0) X^dagger (Y (x) Y) X^* sqrt(w0) for X = U(t) v0: (N, r, r).
 
         With A = W^dagger v0 sqrt(w0) and B = W^dagger (Y (x) Y) W^*, entry rs sums
         conj(A_jr) B_jk conj(A_ks) exp(+i (E_j + E_k) t) over j, k. The phases of (j, k) and
@@ -179,17 +177,17 @@ class SpectralPropagator:
 
 
 def _bohr_sum(left: np.ndarray, right: np.ndarray, pairs: list, coefficients: np.ndarray, constant=False) -> np.ndarray:
-    """sum_c table_c coefficients_c, (...) or (N, ...), for phases left, right (d,) or (N, d): one real product.
+    """sum_c table_c coefficients_c, (N, ...), for phases left, right (N, d): one real product.
 
     The real table holds [1 |] Re z | Im z, the 1 only where ``constant``, for z_c = left_j right_k over the
     index ``pairs`` (j, k), filled column by column; coefficients (m, ...) are complex, stacked in the
     table's column order, and enter through their real view.
     """
     m, start = len(coefficients), int(constant)
-    table = np.empty((m, *left.shape[:-1]))
+    table = np.empty((m, len(left)))
     table[:start] = 1.0
     for c, (j, k) in enumerate(pairs, start=start):
-        z = left[..., j] * right[..., k]
+        z = left[:, j] * right[:, k]
         table[c], table[c + len(pairs)] = z.real, z.imag
     product = table.T @ coefficients.reshape(m, -1).view(float)
-    return product.view(complex).reshape(*left.shape[:-1], *coefficients.shape[1:])
+    return product.view(complex).reshape(len(left), *coefficients.shape[1:])

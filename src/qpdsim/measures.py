@@ -48,10 +48,12 @@ def concurrence(rho: np.ndarray | DiagonalizedStates):
     the square-root weights keep it accurate on (near-)pure states. Rank 1 gives C = |n_00|, rank 2
     C = s1 - s2 with s1^2 the larger eigenvalue of n n^dag, from the Gram entries of n's rows, and
     s2 = |det n| / s1 (the root of the smaller eigenvalue would be off by about 1e-8), rank 4
-    _rank_four_concurrence. Unitary evolution keeps the spectrum w1 >= ... >= w4, and no unitary lifts C
-    above max(0, w1 - w3 - 2 sqrt(w2 w4)) (Verstraete, Audenaert and De Moor, PRA 64, 012316, 2001): rank 4
-    reads n only where that margin is positive (linalg._entangling), so an orbit's whole branch is
-    settled by its one spectrum, and an orbit whose margin is not positive carries no n.
+    _rank_four_concurrence.
+
+    The rank rule of an orbit: unitary evolution keeps the spectrum w1 >= ... >= w4, and no unitary lifts C
+    above max(0, w1 - w3 - 2 sqrt(w2 w4)) (Verstraete, Audenaert and De Moor, PRA 64, 012316, 2001). So rank 4
+    reads n only where that margin is positive (linalg._entangling): an orbit's one spectrum settles its whole
+    branch, and an orbit whose margin is not positive carries no n.
     """
     entries, w, n = diagonalized(rho)
     if w.shape[-1] == 1:

@@ -104,6 +104,9 @@ _COLUMN_RANGES: dict[str, tuple[float, float]] = {
 }
 TRAJECTORY_COLUMNS = ("t", *_COLUMN_RANGES)
 
+# Slack of the coherence budget |delta| <= |lam_B|, Delta <= 2|lam_B|, which every H and t keep.
+_BUDGET_TOL = 1e-12
+
 
 def _checked_column(name: str, values) -> np.ndarray:
     """One output column clipped onto its valid range, with -0.0 as 0.0; ``values`` itself when it needs neither.
@@ -175,15 +178,23 @@ def analyze_case(
 
     H is diagonalized once for all three branches, and each branch state once,
     at t=0: unitary evolution keeps its spectrum, so the entries its measures read
-    (the diagonal and upper triangle) and the spin-flip matrix n of its support (its
-    rank comes from the qubit factors) are Bohr sums over H's eigenbasis. No state
+    (the diagonal and upper triangle) and the spin-flip matrix n of its support (of the
+    qubit factors' rank, by concurrence's rank rule) are Bohr sums over H's eigenbasis. No state
     stack is formed. chi(t)'s diagonal is one too, formed from chi(0), so it is
-    exactly zero when the uncertain prediction has no coherence.
+    exactly zero when the uncertain prediction has no coherence. A sample of delta or
+    Delta beyond the coherence budget raises InvariantError naming it and the bound.
     """
     spec = catalog_case(scenario) if isinstance(scenario, str) else scenario
     times = time_grid(t_max, samples)
     propagator = SpectralPropagator(build_hamiltonian(params), times)
     delta, delta_bound = stp_leak(propagator._entries(chi_initial(spec), *np.diag_indices(4)))
+    lam_b = abs(spec.prediction.lam)
+    budget = (("|delta|", np.abs(delta), "|lam_B|", lam_b), ("Delta", delta_bound, "2|lam_B|", 2.0 * lam_b))
+    for name, values, bound, limit in budget:
+        bad = _first_bad(~(values <= limit + _BUDGET_TOL))
+        if bad is not None:
+            broken = f"{name} = {values[bad]:.12g} exceeds {bound} = {limit:.12g}"
+            raise InvariantError(f"coherence budget broken at sample {bad[0]}: {broken}")
     probabilities, series = {}, {}
     for alpha in BRANCHES:
         branch = orbit(initial_mental_state(spec, alpha), propagator, initial_rank(spec, alpha))
@@ -307,7 +318,6 @@ def check_verdicts(analyses: Mapping[str, CaseAnalysis]) -> dict[str, bool]:
 @dataclass(frozen=True)
 class ReproduceReport:
     checks: list[CellCheck]
-    verdicts_ok: Mapping[str, bool]
     lines: list[str]
     passed: bool
 
@@ -344,7 +354,7 @@ def reproduce_all(
         f"RESULT: {'PASS' if passed else 'FAIL'} "
         f"({len(checks)} cells, {len(notes)} loose-tier notes, {n_fail} failures)"
     )
-    return ReproduceReport(checks, verdicts_ok, lines, passed)
+    return ReproduceReport(checks, lines, passed)
 
 
 # ---------------------------------------------------------------------------

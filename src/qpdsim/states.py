@@ -69,10 +69,13 @@ def _modulus_square(lam) -> float:
 def qubit_state(params: SubsystemParams) -> np.ndarray:
     """2x2 density matrix [[p, lam], [conj(lam), 1-p]].
 
-    Raises InputError naming p or lam when it is not a finite number, and when |lam|^2 exceeds
-    p(1-p) beyond tolerance, i.e. when the matrix would not be positive semidefinite.
+    Raises InputError naming p or lam when it is not a finite number, p when p(1-p) is negative beyond
+    PSD_TOL, and lam when |lam|^2 exceeds p(1-p) beyond it: each when the matrix would not be positive
+    semidefinite.
     """
     p = _check_number("p", params.p)
+    if p * (1.0 - p) + PSD_TOL < 0:
+        raise InputError(f"p must lie in [0, 1], got {p!r}")
     lam = _check_number("lam", params.lam, real=False)
     if _modulus_square(lam) > p * (1.0 - p) + PSD_TOL:
         raise InputError(f"|lam|^2 = {_modulus_square(lam):.6g} exceeds p(1-p) = {p * (1.0 - p):.6g}")

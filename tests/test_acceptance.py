@@ -161,7 +161,7 @@ def test_criterion_6a_unitarity_trace_spectrum():
         )
         t = rng.uniform(0.0, 8.0)
         # U U^dagger = I: the propagator conjugates the identity to itself
-        worst = max(worst, np.max(np.abs(SpectralPropagator(h, t).conjugated(np.eye(4)) - np.eye(4))))
+        worst = max(worst, np.max(np.abs(SpectralPropagator(h, [t]).conjugated(np.eye(4)) - np.eye(4))))
         rho0 = random_density(rng, 4)
         traj = evolve(rho0, h, np.linspace(0.0, t, 8))
         worst = max(worst, np.max(np.abs(np.trace(traj.states, axis1=-2, axis2=-1) - 1.0)))
@@ -230,7 +230,7 @@ def test_criterion_6e_propagator_matches_rk4():
     us = rk4_propagator(np.stack(hs), np.array(ts))
     worst = 0.0
     for h, t, u in zip(hs, ts, us):
-        diff = np.max(np.abs(SpectralPropagator(h, t).conjugated(rho0) - u @ rho0 @ u.conj().T))
+        diff = np.max(np.abs(SpectralPropagator(h, [t]).conjugated(rho0)[0] - u @ rho0 @ u.conj().T))
         worst = max(worst, diff)
     ok = worst <= 1e-8
     assert report("6e spectral propagator matches RK4 oracle to 1e-8", ok, f"worst {worst:.2e}")

@@ -229,6 +229,12 @@ def test_case_label_config_names_a_scenario(tmp_path, capsys):
             id="u-coherence-square-overflows",
         ),
         pytest.param(lambda cfg: cfg.update(mu_d=10**400), "mu_d must be a number", id="mu_d-beyond-float-range"),
+        # a population outside [0, 1] is named as such, not as a coherence beyond p(1-p)
+        pytest.param(
+            lambda cfg: cfg["branches"]["u"].update(pB=2),
+            "branches.u: p must lie in [0, 1], got 2.0",
+            id="u-population-above-one",
+        ),
         # the case label names the output files
         pytest.param(lambda cfg: cfg.update(case_label="a/b"), "case_label", id="label-slash"),
         pytest.param(lambda cfg: cfg.update(case_label="x\ny"), "case_label", id="label-newline"),

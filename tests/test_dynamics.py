@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from qpdsim import (
     HamiltonianParams,
     InputError,
+    Trajectory,
     build_hamiltonian,
     catalog_case,
     choice_probability,
@@ -148,7 +150,7 @@ class TestEvolve:
             evolve(rho0, build_hamiltonian(), time_grid(samples=4))
 
     def test_scalar_time_is_not_a_grid(self):
-        with pytest.raises(InputError, match=r"^times \(N,\) and states \(N, d, d\) must align$"):
+        with pytest.raises(InputError, match=r"^times must be 1-D, got shape \(\)$"):
             evolve(np.eye(4) / 4, build_hamiltonian(), 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -171,17 +173,16 @@ class TestEvolve:
         monkeypatch.setattr(SpectralPropagator, "spin_flipped", refuse)
         np.testing.assert_array_equal(state_entries(evolve(rho0, h, times).states), expected)
 
-    def test_states_are_write_protected(self):
-        traj = evolve(np.eye(4) / 4, build_hamiltonian(), time_grid(samples=4))
-        with pytest.raises(ValueError):
-            traj.states[0, 0, 0] = 1.0
-
     def test_callers_times_stay_writeable(self):
         times = time_grid(samples=4)
         traj = evolve(np.eye(4) / 4, build_hamiltonian(), times)
         assert times.flags.writeable
-        assert not traj.times.flags.writeable and not traj.states.flags.writeable
         np.testing.assert_array_equal(traj.times, times)
+
+    def test_trajectory_adds_no_check_of_its_own(self):
+        # evolve's grid rule is the one check: a Trajectory only holds the grid and the states
+        assert [field.name for field in dataclasses.fields(Trajectory)] == ["times", "states"]
+        assert "__post_init__" not in vars(Trajectory)
 
     def test_payoff_term_alone_never_entangles(self):
         # the prediction-controlled term commutes with the prediction

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from qpdsim import (
     SubsystemParams,
     build_hamiltonian,
     eig_hermitian,
+    evolve,
     initial_mental_state,
     measure_series,
+    stp_verdict,
+    trapezoid_mean,
 )
 from qpdsim.dynamics import orbit
 from qpdsim.linalg import SpectralPropagator, diagonalized
@@ -73,6 +78,13 @@ class TestEigHermitian:
             eig_hermitian(np.zeros(3))
         with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(5, 2, 3\)$"):
             eig_hermitian(np.zeros((5, 2, 3)))
+
+    def test_rejects_a_zero_dimension(self):
+        # numpy's unnamed "zero-size array to reduction operation maximum" used to escape
+        with pytest.raises(InputError, match=r"^expected a square matrix, got shape \(0, 0\)$"):
+            eig_hermitian(np.zeros((0, 0)))
+        w, v = eig_hermitian(np.zeros((0, 4, 4)))  # an empty stack of 4x4 matrices is still a stack
+        assert w.shape == (0, 4) and v.shape == (0, 4, 4)
 
     def test_stack_matches_single_matrices(self):
         rng = np.random.default_rng(17)
@@ -281,7 +293,26 @@ class TestUnitaryFromHamiltonian:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError, match=r"^matrix is not Hermitian within 1e-12$"):
-            SpectralPropagator(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+            SpectralPropagator(np.array([[0.0, 1.0], [0.5, 0.0]]), [1.0])
+
+
+# Every function that takes a time grid, given the grid ``t`` and zero values of its shape.
+TIME_GRID_TAKERS = {
+    "SpectralPropagator": lambda t: SpectralPropagator(build_hamiltonian(), t),
+    "evolve": lambda t: evolve(np.eye(4) / 4, build_hamiltonian(), t),
+    "trapezoid_mean": lambda t: trapezoid_mean(np.zeros(np.shape(t)), t),
+    "stp_verdict": lambda t: stp_verdict(t, np.zeros(np.shape(t))),
+}
+
+
+@pytest.mark.parametrize("times", [0.5, np.linspace(0.0, 1.0, 6).reshape(2, 3)], ids=["scalar", "2x3"])
+@pytest.mark.parametrize("taker", sorted(TIME_GRID_TAKERS))
+def test_every_time_grid_is_one_dimensional(taker, times):
+    # a (2, 3) grid used to reach the propagator's Bohr sum, whose table.T reversed its axes: a wrong
+    # (2, 3, 4, 4) answer and no error
+    shape = re.escape(str(np.shape(times)))
+    with pytest.raises(InputError, match=rf"^times must be 1-D, got shape {shape}$"):
+        TIME_GRID_TAKERS[taker](times)
 
 
 class TestSpectralPropagator:
@@ -290,9 +321,9 @@ class TestSpectralPropagator:
         for _ in range(25):
             h, m0, t = random_hermitian(rng, 4), random_density(rng, 4), rng.uniform(-5.0, 5.0)
             u = unitary(h, t)
-            got = SpectralPropagator(h, t).conjugated(m0)
-            assert got.shape == (4, 4)
-            np.testing.assert_allclose(got, u @ m0 @ u.conj().T, rtol=0, atol=1e-14)
+            got = SpectralPropagator(h, [t]).conjugated(m0)  # the grid of one time
+            assert got.shape == (1, 4, 4)
+            np.testing.assert_allclose(got[0], u @ m0 @ u.conj().T, rtol=0, atol=1e-14)
 
     def test_conjugated_matches_oracle_on_a_grid(self):
         rng = np.random.default_rng(16)
@@ -307,7 +338,7 @@ class TestSpectralPropagator:
         got = SpectralPropagator(build_hamiltonian(), np.linspace(0.0, 10.0, 33)).conjugated(np.zeros((4, 4)))
         assert got.shape == (33, 4, 4) and np.all(got == 0.0)
         for h in oracle_hamiltonians(np.random.default_rng(24)):
-            assert np.all(SpectralPropagator(h, 0.7).conjugated(np.zeros((4, 4))) == 0.0)
+            assert np.all(SpectralPropagator(h, [0.7]).conjugated(np.zeros((4, 4))) == 0.0)
 
     def test_spin_flipped_matches_propagated_support(self):
         # n(t) = sqrt(w) X^dagger (Y (x) Y) X^* sqrt(w) with X = U(t) v0, formed here from the oracle's U
@@ -342,7 +373,7 @@ class TestFoldedBohrSums:
         e, _ = eig_hermitian(build_hamiltonian())
         assert abs((e[0] - e[1]) - (e[2] - e[3])) < 1e-12
 
-    @pytest.mark.parametrize("times", [0.7, np.linspace(-4.0, 9.0, 129)], ids=["scalar", "grid"])
+    @pytest.mark.parametrize("times", [[0.7], np.linspace(-4.0, 9.0, 129)], ids=["scalar", "grid"])
     def test_conjugated_matches_the_full_pair_sum(self, times):
         rng = np.random.default_rng(22)
         for h in oracle_hamiltonians(rng):
@@ -353,7 +384,7 @@ class TestFoldedBohrSums:
                 assert got.shape == np.shape(times) + (4, 4)
                 np.testing.assert_allclose(got, conjugated_pair_sum(propagator, m0), rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("times", [0.7, np.linspace(-4.0, 9.0, 129)], ids=["scalar", "grid"])
+    @pytest.mark.parametrize("times", [[0.7], np.linspace(-4.0, 9.0, 129)], ids=["scalar", "grid"])
     def test_spin_flipped_matches_the_full_pair_sum(self, times):
         rng = np.random.default_rng(23)
         for h in oracle_hamiltonians(rng):

@@ -45,6 +45,16 @@ class TestQubitState:
         with pytest.raises(InputError, match=r"^\|lam\|\^2 = 0\.25 exceeds p\(1-p\) = 0\.21$"):
             qubit_state(SubsystemParams(0.3, 0.5))
 
+    @pytest.mark.parametrize("p", [2.0, -0.5, 1.0 + 2e-10, 1e200])
+    def test_rejects_a_population_outside_the_unit_interval(self, p):
+        # the positivity check used to name the coherence: "|lam|^2 = 0 exceeds p(1-p) = -2"
+        with pytest.raises(InputError, match=rf"^p must lie in \[0, 1\], got {re.escape(repr(p))}$"):
+            qubit_state(SubsystemParams(p))
+
+    @pytest.mark.parametrize("p", [1.0 + 5e-11, -5e-11])
+    def test_a_population_within_the_positivity_slack_passes(self, p):
+        assert qubit_state(SubsystemParams(p))[0, 0] == p
+
     def test_layout(self):
         rho = qubit_state(SubsystemParams(0.7, 0.1 - 0.2j))
         assert rho[0, 0] == 0.7 and rho[1, 1] == pytest.approx(0.3)
